@@ -15,6 +15,8 @@ import numpy as np
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
 
+from spanlab.configs import SCHEMA_VERSION
+
 # truncate infinite domains where the exponential factor drops below this
 # fraction of its peak; the tail is far below quadrature tolerance
 _TAIL = 1e-14
@@ -47,7 +49,7 @@ class BoundTable:
         lines = ["name,param,value,tag,schema_version"]
         for e in self.entries:
             lines.append(
-                f"{e.name},\"{json.dumps(e.params)}\",{e.value:.17g},{e.tag},1"
+                f"{e.name},\"{json.dumps(e.params)}\",{e.value:.17g},{e.tag},{SCHEMA_VERSION}"
             )
         return "\n".join(lines) + "\n"
 

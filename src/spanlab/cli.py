@@ -12,10 +12,11 @@ import json
 import sys
 
 from spanlab import analytic, mc, metrics, nets
-from spanlab.configs import (PointConfig, Window, hex_config, poisson,
-                             square_grid, tri_config, uniform_n)
+from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, hex_config,
+                             poisson, square_grid, tri_config, uniform_n)
 
-SCHEMA_VERSION = 1
+# flags that carry builder parameters (see nets.BUILDERS)
+_BUILDER_FLAGS = ("m", "k", "t", "variant", "directions")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,6 +48,14 @@ def _window_arg(spec: str) -> Window:
     if len(parts) == 4:
         return Window(*parts)
     raise ValueError("window must be SIDE or X0,Y0,X1,Y1")
+
+
+def _builder_params(args) -> dict:
+    params = {name: getattr(args, name, None) for name in _BUILDER_FLAGS}
+    params = {name: v for name, v in params.items() if v is not None}
+    if "directions" in params:
+        params["directions"] = [int(v) for v in params["directions"].split(",")]
+    return params
 
 
 def _save_run(path: str | None, argv: list[str]) -> None:
@@ -82,18 +91,7 @@ def cmd_generate(args) -> int:
 
 def cmd_build(args) -> int:
     cfg = PointConfig.from_json(_load(args.config))
-    params = {}
-    if args.m is not None:
-        params["m"] = args.m
-    if args.k is not None:
-        params["k"] = args.k
-    if args.t is not None:
-        params["t"] = args.t
-    if args.variant is not None:
-        params["variant"] = args.variant
-    if args.directions is not None:
-        params["directions"] = [int(v) for v in args.directions.split(",")]
-    net = mc.build_network(args.net, cfg, params)
+    net = nets.build(args.net, cfg, _builder_params(args))
     _write(args.out, net.to_json())
     return EXIT_OK
 
@@ -154,18 +152,9 @@ def cmd_experiment(args) -> int:
     if args.name == "psi_ave_upper":
         if args.net is None:
             raise ValueError("psi_ave_upper requires --net")
-        params = {}
-        if args.m is not None:
-            params["m"] = args.m
-        if args.k is not None:
-            params["k"] = args.k
-        if args.t is not None:
-            params["t"] = args.t
-        if args.variant is not None:
-            params["variant"] = args.variant
         result, worst = mc.estimate_psi_ave_upper(
-            args.net, params, window, replicates=args.replicates,
-            master_seed=args.seed, mode=args.mode, threads=args.threads)
+            args.net, _builder_params(args), window, replicates=args.replicates,
+            master_seed=args.seed, mode=args.mode)
         results.append(result)
         sys.stderr.write(f"max stretch {_fmt(worst.max_ratio)} over "
                          f"{worst.n_pairs} pairs\n")
@@ -173,23 +162,20 @@ def cmd_experiment(args) -> int:
         if args.h is None or args.L is None:
             raise ValueError("crossing requires --h and --L")
         first, second = mc.crossing_experiment(
-            args.h, args.L, replicates=args.replicates,
-            master_seed=args.seed, threads=args.threads)
+            args.h, args.L, replicates=args.replicates, master_seed=args.seed)
         results += [first, second]
     elif args.name == "empirical_lm":
         if args.m is None:
             raise ValueError("empirical_lm requires --m")
         results.append(mc.empirical_Lm(args.m, window,
                                        replicates=args.replicates,
-                                       master_seed=args.seed,
-                                       threads=args.threads))
+                                       master_seed=args.seed))
     elif args.name == "empirical_lk":
         if args.k is None:
             raise ValueError("empirical_lk requires --k")
         results.append(mc.empirical_Lk(args.k, window,
                                        replicates=args.replicates,
-                                       master_seed=args.seed,
-                                       threads=args.threads))
+                                       master_seed=args.seed))
     else:
         raise ValueError(f"unknown experiment {args.name!r}")
     lines = [mc.RESULT_CSV_HEADER] + [r.csv_row() for r in results]
@@ -227,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build a network over a configuration")
     b.add_argument("config", help="configuration JSON file")
-    b.add_argument("net", choices=["delaunay", "theta", "yao", "cone",
-                                   "grid_freeway", "alt_diag", "lattice"])
+    b.add_argument("net", choices=list(nets.BUILDERS))
     b.add_argument("--m", type=int)
     b.add_argument("--k", type=int)
     b.add_argument("--t", type=float)
@@ -260,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     e.add_argument("name", choices=["psi_ave_upper", "crossing",
                                     "empirical_lm", "empirical_lk"])
-    e.add_argument("--net", choices=["delaunay", "theta", "yao", "cone",
-                                     "grid_freeway"])
+    e.add_argument("--net", choices=[kind for kind in nets.BUILDERS
+                                     if kind not in ("alt_diag", "lattice")])
     e.add_argument("--m", type=int)
     e.add_argument("--k", type=int)
     e.add_argument("--t", type=float)
@@ -272,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--window", default="40")
     e.add_argument("--replicates", type=int, default=20)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--threads", type=int,
-                   help="worker threads (default: SPANLAB_THREADS or 1)")
     e.add_argument("--out", default="-")
     e.set_defaults(func=cmd_experiment)
 
@@ -293,6 +276,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        net = getattr(args, "net", None)
+        if net is not None:
+            missing = [f"--{name}" for name in nets.BUILDERS[net][0]
+                       if getattr(args, name) is None]
+            if missing:
+                parser.error(f"network {net} requires {', '.join(missing)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

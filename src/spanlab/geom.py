@@ -264,11 +264,16 @@ def _cells_of_segment(a: Point, b: Point, cell: float, pad: float = 0.0):
     return cells
 
 
-def _candidate_pairs(segments: list[Segment], cell: float, pad: float = 0.0):
+def _segment_buckets(segments: list[Segment], cell: float, pad: float = 0.0):
+    """Grid cell -> indices of the segments passing through it."""
     buckets: dict[tuple[int, int], list[int]] = {}
     for idx, s in enumerate(segments):
         for c in _cells_of_segment(s.a, s.b, cell, pad):
             buckets.setdefault(c, []).append(idx)
+    return buckets
+
+
+def _candidate_pairs(buckets: dict[tuple[int, int], list[int]]):
     pairs = set()
     for members in buckets.values():
         for i in range(len(members)):
@@ -356,7 +361,7 @@ def _merge_overlaps(segments: list[Segment], cell: float) -> list[Segment]:
     for _ in range(32):
         changed = False
         pairs = _near_collinear_pairs(
-            segs, _candidate_pairs(segs, cell, 1e-9 * cell))
+            segs, _candidate_pairs(_segment_buckets(segs, cell, 1e-9 * cell)))
         merged_away: set[int] = set()
         for i, j in pairs:
             if i in merged_away or j in merged_away:
@@ -449,7 +454,8 @@ def build_arrangement(
 
     # pairwise intersections and endpoint touches
     pad = max(snap_eps, 1e-9 * cell)
-    pairs = _candidate_pairs(segs, cell, pad)
+    seg_buckets = _segment_buckets(segs, cell, pad)
+    pairs = _candidate_pairs(seg_buckets)
     for i, j, hit in _intersection_events(segs, pairs):
         d_i, t_i = _point_segment_distance(hit, segs[i])
         d_j, t_j = _point_segment_distance(hit, segs[j])
@@ -465,10 +471,6 @@ def build_arrangement(
 
     # attach cities
     city_nodes = np.empty(len(cities), dtype=int)
-    seg_buckets: dict[tuple[int, int], list[int]] = {}
-    for idx, s in enumerate(segs):
-        for c in _cells_of_segment(s.a, s.b, cell, pad):
-            seg_buckets.setdefault(c, []).append(idx)
     for ci, c in enumerate(cities):
         node = registry.insert(c)
         city_nodes[ci] = node

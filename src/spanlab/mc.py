@@ -12,16 +12,13 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from spanlab import metrics, nets
-from spanlab.configs import PointConfig, Window, poisson, rng_from_seed
+from spanlab.configs import SCHEMA_VERSION, Window, poisson, rng_from_seed
 from spanlab.metrics import StretchReport
-
-SCHEMA_VERSION = 1
 
 RESULT_CSV_HEADER = "estimator,params,mean,se,n,seed"
 
@@ -48,34 +45,8 @@ class ExperimentResult:
                 f"{self.se:.17g},{self.n},{self.seed}")
 
 
-def n_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else SPANLAB_THREADS, else 1."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        return threads
-    env = os.environ.get("SPANLAB_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"SPANLAB_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ValueError("SPANLAB_THREADS must be >= 1")
-        return value
-    return 1
-
-
 def _replicate_seeds(master_seed: int, n: int) -> list:
     return list(np.random.SeedSequence(master_seed).spawn(n))
-
-
-def _run_replicates(fn, seeds, threads):
-    workers = n_threads(threads)
-    if workers == 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
 
 
 def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:
@@ -90,32 +61,6 @@ def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# network builder registry (shared with the CLI)
-# ---------------------------------------------------------------------------
-
-
-def build_network(kind: str, config: PointConfig, params: dict) -> nets.Network:
-    """Dispatch a builder by name with keyword parameters."""
-    if kind == "delaunay":
-        return nets.delaunay(config)
-    if kind == "theta":
-        return nets.theta_graph(config, int(params["m"]))
-    if kind == "yao":
-        return nets.yao_graph(config, int(params["m"]))
-    if kind == "cone":
-        return nets.cone_road_network(config, int(params["k"]),
-                                      directions=params.get("directions"))
-    if kind == "grid_freeway":
-        return nets.grid_freeway(config, float(params["t"]),
-                                 params.get("variant", "N1"))
-    if kind == "alt_diag":
-        return nets.alternate_diagonals(config.window)
-    if kind == "lattice":
-        return nets.lattice_edges(config)
-    raise ValueError(f"unknown network kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # length / stretch estimators
 # ---------------------------------------------------------------------------
 
@@ -127,7 +72,6 @@ def estimate_psi_ave_upper(
     replicates: int = 20,
     master_seed: int = 0,
     mode: str = "steiner",
-    threads: int | None = None,
 ) -> tuple[ExperimentResult, StretchReport]:
     """Empirical (length, stretch) of a builder on toroidal Poisson cities.
 
@@ -144,13 +88,13 @@ def estimate_psi_ave_upper(
 
     def one(seed_seq):
         config = poisson(window, rate=1.0, seed=seed_seq, torus=True)
-        net = build_network(kind, config, params)
+        net = nets.build(kind, config, params)
         length = metrics.normalized_length(net, margin_fraction=0.0)
         report = metrics.stretch(net, mode=mode)
         return length, report
 
     t0 = time.perf_counter()
-    out = _run_replicates(one, _replicate_seeds(master_seed, replicates), threads)
+    out = [one(s) for s in _replicate_seeds(master_seed, replicates)]
     lengths = [length for length, _ in out]
     worst = max((rep for _, rep in out), key=lambda r: r.max_ratio)
     result = _aggregate(f"psi_ave_upper[{kind}]",
@@ -164,7 +108,6 @@ def empirical_Lm(
     window: Window | None = None,
     replicates: int = 20,
     master_seed: int = 0,
-    threads: int | None = None,
 ) -> ExperimentResult:
     """Mean normalized length of the theta-graph on toroidal Poisson cities."""
     if m < 6 or m % 2 != 0:
@@ -177,7 +120,7 @@ def empirical_Lm(
                                          margin_fraction=0.0)
 
     t0 = time.perf_counter()
-    values = _run_replicates(one, _replicate_seeds(master_seed, replicates), threads)
+    values = [one(s) for s in _replicate_seeds(master_seed, replicates)]
     return _aggregate("empirical_Lm", {"m": m, "window": window.area},
                       values, master_seed, t0)
 
@@ -188,7 +131,6 @@ def empirical_Lk(
     replicates: int = 20,
     master_seed: int = 0,
     direction: int = 0,
-    threads: int | None = None,
 ) -> ExperimentResult:
     """Mean normalized length of one direction class of the cone network."""
     if k < 2:
@@ -201,7 +143,7 @@ def empirical_Lk(
         return metrics.normalized_length(net, margin_fraction=0.0)
 
     t0 = time.perf_counter()
-    values = _run_replicates(one, _replicate_seeds(master_seed, replicates), threads)
+    values = [one(s) for s in _replicate_seeds(master_seed, replicates)]
     return _aggregate("empirical_Lk", {"k": k, "direction": direction,
                                        "window": window.area},
                       values, master_seed, t0)
@@ -218,7 +160,6 @@ def crossing_experiment(
     strip_width: float | None = None,
     replicates: int = 2000,
     master_seed: int = 0,
-    threads: int | None = None,
 ) -> tuple[ExperimentResult, ExperimentResult]:
     """Sample moments of the virtual-crossing count N.
 
@@ -259,7 +200,7 @@ def crossing_experiment(
         return count
 
     t0 = time.perf_counter()
-    counts = _run_replicates(one, _replicate_seeds(master_seed, replicates), threads)
+    counts = [one(s) for s in _replicate_seeds(master_seed, replicates)]
     counts = np.asarray(counts, dtype=float)
     params = {"h": h, "L": L, "W": W}
     first = _aggregate("crossing_N", params, counts, master_seed, t0)
@@ -277,7 +218,6 @@ def window_sweep(
     windows,
     replicates: int = 20,
     master_seed: int = 0,
-    threads: int | None = None,
     **kwargs,
 ) -> list[ExperimentResult]:
     """Run a window-taking estimator at each window and report the drift.
@@ -290,7 +230,7 @@ def window_sweep(
         if not isinstance(win, Window):
             win = Window.square(float(win))
         out = estimator(window=win, replicates=replicates,
-                        master_seed=master_seed, threads=threads, **kwargs)
+                        master_seed=master_seed, **kwargs)
         results.append(out[0] if isinstance(out, tuple) else out)
     return results
 

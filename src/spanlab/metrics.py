@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from spanlab.configs import rng_from_seed
+from spanlab.configs import SCHEMA_VERSION, rng_from_seed
 from spanlab.geom import build_arrangement
 from spanlab.nets import Network, unwrap
 
@@ -38,7 +38,7 @@ class StretchReport:
     def to_json(self) -> str:
         doc = dict(self.__dict__)
         doc["argmax_pair"] = list(self.argmax_pair)
-        doc["schema_version"] = 1
+        doc["schema_version"] = SCHEMA_VERSION
         return json.dumps(doc)
 
     def csv_row(self) -> str:
@@ -188,22 +188,6 @@ def local_stretch(
     return best
 
 
-def _clip_lengths(segments: np.ndarray, win) -> np.ndarray:
-    """Exact lengths of segments clipped to a rectangular window."""
-    x1, y1, x2, y2 = segments[:, 0], segments[:, 1], segments[:, 2], segments[:, 3]
-    dx, dy = x2 - x1, y2 - y1
-    t0 = np.zeros(len(segments))
-    t1 = np.ones(len(segments))
-    for p, d, lo, hi in ((x1, dx, win.x0, win.x1), (y1, dy, win.y0, win.y1)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta = np.where(d != 0, (lo - p) / d, np.where(p >= lo, -np.inf, np.inf))
-            tb = np.where(d != 0, (hi - p) / d, np.where(p <= hi, np.inf, -np.inf))
-        t0 = np.maximum(t0, np.minimum(ta, tb))
-        t1 = np.minimum(t1, np.maximum(ta, tb))
-    frac = np.clip(t1 - t0, 0.0, 1.0)
-    return frac * np.hypot(dx, dy)
-
-
 def normalized_length(net: Network, margin_fraction: float = DEFAULT_MARGIN) -> float:
     """Total network length inside the inner window, per unit inner area.
 
@@ -219,7 +203,11 @@ def normalized_length(net: Network, margin_fraction: float = DEFAULT_MARGIN) -> 
         raise ValueError("empty inner window")
     if len(net.segments) == 0:
         return 0.0
-    return float(_clip_lengths(net.segments, inner).sum()) / inner.area
+    segs = net.segments
+    dx, dy = segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]
+    t0, t1 = inner.clip(segs[:, 0], segs[:, 1], dx, dy, 0.0, 1.0)
+    clipped = np.clip(t1 - t0, 0.0, 1.0) * np.hypot(dx, dy)
+    return float(clipped.sum()) / inner.area
 
 
 def intersection_rate(
@@ -261,17 +249,7 @@ def intersection_rate(
         px = cx + off[lo:hi][:, None] * nx
         py = cy + off[lo:hi][:, None] * ny
         # chord of the line inside the inner window
-        t0 = np.full(px.shape, -np.inf)
-        t1 = np.full(px.shape, np.inf)
-        for p, d, lo_w, hi_w in ((px, c, inner.x0, inner.x1),
-                                 (py, s, inner.y0, inner.y1)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ta = np.where(d != 0, (lo_w - p) / d,
-                              np.where(p >= lo_w, -np.inf, np.inf))
-                tb = np.where(d != 0, (hi_w - p) / d,
-                              np.where(p <= hi_w, np.inf, -np.inf))
-            t0 = np.maximum(t0, np.minimum(ta, tb))
-            t1 = np.minimum(t1, np.maximum(ta, tb))
+        t0, t1 = inner.clip(px, py, c, s, -np.inf, np.inf)
         chord = np.clip(t1 - t0, 0.0, None)[:, 0]
         chords[lo:hi] = chord
         # signed distances of segment endpoints to each line

@@ -18,9 +18,7 @@ from scipy.spatial import Delaunay as _SciDelaunay
 from scipy.spatial import cKDTree
 from scipy.spatial import QhullError
 
-from spanlab.configs import PointConfig, Window
-
-SCHEMA_VERSION = 1
+from spanlab.configs import SCHEMA_VERSION, PointConfig, Window, square_grid
 
 
 @dataclass
@@ -162,10 +160,8 @@ def cone_road_network(config: PointConfig, k: int, directions=None) -> Network:
         wanted = {int(i) % k for i in directions}
     else:
         wanted = set(range(k))
-    pts = config.points
-    side = config.window.width if config.torus else None
     kept = []
-    for (i, j, wx, wy), seg in edges.items():
+    for seg in edges.values():
         dx, dy = seg[2] - seg[0], seg[3] - seg[1]
         ang = math.atan2(dy, dx) % math.pi
         idx = min(int(ang / (math.pi / k)), k - 1)
@@ -279,22 +275,6 @@ def grid_freeway(config: PointConfig, t: float, variant: str = "N1") -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _clip_line_to_window(px, py, dx, dy, win: Window):
-    """Clip the infinite line p + t*d to the window; None if it misses."""
-    t0, t1 = -math.inf, math.inf
-    for p, d, lo, hi in ((px, dx, win.x0, win.x1), (py, dy, win.y0, win.y1)):
-        if d == 0:
-            if not lo <= p <= hi:
-                return None
-        else:
-            a, b = (lo - p) / d, (hi - p) / d
-            t0 = max(t0, min(a, b))
-            t1 = min(t1, max(a, b))
-    if t0 >= t1:
-        return None
-    return (px + t0 * dx, py + t0 * dy, px + t1 * dx, py + t1 * dy)
-
-
 def alternate_diagonals(window: Window) -> Network:
     """Period-2 pattern of full diagonal lines over the integer grid:
     slope +1 lines through even offsets y - x, slope -1 lines through odd
@@ -303,32 +283,23 @@ def alternate_diagonals(window: Window) -> Network:
     if (window.width != round(window.width)
             or window.height != round(window.height)):
         raise ValueError("window sides must be integers")
-    config = _square_grid_config(window)
+    config = square_grid(window)
     # clip against a window grown by one unit so that a city sitting on a
     # corner keeps a stub of its line (the pattern continues past the window)
     ext = Window(window.x0 - 1.0, window.y0 - 1.0, window.x1 + 1.0, window.y1 + 1.0)
-    segs = []
-    c_lo = math.floor(ext.y0 - ext.x1)
-    c_hi = math.ceil(ext.y1 - ext.x0)
-    for c in range(c_lo, c_hi + 1):
-        if c % 2 == 0:
-            clipped = _clip_line_to_window(0.0, float(c), 1.0, 1.0, ext)
-            if clipped:
-                segs.append(clipped)
-    c_lo = math.floor(ext.x0 + ext.y0)
-    c_hi = math.ceil(ext.x1 + ext.y1)
-    for c in range(c_lo, c_hi + 1):
-        if c % 2 != 0:
-            clipped = _clip_line_to_window(0.0, float(c), 1.0, -1.0, ext)
-            if clipped:
-                segs.append(clipped)
-    return Network(config, np.array(segs).reshape(-1, 4), "alt_diag", {})
-
-
-def _square_grid_config(window: Window) -> PointConfig:
-    from spanlab.configs import square_grid
-
-    return square_grid(window)
+    rising = [c for c in range(math.floor(ext.y0 - ext.x1), math.ceil(ext.y1 - ext.x0) + 1)
+              if c % 2 == 0]
+    falling = [c for c in range(math.floor(ext.x0 + ext.y0), math.ceil(ext.x1 + ext.y1) + 1)
+               if c % 2 != 0]
+    # line c is p + t*d with p = (0, c), d = (1, +-1)
+    px, dx = 0.0, 1.0
+    py = np.array(rising + falling, dtype=float)
+    dy = np.array([1.0] * len(rising) + [-1.0] * len(falling))
+    t0, t1 = ext.clip(px, py, dx, dy, -np.inf, np.inf)
+    hit = t0 < t1
+    t0, t1, py, dy = t0[hit], t1[hit], py[hit], dy[hit]
+    segs = np.column_stack([px + t0 * dx, py + t0 * dy, px + t1 * dx, py + t1 * dy])
+    return Network(config, segs, "alt_diag", {})
 
 
 def lattice_edges(config: PointConfig) -> Network:
@@ -341,6 +312,36 @@ def lattice_edges(config: PointConfig) -> Network:
     pts = config.points
     segs = np.array([[*pts[i], *pts[j]] for i, j in sorted(pairs)]).reshape(-1, 4)
     return Network(config, segs, f"{config.kind}_lattice", {"spacing": spacing})
+
+
+# ---------------------------------------------------------------------------
+# builder registry
+# ---------------------------------------------------------------------------
+
+# name -> (required parameters, builder(config, params)).  Each entry looks
+# its builder up at call time, so a replaced module attribute is honored.
+BUILDERS = {
+    "delaunay": ((), lambda c, p: delaunay(c)),
+    "theta": (("m",), lambda c, p: theta_graph(c, int(p["m"]))),
+    "yao": (("m",), lambda c, p: yao_graph(c, int(p["m"]))),
+    "cone": (("k",), lambda c, p: cone_road_network(
+        c, int(p["k"]), directions=p.get("directions"))),
+    "grid_freeway": (("t",), lambda c, p: grid_freeway(
+        c, float(p["t"]), p.get("variant", "N1"))),
+    "alt_diag": ((), lambda c, p: alternate_diagonals(c.window)),
+    "lattice": ((), lambda c, p: lattice_edges(c)),
+}
+
+
+def build(kind: str, config: PointConfig, params: dict) -> Network:
+    """Build the network ``kind`` of BUILDERS with the given parameters."""
+    if kind not in BUILDERS:
+        raise ValueError(f"unknown network kind {kind!r}")
+    required, builder = BUILDERS[kind]
+    missing = [name for name in required if name not in params]
+    if missing:
+        raise ValueError(f"{kind} requires parameter(s): {', '.join(missing)}")
+    return builder(config, params)
 
 
 # ---------------------------------------------------------------------------

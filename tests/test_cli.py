@@ -68,6 +68,21 @@ class TestBuildMeasure:
         bad.write_text("{not json")
         assert run("measure", str(bad)) == EXIT_IO
 
+    def test_measure_without_cities_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "net.json"
+        bad.write_text(json.dumps({"window": [0, 0, 5, 5], "segments": []}))
+        assert run("measure", str(bad)) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("net,flag", [("theta", "--m"),
+                                          ("grid_freeway", "--t")])
+    def test_missing_builder_flag_is_usage_error(self, tmp_path, capsys, net, flag):
+        cfg = tmp_path / "cfg.json"
+        run("generate", "poisson", "--window", "12", "--seed", "1",
+            "--out", str(cfg))
+        assert run("build", str(cfg), net) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
     def test_build_all_kinds(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         run("generate", "poisson", "--window", "12", "--seed", "1",
@@ -132,21 +147,9 @@ class TestExperiment:
         row = out.read_text().strip().split("\n")[1]
         assert row.startswith("empirical_Lm,")
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        monkeypatch.delenv("SPANLAB_THREADS", raising=False)
-        run("experiment", "empirical_lm", "--m", "6", "--window", "10",
-            "--replicates", "4", "--seed", "7", "--out", str(out1))
-        monkeypatch.setenv("SPANLAB_THREADS", "2")
-        run("experiment", "empirical_lm", "--m", "6", "--window", "10",
-            "--replicates", "4", "--seed", "7", "--out", str(out2))
-        assert out1.read_text() == out2.read_text()
-
-    def test_bad_threads_env(self, monkeypatch):
-        monkeypatch.setenv("SPANLAB_THREADS", "many")
-        assert run("experiment", "empirical_lm", "--m", "6",
-                   "--window", "10", "--replicates", "2") == EXIT_DOMAIN
+    def test_missing_builder_flag_is_usage_error(self, capsys):
+        assert run("experiment", "psi_ave_upper", "--net", "cone") == EXIT_USAGE
+        assert "--k" in capsys.readouterr().err
 
 
 class TestRepro:

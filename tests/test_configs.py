@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from spanlab.configs import (HEX_SPACING, TRI_SPACING, PointConfig, Window,
@@ -26,6 +28,59 @@ class TestWindow:
         w = Window.square(2.0)
         mask = w.contains(np.array([[1.0, 1.0], [3.0, 0.5]]))
         assert mask.tolist() == [True, False]
+
+
+def _reference_clip(win, px, py, dx, dy, t0, t1):
+    """Scalar Liang-Barsky clip: the t in [t0, t1] with p + t*d in win, or None."""
+    for p, d, lo, hi in ((px, dx, win.x0, win.x1), (py, dy, win.y0, win.y1)):
+        if d == 0:
+            if not lo <= p <= hi:
+                return None
+        else:
+            a, b = (lo - p) / d, (hi - p) / d
+            t0, t1 = max(t0, min(a, b)), min(t1, max(a, b))
+    return (t0, t1) if t0 <= t1 else None
+
+
+_coord = st.one_of(st.integers(-6, 6).map(float),
+                   st.floats(-6.0, 6.0, allow_nan=False))
+# nonzero directions stay above 1e-9 so that (bound - p) / d cannot overflow
+_direction = st.one_of(st.just(0.0), st.integers(-2, 2).map(float),
+                       st.floats(1e-9, 3.0), st.floats(-3.0, -1e-9))
+
+
+class TestWindowClip:
+    WIN = Window(-1.0, -2.0, 3.0, 2.0)
+
+    @given(lines=st.lists(st.tuples(_coord, _coord, _direction, _direction)
+                          .filter(lambda line: line[2] != 0 or line[3] != 0),
+                          min_size=1, max_size=20),
+           bounds=st.sampled_from([(-math.inf, math.inf), (0.0, 1.0)]))
+    # axis-parallel lines inside and outside the window, and a diagonal miss
+    @example(lines=[(0.0, 1.0, 1.0, 0.0), (0.0, 5.0, 1.0, 0.0),
+                    (-4.0, 0.0, 0.0, 1.0), (3.0, 0.0, 0.0, -1.0),
+                    (5.0, 5.0, 1.0, -1.0)],
+             bounds=(-math.inf, math.inf))
+    def test_matches_scalar_reference(self, lines, bounds):
+        px, py, dx, dy = (np.array(col) for col in zip(*lines))
+        t_lo, t_hi = self.WIN.clip(px, py, dx, dy, *bounds)
+        for k, line in enumerate(lines):
+            ref = _reference_clip(self.WIN, *line, *bounds)
+            if ref is None:
+                assert t_lo[k] > t_hi[k]
+            else:
+                assert (t_lo[k], t_hi[k]) == ref
+
+    def test_known_chords(self):
+        px = np.array([0.0, 0.0, -4.0, 5.0])
+        py = np.array([1.0, 5.0, 0.0, 5.0])
+        dx = np.array([1.0, 1.0, 0.0, 1.0])
+        dy = np.array([0.0, 0.0, 1.0, -1.0])
+        t_lo, t_hi = self.WIN.clip(px, py, dx, dy, -math.inf, math.inf)
+        assert (t_lo[0], t_hi[0]) == (-1.0, 3.0)  # horizontal, inside
+        assert t_lo[1] > t_hi[1]  # horizontal, above the window
+        assert t_lo[2] > t_hi[2]  # vertical, left of the window
+        assert t_lo[3] > t_hi[3]  # diagonal through (10, 0), misses
 
 
 class TestRandomGenerators:

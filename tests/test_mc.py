@@ -5,39 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from spanlab import analytic, mc
+from spanlab import analytic, mc, nets
 from spanlab.configs import Window, uniform_n
-
-
-class TestThreads:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("SPANLAB_THREADS", raising=False)
-        assert mc.n_threads() == 1
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("SPANLAB_THREADS", "3")
-        assert mc.n_threads() == 3
-        assert mc.n_threads(2) == 2  # explicit argument wins
-
-    def test_bad_values_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            mc.n_threads(0)
-        monkeypatch.setenv("SPANLAB_THREADS", "zero")
-        with pytest.raises(ValueError):
-            mc.n_threads()
 
 
 class TestBuilderRegistry:
     def test_unknown_kind_rejected(self):
         cfg = uniform_n(5, Window.square(5), seed=0)
         with pytest.raises(ValueError):
-            mc.build_network("minimum_spanning_tree", cfg, {})
+            nets.build("minimum_spanning_tree", cfg, {})
 
     def test_dispatch(self):
         cfg = uniform_n(10, Window.square(5), seed=0)
-        assert mc.build_network("theta", cfg, {"m": 6}).kind == "theta"
-        assert mc.build_network("yao", cfg, {"m": 8}).kind == "yao"
-        assert mc.build_network("cone", cfg, {"k": 3}).kind == "cone"
+        assert nets.build("theta", cfg, {"m": 6}).kind == "theta"
+        assert nets.build("yao", cfg, {"m": 8}).kind == "yao"
+        assert nets.build("cone", cfg, {"k": 3}).kind == "cone"
+
+    def test_missing_parameter_rejected(self):
+        cfg = uniform_n(10, Window.square(5), seed=0)
+        for kind, (required, _) in nets.BUILDERS.items():
+            if required:
+                with pytest.raises(ValueError, match=rf": {required[0]}$"):
+                    nets.build(kind, cfg, {})
 
 
 class TestEmpiricalLengths:
@@ -62,13 +51,6 @@ class TestEmpiricalLengths:
     def test_determinism(self):
         a = mc.empirical_Lm(6, Window.square(12), replicates=5, master_seed=4)
         b = mc.empirical_Lm(6, Window.square(12), replicates=5, master_seed=4)
-        assert a.replicate_values == b.replicate_values
-
-    def test_threads_do_not_change_result(self):
-        a = mc.empirical_Lm(6, Window.square(12), replicates=6, master_seed=4,
-                            threads=1)
-        b = mc.empirical_Lm(6, Window.square(12), replicates=6, master_seed=4,
-                            threads=3)
         assert a.replicate_values == b.replicate_values
 
     def test_se_shrinks_with_replicates(self):
