@@ -18,6 +18,14 @@ from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, hex_config,
 # flags that carry builder parameters (see nets.BUILDERS)
 _BUILDER_FLAGS = ("m", "k", "t", "variant", "directions")
 
+# experiment name -> flags it requires (a --net also requires its builder's)
+_EXPERIMENT_FLAGS = {
+    "psi_ave_upper": ("net",),
+    "crossing": ("h", "L"),
+    "empirical_lm": ("m",),
+    "empirical_lk": ("k",),
+}
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
@@ -150,8 +158,6 @@ def cmd_experiment(args) -> int:
     window = _window_arg(args.window)
     results = []
     if args.name == "psi_ave_upper":
-        if args.net is None:
-            raise ValueError("psi_ave_upper requires --net")
         result, worst = mc.estimate_psi_ave_upper(
             args.net, _builder_params(args), window, replicates=args.replicates,
             master_seed=args.seed, mode=args.mode)
@@ -159,20 +165,14 @@ def cmd_experiment(args) -> int:
         sys.stderr.write(f"max stretch {_fmt(worst.max_ratio)} over "
                          f"{worst.n_pairs} pairs\n")
     elif args.name == "crossing":
-        if args.h is None or args.L is None:
-            raise ValueError("crossing requires --h and --L")
         first, second = mc.crossing_experiment(
             args.h, args.L, replicates=args.replicates, master_seed=args.seed)
         results += [first, second]
     elif args.name == "empirical_lm":
-        if args.m is None:
-            raise ValueError("empirical_lm requires --m")
         results.append(mc.empirical_Lm(args.m, window,
                                        replicates=args.replicates,
                                        master_seed=args.seed))
     elif args.name == "empirical_lk":
-        if args.k is None:
-            raise ValueError("empirical_lk requires --k")
         results.append(mc.empirical_Lk(args.k, window,
                                        replicates=args.replicates,
                                        master_seed=args.seed))
@@ -243,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     bo.set_defaults(func=cmd_bounds)
 
     e = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    e.add_argument("name", choices=["psi_ave_upper", "crossing",
-                                    "empirical_lm", "empirical_lk"])
+    e.add_argument("name", choices=list(_EXPERIMENT_FLAGS))
     e.add_argument("--net", choices=[kind for kind in nets.BUILDERS
                                      if kind not in ("alt_diag", "lattice")])
     e.add_argument("--m", type=int)
@@ -276,12 +275,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        required = {}
+        if args.command == "experiment":
+            required[args.name] = _EXPERIMENT_FLAGS[args.name]
         net = getattr(args, "net", None)
         if net is not None:
-            missing = [f"--{name}" for name in nets.BUILDERS[net][0]
-                       if getattr(args, name) is None]
+            required[f"network {net}"] = nets.BUILDERS[net][0]
+        for what, names in required.items():
+            missing = [f"--{name}" for name in names if getattr(args, name) is None]
             if missing:
-                parser.error(f"network {net} requires {', '.join(missing)}")
+                parser.error(f"{what} requires {', '.join(missing)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

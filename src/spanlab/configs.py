@@ -66,15 +66,17 @@ class Window:
         Vectorized over broadcastable arrays; returns (t_lo, t_hi), the
         parameter range [t0, t1] narrowed to the window.  A line misses
         the window where t_lo > t_hi; an axis-parallel line (d == 0)
-        outside the window gets an empty range.  A nonzero component of d
-        must be large enough that (bound - p) / d does not overflow.
+        outside the window gets t_hi = -inf, whatever the other axis gives.
+        A nonzero component of d must be large enough that (bound - p) / d
+        does not overflow.
         """
         for p, d, lo, hi in ((px, dx, self.x0, self.x1), (py, dy, self.y0, self.y1)):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 ta = np.where(d != 0, (lo - p) / d, np.where(p >= lo, -np.inf, np.inf))
                 tb = np.where(d != 0, (hi - p) / d, np.where(p <= hi, np.inf, -np.inf))
             t0 = np.maximum(t0, np.minimum(ta, tb))
-            t1 = np.minimum(t1, np.maximum(ta, tb))
+            t1 = np.where((d == 0) & ((p < lo) | (p > hi)), -np.inf,
+                          np.minimum(t1, np.maximum(ta, tb)))
         return t0, t1
 
     @staticmethod

@@ -42,13 +42,16 @@ def orient(p: Point, q: Point, r: Point) -> int:
     Uses a floating-point filter and falls back to exact rational
     arithmetic when the filter is inconclusive.
     """
-    det_l = (q[0] - p[0]) * (r[1] - p[1])
-    det_r = (q[1] - p[1]) * (r[0] - p[0])
-    if det_l == 0.0 and det_r == 0.0:
-        # each product is exactly zero only when a factor is zero, so the
-        # true determinant is zero; this settles shared endpoints and
-        # axis-parallel collinearity without rational arithmetic
+    ux, uy = q[0] - p[0], q[1] - p[1]
+    vx, vy = r[0] - p[0], r[1] - p[1]
+    if (ux == 0.0 or vy == 0.0) and (uy == 0.0 or vx == 0.0):
+        # a float difference is zero only when its operands are equal, so
+        # both products and the true determinant are zero; this settles
+        # shared endpoints and axis-parallel collinearity without rational
+        # arithmetic (a zero product alone may be an underflow)
         return 0
+    det_l = ux * vy
+    det_r = uy * vx
     det = det_l - det_r
     err = _ORIENT_ERRBOUND * (abs(det_l) + abs(det_r))
     if det > err:
@@ -127,7 +130,8 @@ class RoutingGraph:
 
     nodes: (n, 2) coordinates; edges: (m, 2) node indices; weights:
     Euclidean sub-segment lengths; city_nodes: node index per input city.
-    Immutable after construction; per-source searches are memoized.
+    Immutable after construction; the sparse matrix is built once and
+    each per-source search runs afresh.
     """
 
     nodes: np.ndarray
@@ -135,7 +139,6 @@ class RoutingGraph:
     weights: np.ndarray
     city_nodes: np.ndarray
     _csr: csr_matrix | None = field(default=None, repr=False)
-    _dist_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -159,18 +162,16 @@ class RoutingGraph:
         return self._csr
 
     def distances_from(self, city: int) -> tuple[np.ndarray, np.ndarray]:
-        """All-node shortest-path distances (and predecessors) from a city."""
-        if city not in self._dist_cache:
-            if not 0 <= city < len(self.city_nodes):
-                raise KeyError(f"unknown city index {city}")
-            dist, pred = dijkstra(
-                self._matrix(),
-                directed=False,
-                indices=self.city_nodes[city],
-                return_predecessors=True,
-            )
-            self._dist_cache[city] = (dist, pred)
-        return self._dist_cache[city]
+        """All-node shortest-path distances (and predecessors) from a city.
+
+        The matrix holds both directions of every edge, so a directed
+        search gives the undirected distances without the transposed copy
+        that ``directed=False`` makes on every call.
+        """
+        if not 0 <= city < len(self.city_nodes):
+            raise KeyError(f"unknown city index {city}")
+        return dijkstra(self._matrix(), directed=True,
+                        indices=self.city_nodes[city], return_predecessors=True)
 
 
 def shortest_route(g: RoutingGraph, src: int, dst: int) -> tuple[float, list[int]]:
@@ -273,17 +274,29 @@ def _segment_buckets(segments: list[Segment], cell: float, pad: float = 0.0):
     return buckets
 
 
-def _candidate_pairs(buckets: dict[tuple[int, int], list[int]]):
-    pairs = set()
+def _candidate_pairs(buckets: dict[tuple[int, int], list[int]]) -> np.ndarray:
+    """Sorted unique (k, 2) array of the index pairs i < j sharing a bucket.
+
+    Bucket members are ascending, as _segment_buckets appends them.
+    """
+    by_size: dict[int, list[list[int]]] = {}
     for members in buckets.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.add((members[i], members[j]))
-    return pairs
+        if len(members) > 1:
+            by_size.setdefault(len(members), []).append(members)
+    codes = [np.empty(0, dtype=np.int64)]
+    for size, rows in by_size.items():
+        m = np.array(rows, dtype=np.int64)
+        i, j = np.triu_indices(size, 1)
+        codes.append((m[:, i] * 2**32 + m[:, j]).ravel())
+    # sort and diff: np.unique hashes integers in numpy 2.x, about 10x
+    # slower on these codes
+    codes = np.sort(np.concatenate(codes))
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are >= 0
+    return np.stack([codes >> 32, codes & (2**32 - 1)], axis=1)
 
 
 def _pair_arrays(segments: list[Segment], pairs):
-    """Endpoint arrays (A, B) and (C, D) for a sorted list of index pairs."""
+    """Endpoint arrays (A, B) and (C, D) for a (k, 2) array of index pairs."""
     S = np.array([[s.a[0], s.a[1], s.b[0], s.b[1]] for s in segments])
     P = np.asarray(pairs, dtype=int).reshape(-1, 2)
     return P, S[P[:, 0], 0:2], S[P[:, 0], 2:4], S[P[:, 1], 0:2], S[P[:, 1], 2:4]
@@ -296,17 +309,22 @@ def _filtered_cross(u: np.ndarray, v: np.ndarray):
     return t1 - t2, _ORIENT_ERRBOUND * (np.abs(t1) + np.abs(t2))
 
 
+def _shares_endpoint(A, B, C, D) -> np.ndarray:
+    """Rows where segment (A, B) and segment (C, D) share an endpoint exactly."""
+    return (A == C).all(1) | (A == D).all(1) | (B == C).all(1) | (B == D).all(1)
+
+
 def _intersection_events(segments: list[Segment], pairs):
     """(i, j, point) for candidate pairs meeting in a single point.
 
     A vectorized orientation filter settles the bulk of the pairs: pairs
     whose four orientations are all decisively nonzero either cross
     properly (intersection solved in floats) or miss entirely.  Pairs the
-    filter cannot decide go through the exact predicate path.  Collinear
-    overlaps (already merged away upstream) produce no event.
+    filter cannot decide and that share no endpoint go through the exact
+    predicate path.  Collinear overlaps (already merged away upstream)
+    produce no event.
     """
-    pairs = sorted(pairs)
-    if not pairs:
+    if not len(pairs):
         return []
     P, A, B, C, D = _pair_arrays(segments, pairs)
     r = B - A
@@ -329,7 +347,15 @@ def _intersection_events(segments: list[Segment], pairs):
         for n, k in enumerate(idx):
             events.append((int(P[k, 0]), int(P[k, 1]),
                            (float(hx[n]), float(hy[n]))))
-    for k in np.flatnonzero(~decisive):
+    # A pair sharing an endpoint bit-for-bit meets only there.  Exact and
+    # reversed duplicates were dropped and collinear overlaps merged by
+    # _merge_overlaps (an overlap would give a Segment, hence no event), so
+    # the pair is non-collinear, with one common point, or collinear end to
+    # end.  segment_intersection would return the shared point, which is
+    # already a node of both segments: _point_segment_distance gives it
+    # t = 0.0 or t = 1.0 exactly, so its event would insert no node and
+    # split nothing.  The topology settles these pairs.
+    for k in np.flatnonzero(~decisive & ~_shares_endpoint(A, B, C, D)):
         hit = segment_intersection(segments[P[k, 0]], segments[P[k, 1]])
         if hit is not None and not isinstance(hit, Segment):
             events.append((int(P[k, 0]), int(P[k, 1]), hit))
@@ -345,8 +371,7 @@ def _near_collinear_pairs(segments: list[Segment], pairs):
     collinear pairs always survive because their true determinants are
     zero and thus inside the filter's error band.
     """
-    pairs = sorted(pairs)
-    if not pairs:
+    if not len(pairs):
         return []
     P, A, B, C, D = _pair_arrays(segments, pairs)
     dpar, epar = _filtered_cross(B - A, D - C)

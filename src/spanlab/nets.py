@@ -109,19 +109,15 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
         else:
             key1 = dist
         order = np.lexsort((np.arange(n), ang, dist, key1))
-        chosen: dict[int, int] = {}
-        for j in order:
-            if not np.isfinite(dist[j]):
-                continue
-            c = int(cone[j])
-            if c not in chosen:
-                chosen[c] = int(j)
-        for c, j in chosen.items():
-            wrap = np.round((pts[j] - pts[i] - d[j]) / side) if side else np.zeros(2)
-            if i < j:
-                key = (i, j, int(-wrap[0]), int(-wrap[1]))
-            else:
-                key = (j, i, int(wrap[0]), int(wrap[1]))
+        order = order[np.isfinite(dist[order])]
+        # the first entry of each cone in lexsort order wins; winners are
+        # visited in the order of their first appearance
+        _, first = np.unique(cone[order], return_index=True)
+        won = order[np.sort(first)]
+        wrap = (np.round((pts[won] - pts[i] - d[won]) / side).astype(int) if side
+                else np.zeros((len(won), 2), dtype=int))
+        for j, (wx, wy) in zip(won.tolist(), wrap.tolist()):
+            key = (i, j, -wx, -wy) if i < j else (j, i, wx, wy)
             if key not in edges:
                 edges[key] = (pts[i][0], pts[i][1],
                               pts[i][0] + d[j][0], pts[i][1] + d[j][1])

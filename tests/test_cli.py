@@ -134,10 +134,11 @@ class TestExperiment:
         assert lines[1].startswith("crossing_N,")
         assert lines[2].startswith("crossing_N2,")
 
-    def test_missing_params_domain_error(self):
-        assert run("experiment", "crossing", "--h", "1") == EXIT_DOMAIN
-        assert run("experiment", "empirical_lm") == EXIT_DOMAIN
-        assert run("experiment", "psi_ave_upper") == EXIT_DOMAIN
+    def test_missing_params_usage_error(self):
+        assert run("experiment", "crossing", "--h", "1") == EXIT_USAGE
+        assert run("experiment", "empirical_lm") == EXIT_USAGE
+        assert run("experiment", "empirical_lk") == EXIT_USAGE
+        assert run("experiment", "psi_ave_upper") == EXIT_USAGE
 
     def test_empirical_lm_run(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -61,6 +61,8 @@ class TestWindowClip:
                     (-4.0, 0.0, 0.0, 1.0), (3.0, 0.0, 0.0, -1.0),
                     (5.0, 5.0, 1.0, -1.0)],
              bounds=(-math.inf, math.inf))
+    # vertical miss whose subnormal dy overflows (bound - p) / dy
+    @example(lines=[(-2.0, 0.0, 0.0, 2.2e-313)], bounds=(-math.inf, math.inf))
     def test_matches_scalar_reference(self, lines, bounds):
         px, py, dx, dy = (np.array(col) for col in zip(*lines))
         t_lo, t_hi = self.WIN.clip(px, py, dx, dy, *bounds)
@@ -72,15 +74,16 @@ class TestWindowClip:
                 assert (t_lo[k], t_hi[k]) == ref
 
     def test_known_chords(self):
-        px = np.array([0.0, 0.0, -4.0, 5.0])
-        py = np.array([1.0, 5.0, 0.0, 5.0])
-        dx = np.array([1.0, 1.0, 0.0, 1.0])
-        dy = np.array([0.0, 0.0, 1.0, -1.0])
+        px = np.array([0.0, 0.0, -4.0, 5.0, -2.0])
+        py = np.array([1.0, 5.0, 0.0, 5.0, 0.0])
+        dx = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
+        dy = np.array([0.0, 0.0, 1.0, -1.0, 2.2e-313])
         t_lo, t_hi = self.WIN.clip(px, py, dx, dy, -math.inf, math.inf)
         assert (t_lo[0], t_hi[0]) == (-1.0, 3.0)  # horizontal, inside
         assert t_lo[1] > t_hi[1]  # horizontal, above the window
         assert t_lo[2] > t_hi[2]  # vertical, left of the window
         assert t_lo[3] > t_hi[3]  # diagonal through (10, 0), misses
+        assert t_lo[4] > t_hi[4]  # vertical, left, subnormal dy
 
 
 class TestRandomGenerators:

@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanlab import geom
 from spanlab.geom import (DisconnectedCityError, Segment, build_arrangement,
                           orient, segment_intersection, shortest_route)
 
@@ -29,6 +31,11 @@ class TestOrient:
         p, q = (0.0, 0.0), (1.0, 1.0)
         r = (0.5 + 1e-17, 0.5)
         assert orient(p, q, r) == _orient_exact(p, q, r)
+
+    def test_underflowing_products(self):
+        # both products underflow to 0.0 though no factor is zero
+        p, q, r = (0.0, 0.0), (0.0, 5.3397681865225524e-194), (5.3397681865225524e-194, 0.0)
+        assert orient(p, q, r) == _orient_exact(p, q, r) == -1
 
     coords = st.floats(min_value=-100, max_value=100,
                        allow_nan=False, allow_infinity=False)
@@ -157,3 +164,92 @@ class TestRoutingGraph:
         g = build_arrangement([((0, 0), (1, 0))], [(0, 0)])
         with pytest.raises(KeyError):
             g.distances_from(3)
+
+
+_coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
+_point = st.tuples(_coord, _coord)
+
+
+@st.composite
+def _shared_endpoint_segments(draw):
+    """Fans, stars and closed polylines whose segments share endpoints exactly.
+
+    "line" draws points on one line (exactly collinear when the jitter is 0,
+    near-collinear otherwise) and joins them end to end and as a fan.
+    """
+    kind = draw(st.sampled_from(["fan", "star", "polyline", "line"]))
+    k = draw(st.integers(2, 7))
+    center = draw(_point)
+    if kind == "line":
+        dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        ts = sorted(set(draw(st.lists(st.integers(-8, 8), min_size=k, max_size=k))))
+        jitter = draw(st.sampled_from([0.0, 1e-13, 1e-9]))
+        pts = [(center[0] + t * dx + jitter * (t % 3), center[1] + t * dy)
+               for t in ts]
+        segs = list(zip(pts, pts[1:])) + [(pts[0], p) for p in pts[2:]]
+    else:
+        pts = draw(st.lists(_point, min_size=k, max_size=k))
+        if kind == "fan":
+            segs = [(center, p) for p in pts]
+        elif kind == "star":  # alternate which end is the shared one
+            segs = [(center, p) if n % 2 else (p, center) for n, p in enumerate(pts)]
+        else:
+            segs = list(zip(pts, pts[1:] + pts[:1]))
+    return [Segment(a, b) for a, b in segs if a != b]
+
+
+def _arrangement_input(segments):
+    """The segment set and candidate pairs that build_arrangement hands to
+    _intersection_events (duplicates dropped, collinear overlaps merged)."""
+    seen, segs = set(), []
+    for s in segments:
+        key = (min(s.a, s.b), max(s.a, s.b))
+        if key not in seen:
+            seen.add(key)
+            segs.append(s)
+    cell = sum(s.length for s in segs) / len(segs)
+    segs = geom._merge_overlaps(segs, cell)
+    return segs, geom._candidate_pairs(geom._segment_buckets(segs, cell, 1e-9 * cell))
+
+
+class TestTopologyFastPaths:
+    @given(_shared_endpoint_segments())
+    @settings(max_examples=300, deadline=None)
+    def test_shared_endpoint_meets_only_there(self, segments):
+        """Every pair the topology rule drops meets exactly at its shared point."""
+        if not segments:
+            return
+        segs, pairs = _arrangement_input(segments)
+        if not len(pairs):
+            return
+        P, A, B, C, D = geom._pair_arrays(segs, pairs)
+        for i, j in P[geom._shares_endpoint(A, B, C, D)]:
+            s, t = segs[i], segs[j]
+            hit = segment_intersection(s, t)
+            assert not isinstance(hit, Segment) and hit is not None
+            assert hit in (s.a, s.b) and hit in (t.a, t.b)
+
+    @given(_shared_endpoint_segments())
+    @settings(max_examples=100, deadline=None)
+    def test_arrangement_unchanged_without_the_rule(self, segments):
+        if not segments:
+            return
+        cities = [segments[0].a, segments[-1].b]
+        fast = build_arrangement(segments, cities)
+        with mock.patch.object(geom, "_shares_endpoint",
+                               lambda A, B, C, D: np.zeros(len(A), dtype=bool)):
+            slow = build_arrangement(segments, cities)
+        for name in ("nodes", "edges", "weights", "city_nodes"):
+            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
+
+    @given(st.lists(st.tuples(_point, _point), min_size=0, max_size=40),
+           st.floats(0.5, 5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_candidate_pairs_brute_force(self, raw, cell):
+        segs = [Segment(a, b) for a, b in raw]
+        buckets = geom._segment_buckets(segs, cell, 1e-9 * cell)
+        want = sorted({(m[a], m[b]) for m in buckets.values()
+                       for a in range(len(m)) for b in range(a + 1, len(m))})
+        got = geom._candidate_pairs(buckets)
+        assert got.dtype.kind == "i" and got.shape == (len(want), 2)
+        assert [tuple(p) for p in got.tolist()] == want

@@ -130,6 +130,68 @@ class TestYaoGraph:
                     assert tuple(np.round([*pts[i], *pts[j]], 9)) in got
 
 
+def _cone_edges_reference(config, n_cones, criterion):
+    """The per-city, per-candidate loop that nets._cone_edges vectorizes."""
+    pts = config.points
+    n = len(pts)
+    side = config.window.width if config.torus else None
+    theta = 2.0 * math.pi / n_cones
+    edges = {}
+    for i in range(n):
+        d = nets._displacements(pts, i, side)
+        dist = np.hypot(d[:, 0], d[:, 1])
+        dist[i] = np.inf
+        ang = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * math.pi)
+        cone = np.minimum((ang / theta).astype(int), n_cones - 1)
+        if criterion == "projection":
+            key1 = dist * np.cos(ang - (cone + 0.5) * theta)
+        else:
+            key1 = dist
+        order = np.lexsort((np.arange(n), ang, dist, key1))
+        chosen = {}
+        for j in order:
+            if not np.isfinite(dist[j]):
+                continue
+            c = int(cone[j])
+            if c not in chosen:
+                chosen[c] = int(j)
+        for c, j in chosen.items():
+            wrap = np.round((pts[j] - pts[i] - d[j]) / side) if side else np.zeros(2)
+            if i < j:
+                key = (i, j, int(-wrap[0]), int(-wrap[1]))
+            else:
+                key = (j, i, int(wrap[0]), int(wrap[1]))
+            if key not in edges:
+                edges[key] = (pts[i][0], pts[i][1],
+                              pts[i][0] + d[j][0], pts[i][1] + d[j][1])
+    return edges
+
+
+class TestConeEdgesFastPath:
+    """nets._cone_edges against the per-candidate loop kept above."""
+
+    @staticmethod
+    def _configs():
+        grid = square_grid(Window.square(5)).points
+        return [
+            uniform_n(60, Window.square(10), seed=3),
+            poisson(Window.square(8), seed=4, torus=True),
+            # lattices tie on distance and angle, exercising the tie-break
+            square_grid(Window.square(6)),
+            PointConfig(grid, Window.square(6), torus=True),
+        ]
+
+    @pytest.mark.parametrize("criterion", ["projection", "distance"])
+    @pytest.mark.parametrize("n_cones", [4, 6, 8])
+    def test_matches_reference_loop(self, criterion, n_cones):
+        for cfg in self._configs():
+            got = nets._cone_edges(cfg, n_cones, criterion)
+            want = _cone_edges_reference(cfg, n_cones, criterion)
+            assert list(got) == list(want)
+            np.testing.assert_array_equal(np.array(list(got.values())),
+                                          np.array(list(want.values())))
+
+
 class TestConeRoads:
     def test_two_cities(self):
         net = nets.cone_road_network(_config([[1, 1], [2, 3]]), 2)
