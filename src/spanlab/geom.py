@@ -109,6 +109,13 @@ def segment_intersection(s1: Segment, s2: Segment):
         r = (b[0] - a[0], b[1] - a[1])
         s = (d[0] - c[0], d[1] - c[1])
         denom = r[0] * s[1] - r[1] * s[0]
+        if denom == 0.0:
+            # nearly parallel: the exact predicates see a crossing that the
+            # float determinant cancels to zero, so solve in rationals
+            ax, ay, bx, by, cx, cy, dx, dy = map(Fraction, (*a, *b, *c, *d))
+            rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+            t = ((cx - ax) * sy - (cy - ay) * sx) / (rx * sy - ry * sx)
+            return (float(ax + t * rx), float(ay + t * ry))
         t = ((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]) / denom
         return (a[0] + t * r[0], a[1] + t * r[1])
 

@@ -74,6 +74,14 @@ class TestSegmentIntersection:
         hit = segment_intersection(Segment((0, 0), (2, 0)), Segment((1, 0), (1, 1)))
         assert hit == pytest.approx((1.0, 0.0))
 
+    def test_nearly_parallel_crossing(self):
+        # the orientations say the segments cross, but the float
+        # determinant of their directions cancels to zero
+        s1 = Segment((-4.0, -10.019486718515001), (0.0, 1.980513281485))
+        s2 = Segment((-5.0, -13.019486718515001), (1.0, 4.980513281485))
+        hit = segment_intersection(s1, s2)
+        assert hit == pytest.approx((-2.0, -4.019486718515001))
+
 
 class TestArrangement:
     def test_crossing_with_junction(self):
