@@ -58,6 +58,13 @@ def _window_arg(spec: str) -> Window:
     raise ValueError("window must be SIDE or X0,Y0,X1,Y1")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
 def _builder_params(args) -> dict:
     params = {name: getattr(args, name, None) for name in _BUILDER_FLAGS}
     params = {name: v for name, v in params.items() if v is not None}
@@ -253,8 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--h", type=float)
     e.add_argument("--L", type=float)
     e.add_argument("--mode", choices=["steiner", "graph"], default="steiner")
-    e.add_argument("--window", default="40")
-    e.add_argument("--replicates", type=int, default=20)
+    e.add_argument("--window", default="40",
+                   help="SIDE or X0,Y0,X1,Y1; crossing ignores it and uses a "
+                        "strip of width 40*max(h, L, 1)")
+    e.add_argument("--replicates", type=_positive_int, default=20)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out", default="-")
     e.set_defaults(func=cmd_experiment)

@@ -46,6 +46,8 @@ class ExperimentResult:
 
 
 def _replicate_seeds(master_seed: int, n: int) -> list:
+    if n < 1:
+        raise ValueError("replicates must be at least 1")
     return list(np.random.SeedSequence(master_seed).spawn(n))
 
 
@@ -154,6 +156,49 @@ def empirical_Lk(
 # ---------------------------------------------------------------------------
 
 
+# Most candidate pairs one block of below-axis points expands at once; at
+# about 60 bytes a pair a block peaks near 64 MiB, whatever h is.
+_PAIR_BLOCK = 1 << 20
+
+
+def _crossing_count(xs, ys, h: float, L: float) -> int:
+    """Virtual crossings in [0, L] of one point set in the strip |y| <= h.
+
+    A point below the axis (y < 0) and one on or above it (y >= 0) are
+    friends when |dx| < dy; their segment then meets the axis at
+    x1 + (x2 - x1) * (-y1) / (y2 - y1).  All friend pairs are expanded with
+    numpy, in blocks of below-axis points holding at most ``_PAIR_BLOCK``
+    candidate pairs (or one point's candidates, when those alone exceed it).
+    """
+    below = ys < 0
+    xb, yb = xs[below], ys[below]
+    xa, ya = xs[~below], ys[~below]
+    order = np.argsort(xa)
+    xa, ya = xa[order], ya[order]
+    # |dx| < dy - y1 <= 2h restricts partners to a 2h x-window
+    lo = np.searchsorted(xa, xb - 2.0 * h)
+    hi = np.searchsorted(xa, xb + 2.0 * h)
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    starts = ends - sizes  # flat index of each point's first candidate pair
+    count = 0
+    i = 0
+    while i < len(xb):
+        j = max(int(np.searchsorted(ends, starts[i] + _PAIR_BLOCK, side="right")),
+                i + 1)
+        block = sizes[i:j]
+        partner = (np.arange(starts[i], ends[j - 1])
+                   + np.repeat(lo[i:j] - starts[i:j], block))
+        x1, y1 = np.repeat(xb[i:j], block), np.repeat(yb[i:j], block)
+        x2, y2 = xa[partner], ya[partner]
+        friends = np.abs(x2 - x1) < (y2 - y1)
+        x1, y1, x2, y2 = x1[friends], y1[friends], x2[friends], y2[friends]
+        cross = x1 + (x2 - x1) * (-y1) / (y2 - y1)
+        count += int(np.count_nonzero((cross >= 0.0) & (cross <= L)))
+        i = j
+    return count
+
+
 def crossing_experiment(
     h: float,
     L: float,
@@ -180,24 +225,7 @@ def crossing_experiment(
         n = rng.poisson(W * 2.0 * h)
         xs = rng.uniform(-W / 2.0, W / 2.0, n)
         ys = rng.uniform(-h, h, n)
-        below = ys < 0
-        xb, yb = xs[below], ys[below]
-        xa, ya = xs[~below], ys[~below]
-        order = np.argsort(xa)
-        xa, ya = xa[order], ya[order]
-        count = 0
-        for x1, y1 in zip(xb, yb):
-            # |dx| < dy - y1 <= 2h restricts partners to a 2h x-window
-            lo = np.searchsorted(xa, x1 - 2.0 * h)
-            hi = np.searchsorted(xa, x1 + 2.0 * h)
-            x2, y2 = xa[lo:hi], ya[lo:hi]
-            friends = np.abs(x2 - x1) < (y2 - y1)
-            if not friends.any():
-                continue
-            x2, y2 = x2[friends], y2[friends]
-            cross = x1 + (x2 - x1) * (-y1) / (y2 - y1)
-            count += int(np.count_nonzero((cross >= 0.0) & (cross <= L)))
-        return count
+        return _crossing_count(xs, ys, h, L)
 
     t0 = time.perf_counter()
     counts = [one(s) for s in _replicate_seeds(master_seed, replicates)]

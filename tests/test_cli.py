@@ -140,6 +140,16 @@ class TestExperiment:
         assert run("experiment", "empirical_lk") == EXIT_USAGE
         assert run("experiment", "psi_ave_upper") == EXIT_USAGE
 
+    @pytest.mark.parametrize("replicates", ["0", "-1"])
+    @pytest.mark.parametrize("name,flags", [("crossing", ("--h", "1", "--L", "1")),
+                                            ("empirical_lm", ("--m", "6"))])
+    def test_non_positive_replicates_usage_error(self, capsys, name, flags,
+                                                 replicates):
+        assert run("experiment", name, *flags,
+                   "--replicates", replicates) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--replicates: must be a positive integer" in err
+
     def test_empirical_lm_run(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run("experiment", "empirical_lm", "--m", "6",
