@@ -65,6 +65,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text}")
+    return value
+
+
 def _builder_params(args) -> dict:
     params = {name: getattr(args, name, None) for name in _BUILDER_FLAGS}
     params = {name: v for name, v in params.items() if v is not None}
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("network", help="network JSON file")
     m.add_argument("--stretch", choices=["steiner", "graph"])
     m.add_argument("--margin", type=float, default=metrics.DEFAULT_MARGIN)
-    m.add_argument("--lines", type=int, default=0,
+    m.add_argument("--lines", type=_non_negative_int, default=0,
                    help="intersection-rate test lines (0 = skip)")
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default="-")

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial import cKDTree
 
 Point = tuple[float, float]
 
@@ -58,10 +59,13 @@ def orient(p: Point, q: Point, r: Point) -> int:
         return 1
     if det < -err:
         return -1
-    # fall back to exact evaluation
-    px, py = Fraction(p[0]), Fraction(p[1])
-    qx, qy = Fraction(q[0]), Fraction(q[1])
-    rx, ry = Fraction(r[0]), Fraction(r[1])
+    # fall back to exact evaluation: each coordinate is a ratio of integers
+    # (a float's denominator is a power of two), so scaling all six by the
+    # common denominator gives integers
+    ratios = [v.as_integer_ratio() if type(v) is float else Fraction(v).as_integer_ratio()
+              for v in (*p, *q, *r)]
+    den = math.lcm(*(d for _, d in ratios))
+    px, py, qx, qy, rx, ry = (n * (den // d) for n, d in ratios)
     exact = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     if exact > 0:
         return 1
@@ -137,6 +141,10 @@ class RoutingGraph:
 
     nodes: (n, 2) coordinates; edges: (m, 2) node indices; weights:
     Euclidean sub-segment lengths; city_nodes: node index per input city.
+    stats: counts from build_arrangement's stages: segments_in (input
+    rows), overlap_rounds, candidate_pairs (segment pairs sharing a grid
+    cell), exact_pairs (those sent to segment_intersection), snapped (points
+    merged into a node at nonzero distance), nodes and edges.
     Immutable after construction; the sparse matrix is built once and
     each per-source search runs afresh.
     """
@@ -146,6 +154,7 @@ class RoutingGraph:
     weights: np.ndarray
     city_nodes: np.ndarray
     _csr: csr_matrix | None = field(default=None, repr=False)
+    stats: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -204,125 +213,134 @@ def shortest_route(g: RoutingGraph, src: int, dst: int) -> tuple[float, list[int
 # ---------------------------------------------------------------------------
 # arrangement construction
 # ---------------------------------------------------------------------------
+#
+# Every stage works on an (m, 4) float array of segments (x1, y1, x2, y2).
+# Segment lengths, snap distances and edge weights are rounded as math.hypot
+# rounds them: np.hypot differs from it in the last bit on about 0.6% of
+# inputs, which would move snapping decisions and returned weights.
 
 
-class _NodeRegistry:
-    """Merges points within snap_eps to a single node, deterministically."""
-
-    def __init__(self, snap_eps: float):
-        self.eps = snap_eps
-        self.coords: list[Point] = []
-        self._grid: dict[tuple[int, int], list[int]] = {}
-
-    def _key(self, p: Point) -> tuple[int, int]:
-        return (int(math.floor(p[0] / self.eps)), int(math.floor(p[1] / self.eps)))
-
-    def insert(self, p: Point) -> int:
-        kx, ky = self._key(p)
-        best = -1
-        best_d = self.eps
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for idx in self._grid.get((kx + dx, ky + dy), ()):
-                    q = self.coords[idx]
-                    d = math.hypot(p[0] - q[0], p[1] - q[1])
-                    if d <= best_d:
-                        best_d = d
-                        best = idx
-        if best >= 0:
-            return best
-        idx = len(self.coords)
-        self.coords.append(p)
-        self._grid.setdefault((kx, ky), []).append(idx)
-        return idx
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """math.hypot of each (dx, dy) pair."""
+    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
 
 
-def _cells_of_segment(a: Point, b: Point, cell: float, pad: float = 0.0):
-    """Grid cells traversed by segment (a, b), grown by ``pad`` units.
+def _lengths(S: np.ndarray) -> np.ndarray:
+    return _hypot(S[:, 2] - S[:, 0], S[:, 3] - S[:, 1])
+
+
+def _segment(S: np.ndarray, k: int) -> Segment:
+    x1, y1, x2, y2 = S[k].tolist()
+    return Segment((x1, y1), (x2, y2))
+
+
+def _expand(counts: np.ndarray):
+    """(owner, offset) of every item when row r expands into counts[r] items."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    start = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - start[owner]
+
+
+def _cell_index(v, cell: float) -> np.ndarray:
+    """Grid index floor(v / cell) as int64, clamped to +-2**62: cells past
+    that merge, which only adds candidate pairs (tiny segments far from the
+    origin get there)."""
+    return np.clip(np.floor(v / cell), -2.0**62, 2.0**62).astype(np.int64)
+
+
+def _segment_cells(S: np.ndarray, cell: float, pad: float = 0.0):
+    """(segment, cell x, cell y) rows, as three int64 arrays, of the grid
+    cells each segment crosses, grown by ``pad`` units.
 
     Exact column sweep along the dominant axis: for each grid column the
     segment crosses, the rows spanned by its y-range in that column are
-    enumerated.  ``pad`` absorbs rounding at cell boundaries and the node
-    snap tolerance.
+    listed, once each.  ``pad`` absorbs rounding at cell boundaries and the
+    node snap tolerance.
     """
-    ax, ay = a
-    bx, by = b
-    swap = abs(bx - ax) < abs(by - ay)
-    if swap:
-        ax, ay, bx, by = ay, ax, by, bx
-    if ax > bx:
-        ax, ay, bx, by = bx, by, ax, ay
+    ax, ay, bx, by = S[:, 0], S[:, 1], S[:, 2], S[:, 3]
+    swap = np.abs(bx - ax) < np.abs(by - ay)
+    ax, ay, bx, by = (np.where(swap, ay, ax), np.where(swap, ax, ay),
+                      np.where(swap, by, bx), np.where(swap, bx, by))
+    flip = ax > bx
+    ax, ay, bx, by = (np.where(flip, bx, ax), np.where(flip, by, ay),
+                      np.where(flip, ax, bx), np.where(flip, ay, by))
+    c0 = _cell_index(ax - pad, cell)
+    c1 = _cell_index(bx + pad, cell)
+    seg, off = _expand(c1 - c0 + 1)
+    cx = c0[seg] + off
+    ax, ay, bx, by = ax[seg], ay[seg], bx[seg], by[seg]
     dx, dy = bx - ax, by - ay
-    cells = set()
-    c0 = int(math.floor((ax - pad) / cell))
-    c1 = int(math.floor((bx + pad) / cell))
-    for cx in range(c0, c1 + 1):
-        x_lo = max(ax, cx * cell - pad)
-        x_hi = min(bx, (cx + 1) * cell + pad)
-        if dx == 0.0:
-            y_lo, y_hi = min(ay, by), max(ay, by)
-        else:
-            y0 = ay + (x_lo - ax) / dx * dy
-            y1 = ay + (x_hi - ax) / dx * dy
-            y_lo, y_hi = min(y0, y1), max(y0, y1)
-        r0 = int(math.floor((y_lo - pad) / cell))
-        r1 = int(math.floor((y_hi + pad) / cell))
-        for ry in range(r0, r1 + 1):
-            cells.add((ry, cx) if swap else (cx, ry))
-    return cells
+    x_lo = np.maximum(ax, cx * cell - pad)
+    x_hi = np.minimum(bx, (cx + 1) * cell + pad)
+    flat = dx == 0.0
+    dx = np.where(flat, 1.0, dx)
+    y0 = np.where(flat, ay, ay + (x_lo - ax) / dx * dy)
+    y1 = np.where(flat, by, ay + (x_hi - ax) / dx * dy)
+    r0 = _cell_index(np.minimum(y0, y1) - pad, cell)
+    r1 = _cell_index(np.maximum(y0, y1) + pad, cell)
+    col, off = _expand(r1 - r0 + 1)
+    seg, cx, cy = seg[col], cx[col], r0[col] + off
+    swap = swap[seg]
+    return seg, np.where(swap, cy, cx), np.where(swap, cx, cy)
 
 
-def _segment_buckets(segments: list[Segment], cell: float, pad: float = 0.0):
-    """Grid cell -> indices of the segments passing through it."""
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx, s in enumerate(segments):
-        for c in _cells_of_segment(s.a, s.b, cell, pad):
-            buckets.setdefault(c, []).append(idx)
-    return buckets
+def _cell_codes(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """One int64 code per (cx, cy) cell, equal exactly where the cells are."""
+    _, rx = np.unique(cx, return_inverse=True)
+    _, ry = np.unique(cy, return_inverse=True)
+    return rx * (ry.max(initial=0) + 1) + ry
 
 
-def _candidate_pairs(buckets: dict[tuple[int, int], list[int]]) -> np.ndarray:
-    """Sorted unique (k, 2) array of the index pairs i < j sharing a bucket.
-
-    Bucket members are ascending, as _segment_buckets appends them.
-    """
-    by_size: dict[int, list[list[int]]] = {}
-    for members in buckets.values():
-        if len(members) > 1:
-            by_size.setdefault(len(members), []).append(members)
-    codes = [np.empty(0, dtype=np.int64)]
-    for size, rows in by_size.items():
-        m = np.array(rows, dtype=np.int64)
-        i, j = np.triu_indices(size, 1)
-        codes.append((m[:, i] * 2**32 + m[:, j]).ravel())
+def _candidate_pairs(seg: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Sorted unique (k, 2) array of the segment pairs i < j sharing a cell,
+    from the (segment, cell x, cell y) rows of _segment_cells."""
+    order = np.lexsort((seg, cy, cx))
+    seg, cx, cy = seg[order], cx[order], cy[order]
+    start = np.ones(len(seg), dtype=bool)
+    start[1:] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
+    bounds = np.append(np.flatnonzero(start), len(seg))
+    end = np.repeat(bounds[1:], np.diff(bounds))
+    first, off = _expand(end - np.arange(len(seg)) - 1)
+    # a segment is listed once per cell and ascending within it, so i < j
+    codes = seg[first] * 2**32 + seg[first + 1 + off]
     # sort and diff: np.unique hashes integers in numpy 2.x, about 10x
     # slower on these codes
-    codes = np.sort(np.concatenate(codes))
+    codes = np.sort(codes)
     codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are >= 0
     return np.stack([codes >> 32, codes & (2**32 - 1)], axis=1)
 
 
-def _pair_arrays(segments: list[Segment], pairs):
-    """Endpoint arrays (A, B) and (C, D) for a (k, 2) array of index pairs."""
-    S = np.array([[s.a[0], s.a[1], s.b[0], s.b[1]] for s in segments])
-    P = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    return P, S[P[:, 0], 0:2], S[P[:, 0], 2:4], S[P[:, 1], 0:2], S[P[:, 1], 2:4]
+def _pair_arrays(S: np.ndarray, pairs):
+    """(k, 2) index pairs P and the eight 1-D coordinate arrays ax, ay, bx,
+    by, cx, cy, dx, dy: segment P[:, 0] runs from a to b, P[:, 1] from c to d."""
+    P = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    cols = np.ascontiguousarray(S.T)
+    i, j = P[:, 0].copy(), P[:, 1].copy()
+    return P, [c[i] for c in cols] + [c[j] for c in cols]
 
 
-def _filtered_cross(u: np.ndarray, v: np.ndarray):
-    """Cross products of row vectors with a floating-point error bound."""
-    t1 = u[:, 0] * v[:, 1]
-    t2 = u[:, 1] * v[:, 0]
-    return t1 - t2, _ORIENT_ERRBOUND * (np.abs(t1) + np.abs(t2))
+def _filtered_cross(ux, uy, vx, vy):
+    """Cross products u x v of 1-D coordinate arrays, and where their sign
+    is certain: |u x v| above the floating-point error bound."""
+    t1 = ux * vy
+    t2 = uy * vx
+    det = t1 - t2
+    err = np.abs(t1, out=t1)
+    err += np.abs(t2, out=t2)
+    err *= _ORIENT_ERRBOUND
+    return det, np.abs(det) > err
 
 
-def _shares_endpoint(A, B, C, D) -> np.ndarray:
-    """Rows where segment (A, B) and segment (C, D) share an endpoint exactly."""
-    return (A == C).all(1) | (A == D).all(1) | (B == C).all(1) | (B == D).all(1)
+def _shares_endpoint(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
+    """Where segment (a, b) and segment (c, d) share an endpoint exactly."""
+    return (((ax == cx) & (ay == cy)) | ((ax == dx) & (ay == dy))
+            | ((bx == cx) & (by == cy)) | ((bx == dx) & (by == dy)))
 
 
-def _intersection_events(segments: list[Segment], pairs):
-    """(i, j, point) for candidate pairs meeting in a single point.
+def _intersection_events(S: np.ndarray, pairs):
+    """Candidate pairs meeting in a single point: their (k, 2) rows of
+    ``pairs``, in order, the (k, 2) meeting points, and the number of pairs
+    sent to the exact predicates.
 
     A vectorized orientation filter settles the bulk of the pairs: pairs
     whose four orientations are all decisively nonzero either cross
@@ -331,103 +349,186 @@ def _intersection_events(segments: list[Segment], pairs):
     predicate path.  Collinear overlaps (already merged away upstream)
     produce no event.
     """
-    if not len(pairs):
-        return []
-    P, A, B, C, D = _pair_arrays(segments, pairs)
-    r = B - A
-    s = D - C
-    d1, e1 = _filtered_cross(r, C - A)
-    d2, e2 = _filtered_cross(r, D - A)
-    d3, e3 = _filtered_cross(s, A - C)
-    d4, e4 = _filtered_cross(s, B - C)
-    decisive = ((np.abs(d1) > e1) & (np.abs(d2) > e2)
-                & (np.abs(d3) > e3) & (np.abs(d4) > e4))
-    proper = decisive & ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-    events = []
-    idx = np.flatnonzero(proper)
-    if len(idx):
-        denom = r[idx, 0] * s[idx, 1] - r[idx, 1] * s[idx, 0]
-        t = ((C[idx, 0] - A[idx, 0]) * s[idx, 1]
-             - (C[idx, 1] - A[idx, 1]) * s[idx, 0]) / denom
-        hx = A[idx, 0] + t * r[idx, 0]
-        hy = A[idx, 1] + t * r[idx, 1]
-        for n, k in enumerate(idx):
-            events.append((int(P[k, 0]), int(P[k, 1]),
-                           (float(hx[n]), float(hy[n]))))
+    P, E = _pair_arrays(S, pairs)
+    ax, ay, bx, by, cx, cy, dx, dy = E
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    d1, decisive = _filtered_cross(rx, ry, cx - ax, cy - ay)
+    d2, sure = _filtered_cross(rx, ry, dx - ax, dy - ay)
+    decisive &= sure
+    d3, sure = _filtered_cross(sx, sy, ax - cx, ay - cy)
+    decisive &= sure
+    d4, sure = _filtered_cross(sx, sy, bx - cx, by - cy)
+    decisive &= sure
+    k = np.flatnonzero(decisive & ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)))
+    ax, ay, cx, cy, rx, ry, sx, sy = (v[k] for v in (ax, ay, cx, cy, rx, ry, sx, sy))
+    t = ((cx - ax) * sy - (cy - ay) * sx) / (rx * sy - ry * sx)
+    rows, hits = [k], [np.column_stack([ax + t * rx, ay + t * ry])]
     # A pair sharing an endpoint bit-for-bit meets only there.  Exact and
     # reversed duplicates were dropped and collinear overlaps merged by
     # _merge_overlaps (an overlap would give a Segment, hence no event), so
     # the pair is non-collinear, with one common point, or collinear end to
     # end.  segment_intersection would return the shared point, which is
-    # already a node of both segments: _point_segment_distance gives it
-    # t = 0.0 or t = 1.0 exactly, so its event would insert no node and
-    # split nothing.  The topology settles these pairs.
-    for k in np.flatnonzero(~decisive & ~_shares_endpoint(A, B, C, D)):
-        hit = segment_intersection(segments[P[k, 0]], segments[P[k, 1]])
+    # already a node of both segments: _project gives it t = 0.0 or
+    # t = 1.0 exactly, so its event would insert no node and split nothing.
+    # The topology settles these pairs.
+    exact = np.flatnonzero(~decisive)
+    exact = exact[~_shares_endpoint(*(v[exact] for v in E))]
+    for row, (x1, y1, x2, y2, x3, y3, x4, y4) in zip(
+            exact.tolist(), S[P[exact]].reshape(-1, 8).tolist()):
+        hit = segment_intersection(Segment((x1, y1), (x2, y2)), Segment((x3, y3), (x4, y4)))
         if hit is not None and not isinstance(hit, Segment):
-            events.append((int(P[k, 0]), int(P[k, 1]), hit))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return events
+            rows.append([row])
+            hits.append(np.array([hit], dtype=float))
+    rows, hits = np.concatenate(rows), np.concatenate(hits)
+    order = np.argsort(rows, kind="stable")
+    return P[rows[order]], hits[order], len(exact)
 
 
-def _near_collinear_pairs(segments: list[Segment], pairs):
-    """Subset of candidate pairs that could be collinear.
+def _near_collinear_pairs(S: np.ndarray, pairs) -> np.ndarray:
+    """Rows of the candidate pairs that could be collinear.
 
     Keeps a pair whenever the directions are not decisively non-parallel
-    or one endpoint is not decisively off the other's line; exactly
+    and one endpoint is not decisively off the other's line; exactly
     collinear pairs always survive because their true determinants are
     zero and thus inside the filter's error band.
     """
-    if not len(pairs):
-        return []
-    P, A, B, C, D = _pair_arrays(segments, pairs)
-    dpar, epar = _filtered_cross(B - A, D - C)
-    dlin, elin = _filtered_cross(B - A, C - A)
-    keep = (np.abs(dpar) <= epar) & (np.abs(dlin) <= elin)
-    return [tuple(map(int, P[k])) for k in np.flatnonzero(keep)]
+    P = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    rx, ry = S[:, 2] - S[:, 0], S[:, 3] - S[:, 1]
+    i, j = P[:, 0].copy(), P[:, 1].copy()
+    P = P[~_filtered_cross(rx[i], ry[i], rx[j], ry[j])[1]]
+    ax, ay, bx, by, cx, cy, _, _ = _pair_arrays(S, P)[1]
+    return P[~_filtered_cross(bx - ax, by - ay, cx - ax, cy - ay)[1]]
 
 
-def _merge_overlaps(segments: list[Segment], cell: float) -> list[Segment]:
-    """Union collinear overlapping segments so shared geometry counts once."""
-    segs = list(segments)
-    for _ in range(32):
-        changed = False
-        pairs = _near_collinear_pairs(
-            segs, _candidate_pairs(_segment_buckets(segs, cell, 1e-9 * cell)))
+def _merge_overlaps(S: np.ndarray, cell: float, pad: float):
+    """Union collinear overlapping segments so shared geometry counts once.
+
+    Overlaps are sought among the pairs sharing a cell grown by 1e-9 * cell.
+    Returns the merged (m', 4) array, the number of rounds taken and the
+    candidate pairs of the merged segments in cells grown by ``pad`` (at
+    least 1e-9 * cell; a segment's cells only grow with the pad, so those
+    pairs hold the ones sought).
+    """
+    S = S.copy()
+    for rounds in range(1, 33):
+        pairs = _candidate_pairs(*_segment_cells(S, cell, pad))
+        near = _near_collinear_pairs(S, pairs)
+        if len(near) and pad != 1e-9 * cell:
+            ids = np.unique(near)
+            close = ids[_candidate_pairs(*_segment_cells(S[ids], cell, 1e-9 * cell))]
+            near = near[np.isin(near[:, 0] * 2**32 + near[:, 1],
+                                close[:, 0] * 2**32 + close[:, 1])]
         merged_away: set[int] = set()
-        for i, j in pairs:
+        for i, j in near.tolist():
             if i in merged_away or j in merged_away:
                 continue
-            hit = segment_intersection(segs[i], segs[j])
-            if isinstance(hit, Segment):
+            si, sj = _segment(S, i), _segment(S, j)
+            if isinstance(segment_intersection(si, sj), Segment):
                 # union of the two collinear segments
-                pts = [segs[i].a, segs[i].b, segs[j].a, segs[j].b]
-                axis = 0 if abs(segs[i].b[0] - segs[i].a[0]) >= abs(
-                    segs[i].b[1] - segs[i].a[1]
-                ) else 1
+                pts = [si.a, si.b, sj.a, sj.b]
+                axis = 0 if abs(si.b[0] - si.a[0]) >= abs(si.b[1] - si.a[1]) else 1
                 lo = min(pts, key=lambda p: p[axis])
                 hi = max(pts, key=lambda p: p[axis])
-                segs[i] = Segment(lo, hi)
+                S[i] = (*lo, *hi)
                 merged_away.add(j)
-                changed = True
-        if merged_away:
-            segs = [s for k, s in enumerate(segs) if k not in merged_away]
-        if not changed:
-            return segs
+        if not merged_away:
+            return S, rounds, pairs
+        S = np.delete(S, sorted(merged_away), axis=0)
     raise RuntimeError("overlap merging did not converge")
 
 
-def _point_segment_distance(p: Point, s: Segment) -> tuple[float, float]:
-    """(distance, clamped parameter t) from point to segment."""
-    ax, ay = s.a
-    dx, dy = s.b[0] - ax, s.b[1] - ay
+def _project(px: np.ndarray, py: np.ndarray, S: np.ndarray):
+    """Clamped parameter t along each segment row of S of the point nearest
+    to (px, py) in the same row, and that nearest point (qx, qy)."""
+    ax, ay = S[:, 0], S[:, 1]
+    dx, dy = S[:, 2] - ax, S[:, 3] - ay
     L2 = dx * dx + dy * dy
-    if L2 == 0:
-        return math.hypot(p[0] - ax, p[1] - ay), 0.0
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / L2
-    t = min(1.0, max(0.0, t))
-    qx, qy = ax + t * dx, ay + t * dy
-    return math.hypot(p[0] - qx, p[1] - qy), t
+    degenerate = L2 == 0.0
+    t = ((px - ax) * dx + (py - ay) * dy) / np.where(degenerate, 1.0, L2)
+    t = np.where(degenerate | ~(t > 0.0), 0.0, t)
+    t = np.where(t < 1.0, t, 1.0)
+    return t, ax + t * dx, ay + t * dy
+
+
+def _interior(t: np.ndarray, length: np.ndarray, snap_eps: float) -> np.ndarray:
+    """Whether parameter t lies more than snap_eps from both segment ends."""
+    at = t * length
+    return (snap_eps < at) & (at < length - snap_eps)
+
+
+def _snap_pick(p, Q: np.ndarray, eps: float) -> int:
+    """Row of Q (nodes in creation order) that point p snaps to, or -1.
+
+    The nearest node within eps among those in the 3x3 block of eps-grid
+    cells around p; a tie goes to the last one met scanning the block
+    column by column, each column bottom to top, and each cell in creation
+    order.
+    """
+    if not len(Q):
+        return -1
+    k = np.floor(Q / eps) - np.floor(np.asarray(p) / eps)
+    d = _hypot(p[0] - Q[:, 0], p[1] - Q[:, 1])
+    rows = np.flatnonzero((np.abs(k) <= 1).all(1) & (d <= eps))
+    if not len(rows):
+        return -1
+    rows = rows[d[rows] == d[rows].min()]
+    return int(rows[np.lexsort((rows, k[rows, 1], k[rows, 0]))[-1]])
+
+
+def _snap_nodes(X: np.ndarray, eps: float):
+    """Nodes of the points of X inserted in order, merging within eps.
+
+    Each point joins the node _snap_pick chooses among the nodes made so
+    far, or makes a new node at its own coordinates.  Returns the node of
+    every point and, per node, the row of X that made it.
+
+    Only points that some distinct point comes near need that rule: a
+    point otherwise joins the node made by the first equal point.  Near
+    points form clusters (connected within a radius safely above eps; a
+    node within eps of a point is always made in its cluster).  In a
+    cluster whose points all snap to its first point, that point makes
+    the only node; the other clusters are replayed point by point.
+    """
+    n = len(X)
+    K = X + 0.0  # one key for -0.0 and 0.0
+    order = np.lexsort((K[:, 1], K[:, 0]))
+    new = np.ones(n, dtype=bool)
+    new[1:] = (K[order[1:]] != K[order[:-1]]).any(axis=1)
+    first = order[new]  # stable sort: the earliest row of each point
+    uid = np.empty(n, dtype=np.int64)
+    uid[order] = np.cumsum(new) - 1
+    maker = first[uid]
+    near = cKDTree(K[first]).query_pairs(eps * (1.0 + 1e-6), output_type="ndarray")
+    if len(near):
+        members = np.unique(near)
+        _, label = connected_components(
+            csr_matrix((np.ones(len(near)), (near[:, 0], near[:, 1])),
+                       shape=(len(first),) * 2), directed=False)
+        cluster = np.full(len(first), -1)
+        cluster[members] = label[members]
+        head = np.full(label.max() + 1, n)
+        np.minimum.at(head, label[members], first[members])
+        rows, heads = first[members], head[label[members]]
+        grid = np.floor(X[rows] / eps) - np.floor(X[heads] / eps)
+        snaps = ((np.abs(grid) <= 1).all(1)
+                 & (_hypot(X[rows, 0] - X[heads, 0], X[rows, 1] - X[heads, 1]) <= eps))
+        tight = np.ones(len(head), dtype=bool)
+        tight[label[members][~snaps]] = False
+        c = cluster[uid]
+        clustered = c >= 0
+        maker[clustered & tight[c]] = head[c[clustered & tight[c]]]
+        made: dict[int, list[int]] = {}
+        for row in np.flatnonzero(clustered & ~tight[c]).tolist():
+            nodes = made.setdefault(int(c[row]), [])
+            pick = _snap_pick(X[row], X[nodes], eps)
+            if pick < 0:
+                nodes.append(row)
+                maker[row] = row
+            else:
+                maker[row] = nodes[pick]
+    makes = maker == np.arange(n)
+    node = (np.cumsum(makes) - 1)[maker]
+    return node, np.flatnonzero(makes)
 
 
 def build_arrangement(
@@ -438,116 +539,102 @@ def build_arrangement(
 ) -> RoutingGraph:
     """Planar subdivision of a segment set as a RoutingGraph.
 
-    Nodes are segment endpoints, pairwise proper intersections (when
-    ``junctions`` is True) and cities; points within snap_eps merge to one
-    node; collinear overlaps are deduplicated before splitting.  With
+    ``segments`` is an (m, 4) array of x1, y1, x2, y2 rows, or anything
+    numpy reshapes to one, such as a list of point pairs; ``cities`` an
+    (n, 2) array of points.  Nodes are segment endpoints, pairwise proper
+    intersections (when ``junctions`` is True) and cities, inserted in that
+    order; a point within snap_eps of an earlier node joins the nearest
+    one; collinear overlaps are deduplicated before splitting.  With
     ``junctions=False`` crossings stay geometrically present but carry no
-    node, giving graph-network (endpoint-only) semantics.
+    node, giving graph-network (endpoint-only) semantics.  The stages count
+    their work in ``stats``.
     """
-    segs = [Segment((float(s[0][0]), float(s[0][1])), (float(s[1][0]), float(s[1][1])))
-            for s in segments]
-    cities = [(float(c[0]), float(c[1])) for c in cities]
+    S = np.asarray(segments, dtype=float).reshape(-1, 4)
+    cities = np.asarray(cities, dtype=float).reshape(-1, 2)
+    stats = {"segments_in": len(S)}
 
     if snap_eps is None:
-        pts = [p for s in segs for p in s] + list(cities)
-        if pts:
-            xs = [p[0] for p in pts]
-            ys = [p[1] for p in pts]
-            diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-        else:
-            diam = 1.0
+        pts = np.concatenate([S.reshape(-1, 2), cities])
+        diam = math.hypot(*(pts.max(0) - pts.min(0)).tolist()) if len(pts) else 1.0
         snap_eps = max(1e-9 * diam, 1e-300)
 
-    # drop degenerate and exactly duplicated segments
-    seen = set()
-    uniq: list[Segment] = []
-    for s in segs:
-        if s.a == s.b:
-            continue
-        key = (min(s.a, s.b), max(s.a, s.b))
-        if key in seen:
-            continue
-        seen.add(key)
-        uniq.append(s)
-    segs = uniq
+    # drop degenerate and exactly duplicated segments, keeping the first
+    # of each in input order
+    S = S[(S[:, :2] != S[:, 2:]).any(axis=1)]
+    a_first = (S[:, 0] < S[:, 2]) | ((S[:, 0] == S[:, 2]) & (S[:, 1] < S[:, 3]))
+    key = np.where(a_first[:, None], S, S[:, [2, 3, 0, 1]]) + 0.0
+    order = np.lexsort(key.T[::-1])
+    dup = np.zeros(len(S), dtype=bool)
+    dup[order[1:]] = (key[order[1:]] == key[order[:-1]]).all(axis=1)
+    S = S[~dup]
 
-    if segs:
-        mean_len = sum(s.length for s in segs) / len(segs)
-        cell = max(mean_len, 16 * snap_eps)
-    else:
-        cell = 1.0
-
-    segs = _merge_overlaps(segs, cell)
-
-    registry = _NodeRegistry(snap_eps)
-    splits: list[list[tuple[float, int]]] = []
-    for s in segs:
-        splits.append([(0.0, registry.insert(s.a)), (1.0, registry.insert(s.b))])
-
-    # pairwise intersections and endpoint touches
+    cell = max(sum(_lengths(S).tolist()) / len(S), 16 * snap_eps) if len(S) else 1.0
     pad = max(snap_eps, 1e-9 * cell)
-    seg_buckets = _segment_buckets(segs, cell, pad)
-    pairs = _candidate_pairs(seg_buckets)
-    for i, j, hit in _intersection_events(segs, pairs):
-        d_i, t_i = _point_segment_distance(hit, segs[i])
-        d_j, t_j = _point_segment_distance(hit, segs[j])
-        interior_i = snap_eps < t_i * segs[i].length < segs[i].length - snap_eps
-        interior_j = snap_eps < t_j * segs[j].length < segs[j].length - snap_eps
-        if not junctions and interior_i and interior_j:
-            continue  # proper crossing carries no node in graph mode
-        node = registry.insert(hit)
-        if interior_i:
-            splits[i].append((t_i, node))
-        if interior_j:
-            splits[j].append((t_j, node))
+    S, stats["overlap_rounds"], pairs = _merge_overlaps(S, cell, pad)
+    m, n_cities = len(S), len(cities)
+    if m == 0 and n_cities > 1:
+        raise DisconnectedCityError("disconnected city: empty segment set")
+    length = _lengths(S)
 
-    # attach cities
-    city_nodes = np.empty(len(cities), dtype=int)
-    for ci, c in enumerate(cities):
-        node = registry.insert(c)
-        city_nodes[ci] = node
-        ckey = (int(math.floor(c[0] / cell)), int(math.floor(c[1] / cell)))
-        cands = seg_buckets.get(ckey, [])
-        attached = False
-        for si in cands:
-            d, t = _point_segment_distance(c, segs[si])
-            if d <= snap_eps:
-                attached = True
-                if snap_eps < t * segs[si].length < segs[si].length - snap_eps:
-                    splits[si].append((t, node))
-                # endpoint coincidence already merged by the registry
-        if not attached and segs:
-            # node may coincide with an existing endpoint/junction node
-            endpoint_hit = any(
-                registry.insert(s.a) == node or registry.insert(s.b) == node
-                for s in (segs[si] for si in cands)
+    # pairwise intersections and endpoint touches; a proper crossing
+    # carries no node in graph mode
+    ev, hits, stats["exact_pairs"] = _intersection_events(S, pairs)
+    stats["candidate_pairs"] = len(pairs)
+    t_i = _project(hits[:, 0], hits[:, 1], S[ev[:, 0]])[0]
+    t_j = _project(hits[:, 0], hits[:, 1], S[ev[:, 1]])[0]
+    in_i = _interior(t_i, length[ev[:, 0]], snap_eps)
+    in_j = _interior(t_j, length[ev[:, 1]], snap_eps)
+    keep = junctions | ~(in_i & in_j)
+    ev, hits, t_i, t_j, in_i, in_j = (v[keep] for v in (ev, hits, t_i, t_j, in_i, in_j))
+
+    # each city against the segments listed in its grid cell
+    seg_of, cx, cy = _segment_cells(S, cell, pad)
+    kx, ky = _cell_index(cities, cell).T
+    code = _cell_codes(np.concatenate([cx, kx]), np.concatenate([cy, ky]))
+    by_cell = np.argsort(code[:len(cx)], kind="stable")
+    sorted_code, city_code = code[:len(cx)][by_cell], code[len(cx):]
+    lo = np.searchsorted(sorted_code, city_code, "left")
+    city, off = _expand(np.searchsorted(sorted_code, city_code, "right") - lo)
+    on = seg_of[by_cell][lo[city] + off]
+    t_c, qx, qy = _project(cities[city, 0], cities[city, 1], S[on])
+    near = _hypot(cities[city, 0] - qx, cities[city, 1] - qy) <= snap_eps
+    inside = near & _interior(t_c, length[on], snap_eps)
+
+    X = np.concatenate([S.reshape(-1, 2), hits, cities])
+    node, makers = _snap_nodes(X, snap_eps)
+    stats["snapped"] = int((X[makers][node] != X).any(axis=1).sum())
+    ev_node, city_nodes = node[2 * m:2 * m + len(hits)], node[2 * m + len(hits):]
+
+    attached = np.zeros(n_cities, dtype=bool)
+    attached[city[near]] = True
+    for k in np.flatnonzero(~attached).tolist() if m else ():
+        # a city may still share its node with an endpoint of a segment in
+        # its cell, as the nodes stood right after the city's insertion
+        made = X[makers[makers <= 2 * m + len(hits) + k]]
+        ends = S[on[city == k]].reshape(-1, 2)
+        if not any(_snap_pick(p, made, snap_eps) == city_nodes[k] for p in ends):
+            raise DisconnectedCityError(
+                f"disconnected city: city {k} at {tuple(cities[k].tolist())} lies "
+                f"farther than {snap_eps:g} from every segment"
             )
-            if not endpoint_hit:
-                raise DisconnectedCityError(
-                    f"disconnected city: city {ci} at {c} lies farther than "
-                    f"{snap_eps:g} from every segment"
-                )
-        if not segs and len(cities) > 1:
-            raise DisconnectedCityError("disconnected city: empty segment set")
 
-    # split each segment at its sorted nodes
-    edge_weights: dict[tuple[int, int], float] = {}
-    coords = registry.coords
-    for si, s in enumerate(segs):
-        parts = sorted(set(splits[si]))
-        for (t0, n0), (t1, n1) in zip(parts, parts[1:]):
-            if n0 == n1:
-                continue
-            p0, p1 = coords[n0], coords[n1]
-            w = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-            key = (min(n0, n1), max(n0, n1))
-            edge_weights[key] = w
-
-    nodes = np.array(coords, dtype=float).reshape(-1, 2)
-    if edge_weights:
-        edges = np.array(sorted(edge_weights), dtype=int)
-        weights = np.array([edge_weights[tuple(e)] for e in edges])
-    else:
-        edges = np.empty((0, 2), dtype=int)
-        weights = np.empty(0)
-    return RoutingGraph(nodes=nodes, edges=edges, weights=weights, city_nodes=city_nodes)
+    # split each segment at its nodes, sorted by (t, node)
+    seg = np.concatenate([np.repeat(np.arange(m), 2), ev[in_i, 0], ev[in_j, 1],
+                          on[inside]])
+    t = np.concatenate([np.tile([0.0, 1.0], m), t_i[in_i], t_j[in_j], t_c[inside]])
+    at = np.concatenate([node[:2 * m], ev_node[in_i], ev_node[in_j],
+                         city_nodes[city[inside]]])
+    order = np.lexsort((at, t, seg))
+    seg, at = seg[order], at[order]
+    step = (seg[1:] == seg[:-1]) & (at[1:] != at[:-1])
+    n0, n1 = at[:-1][step], at[1:][step]
+    n_nodes = max(len(makers), 1)
+    codes = np.sort(np.minimum(n0, n1) * n_nodes + np.maximum(n0, n1))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    edges = np.stack([codes // n_nodes, codes % n_nodes], axis=1).astype(int)
+    nodes = X[makers].reshape(-1, 2)
+    weights = _hypot(nodes[edges[:, 1], 0] - nodes[edges[:, 0], 0],
+                     nodes[edges[:, 1], 1] - nodes[edges[:, 0], 1])
+    stats.update(nodes=len(nodes), edges=len(edges))
+    return RoutingGraph(nodes=nodes, edges=edges, weights=weights,
+                        city_nodes=city_nodes.astype(int), stats=stats)

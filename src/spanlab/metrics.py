@@ -67,7 +67,7 @@ def routing_graph(net: Network, mode: str = "steiner"):
         raise ValueError(f"unknown mode {mode!r}")
     planar = _planar_view(net)
     snap = 1e-9 * max(planar.config.window.diameter, 1.0)
-    return build_arrangement(planar.segment_tuples(), planar.config.points,
+    return build_arrangement(planar.segments, planar.config.points,
                              snap_eps=snap, junctions=(mode == "steiner"))
 
 

@@ -42,9 +42,6 @@ class Network:
         return float(np.hypot(self.segments[:, 2] - self.segments[:, 0],
                               self.segments[:, 3] - self.segments[:, 1]).sum())
 
-    def segment_tuples(self):
-        return [((s[0], s[1]), (s[2], s[3])) for s in self.segments]
-
     def to_json(self) -> str:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -78,12 +75,28 @@ class Network:
 # ---------------------------------------------------------------------------
 
 
-def _displacements(points: np.ndarray, i: int, torus_side: float | None):
-    """Vector from point i to every other point (minimal-image on a torus)."""
-    d = points - points[i]
-    if torus_side is not None:
-        d -= torus_side * np.round(d / torus_side)
-    return d
+def _cone_extent(p: np.ndarray, lo, hi, n_cones: int) -> np.ndarray:
+    """(len(p), n_cones) farthest distance from each point p to the part of
+    the box [lo, hi] (which holds p) in each of its cones.
+
+    That part is convex, so the farthest point is one of its vertices: a
+    box corner in the cone or the box exit of one of the cone's two rays.
+    """
+    theta = 2.0 * math.pi / n_cones
+    phi = np.arange(n_cones + 1) * theta
+    rays = np.full((len(p), n_cones + 1), np.inf)
+    for axis, u in enumerate((np.cos(phi), np.sin(phi))):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exit_ = np.where(u > 0, (hi[axis] - p[:, axis, None]) / u,
+                             (lo[axis] - p[:, axis, None]) / u)
+        rays = np.where(u != 0, np.minimum(rays, exit_), rays)
+    extent = np.maximum(rays[:, :-1], rays[:, 1:])
+    for cx, cy in ((lo[0], lo[1]), (hi[0], lo[1]), (lo[0], hi[1]), (hi[0], hi[1])):
+        vx, vy = cx - p[:, 0], cy - p[:, 1]
+        cone = np.minimum((np.mod(np.arctan2(vy, vx), 2.0 * math.pi) / theta).astype(int),
+                          n_cones - 1)
+        np.maximum.at(extent, (np.arange(len(p)), cone), np.hypot(vx, vy))
+    return extent
 
 
 def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
@@ -91,37 +104,85 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
 
     criterion "projection" picks the smallest orthogonal projection onto the
     cone bisector; "distance" the nearest Euclidean neighbor.  Ties broken
-    lexicographically by (criterion value, distance, angle, index).
+    lexicographically by (criterion value, distance, angle, index).  Returns
+    a dict from (i, j, wx, wy), i < j with the torus wrap of j seen from i,
+    to the segment x1, y1, x2, y2, in the order cities and then their
+    winners are visited.
+
+    Each city's candidates are its k nearest cities (a periodic cKDTree on
+    the torus), ranked exactly as against all n.  A point farther than the
+    k-th candidate's distance r has distance key above r and projection
+    key above r * cos(theta / 2), so a city is settled when each cone has
+    a winner whose key lies below that bound, less a rounding margin, or
+    (in the plane) lies within r inside the points' bounding box, so that
+    every city in it is a candidate.  Cities not settled are queried again
+    with 2k, up to k = n.
     """
     pts = config.points
     n = len(pts)
     side = config.window.width if config.torus else None
     theta = 2.0 * math.pi / n_cones
-    edges: dict[tuple, tuple] = {}
-    for i in range(n):
-        d = _displacements(pts, i, side)
-        dist = np.hypot(d[:, 0], d[:, 1])
-        dist[i] = np.inf
-        ang = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * math.pi)
+    reach = (math.cos(theta / 2) if criterion == "projection" else 1.0) * (1.0 - 1e-9)
+    if side is not None:
+        box = np.mod(pts - [config.window.x0, config.window.y0], side)
+        tree = cKDTree(np.where(box < side, box, 0.0), boxsize=side)
+    else:
+        tree = cKDTree(pts)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+    found = []  # (city, neighbor, dx, dy) of each winner, per settled city
+    todo = np.arange(n)
+    k = min(n, 4 * n_cones)
+    while len(todo):
+        r, nbr = tree.query(tree.data[todo], k=k)
+        r, nbr = r.reshape(len(todo), k), nbr.reshape(len(todo), k)
+        i = todo[:, None]
+        d = pts[nbr] - pts[i]
+        if side is not None:
+            d -= side * np.round(d / side)
+        dist = np.hypot(d[..., 0], d[..., 1])
+        dist[nbr == i] = np.inf
+        ang = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * math.pi)
         cone = np.minimum((ang / theta).astype(int), n_cones - 1)
         if criterion == "projection":
             key1 = dist * np.cos(ang - (cone + 0.5) * theta)
         else:
             key1 = dist
-        order = np.lexsort((np.arange(n), ang, dist, key1))
-        order = order[np.isfinite(dist[order])]
-        # the first entry of each cone in lexsort order wins; winners are
+        # rank each row: criterion value, distance, angle, index
+        order = np.lexsort((nbr, ang, dist, key1), axis=-1)
+        nbr, dist, cone, key1 = (np.take_along_axis(v, order, axis=-1)
+                                 for v in (nbr, dist, cone, key1))
+        d = np.take_along_axis(d, order[..., None], axis=1)
+        # the first entry of each (row, cone) wins; a row's winners are
         # visited in the order of their first appearance
-        _, first = np.unique(cone[order], return_index=True)
-        won = order[np.sort(first)]
-        wrap = (np.round((pts[won] - pts[i] - d[won]) / side).astype(int) if side
-                else np.zeros((len(won), 2), dtype=int))
-        for j, (wx, wy) in zip(won.tolist(), wrap.tolist()):
-            key = (i, j, -wx, -wy) if i < j else (j, i, wx, wy)
-            if key not in edges:
-                edges[key] = (pts[i][0], pts[i][1],
-                              pts[i][0] + d[j][0], pts[i][1] + d[j][1])
-    return edges
+        code = np.arange(len(todo))[:, None] * n_cones + cone
+        code[~np.isfinite(dist)] = -1  # the city itself
+        code, key1 = code.ravel(), key1.ravel()
+        _, first = np.unique(code, return_index=True)
+        won = np.sort(first[code[first] >= 0])
+        w_row = code[won] // n_cones
+        done = np.zeros((len(todo), n_cones), dtype=bool)
+        done[w_row, code[won] % n_cones] = key1[won] < r[w_row, -1] * reach
+        if side is None:
+            done |= _cone_extent(pts[todo], lo, hi, n_cones) < r[:, -1:] * (1.0 - 1e-9)
+        settled = done.all(axis=1) | (k == n)
+        won = won[settled[w_row]]
+        found.append(np.column_stack([todo[won // k], nbr.ravel()[won],
+                                      d.reshape(-1, 2)[won]]))
+        todo = todo[~settled]
+        k = min(n, 2 * k)
+    w = np.concatenate(found) if found else np.empty((0, 4))
+    w = w[np.argsort(w[:, 0], kind="stable")]
+    i, j = w[:, 0].astype(int), w[:, 1].astype(int)
+    d = w[:, 2:]
+    wrap = (np.round((pts[j] - pts[i] - d) / side).astype(int) if side
+            else np.zeros((len(w), 2), dtype=int))
+    lower = i < j
+    keys = np.column_stack([np.where(lower, i, j), np.where(lower, j, i),
+                            np.where(lower, -1, 1)[:, None] * wrap])
+    segs = np.column_stack([pts[i], pts[i] + d])
+    _, first = np.unique(keys, axis=0, return_index=True)
+    first = np.sort(first)
+    return dict(zip(map(tuple, keys[first].tolist()), map(tuple, segs[first].tolist())))
 
 
 def theta_graph(config: PointConfig, m: int) -> Network:
@@ -192,20 +253,20 @@ def delaunay(config: PointConfig) -> Network:
         except QhullError as exc:
             raise ValueError("Delaunay triangulation failed") from exc
         win = config.window
+        # triangle edges (0, 1), (1, 2), (2, 0) of each simplex, in order;
+        # only those whose midpoint lies in the window are visited
+        edges = tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        mid = 0.5 * (tiled[edges[:, 0]] + tiled[edges[:, 1]])
+        inside = ((win.x0 <= mid[:, 0]) & (mid[:, 0] < win.x1)
+                  & (win.y0 <= mid[:, 1]) & (mid[:, 1] < win.y1))
+        p, q = tiled[edges[inside, 0]], tiled[edges[inside, 1]]
+        keys = np.round(np.column_stack([p - q, mid[inside] % side]), 9)
         seen = set()
         segs = []
-        for simplex in tri.simplices:
-            for a in range(3):
-                i, j = int(simplex[a]), int(simplex[(a + 1) % 3])
-                p, q = tiled[i], tiled[j]
-                mx, my = 0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1])
-                if not (win.x0 <= mx < win.x1 and win.y0 <= my < win.y1):
-                    continue
-                key = (round(p[0] - q[0], 9), round(p[1] - q[1], 9),
-                       round(mx % side, 9), round(my % side, 9))
-                if key not in seen and (-key[0], -key[1], key[2], key[3]) not in seen:
-                    seen.add(key)
-                    segs.append((p[0], p[1], q[0], q[1]))
+        for key, seg in zip(map(tuple, keys.tolist()), np.hstack([p, q]).tolist()):
+            if key not in seen and (-key[0], -key[1], key[2], key[3]) not in seen:
+                seen.add(key)
+                segs.append(seg)
         return Network(config, np.array(segs).reshape(-1, 4), "delaunay", {})
     try:
         tri = _SciDelaunay(pts)

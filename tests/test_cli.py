@@ -60,6 +60,18 @@ class TestBuildMeasure:
         assert header.startswith("schema_version,kind,normalized_length")
         assert row.startswith("1,theta,")
 
+    @pytest.mark.parametrize("lines", ["-5", "x"])
+    def test_bad_lines_usage_error(self, tmp_path, capsys, lines):
+        net = self._pipeline(tmp_path)
+        assert run("measure", str(net), "--lines", lines) == EXIT_USAGE
+        assert "--lines" in capsys.readouterr().err
+
+    def test_zero_lines_skips_rate(self, tmp_path):
+        net = self._pipeline(tmp_path)
+        out = tmp_path / "m.csv"
+        assert run("measure", str(net), "--lines", "0", "--out", str(out)) == EXIT_OK
+        assert "intersection_rate" not in out.read_text()
+
     def test_missing_network_file(self, tmp_path):
         assert run("measure", str(tmp_path / "nope.json")) == EXIT_IO
 

@@ -32,3 +32,28 @@ def test_crossing_moments_table(capsys):
         assert abs(mean - exact) <= err  # err is printed as 3 SE
         assert mean2 <= bound + err2
     assert lines[5] == ""
+
+
+def test_measure_delaunay_acceptance_scale(capsys):
+    """Seed 0 on the 40x40 torus: the whole pipeline at acceptance scale."""
+    _load("measure_delaunay").main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["cities", "1597"]
+    assert lines[1].split()[2] == "3.3983"
+    assert lines[2].split()[2] == "1.3758"
+    assert lines[3].split(maxsplit=2)[2] == "(695, 144)"
+    assert lines[4].startswith("stretch percentiles     p50=")
+
+
+def test_tradeoff_curve_table(capsys):
+    _load("tradeoff_curve").main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["s", "lower", "bound", "cone", "upper", "line", "optimum"]
+    rows = [[float(v) for v in line.split()] for line in lines[1:7]]
+    assert [r[0] for r in rows] == [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2]
+    for s, lower, upper, line in rows:
+        assert lower == pytest.approx(analytic.prop38_lower_bound(s)[0], abs=5e-5)
+        assert line == pytest.approx(analytic.psi_star(1.0 + s), rel=1e-8, abs=5e-5)
+        assert 0 < lower < upper < line
+    assert lines[7] == "" and lines[8] == "scaled by s^(3/8):"
+    assert len(lines) == 12

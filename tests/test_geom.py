@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanlab import geom
+from spanlab import geom, metrics, nets
+from spanlab.configs import Window, poisson
 from spanlab.geom import (DisconnectedCityError, Segment, build_arrangement,
                           orient, segment_intersection, shortest_route)
 
@@ -36,6 +37,13 @@ class TestOrient:
         # both products underflow to 0.0 though no factor is zero
         p, q, r = (0.0, 0.0), (0.0, 5.3397681865225524e-194), (5.3397681865225524e-194, 0.0)
         assert orient(p, q, r) == _orient_exact(p, q, r) == -1
+
+    def test_large_integers_stay_exact(self):
+        # integers beyond 2**53 are not floats; the fallback keeps them exact
+        p, q, r = (0, 0), (2**60, 2**60 + 1), (2**61, 2**61 + 2)
+        assert orient(p, q, r) == _orient_exact(p, q, r) == 0
+        r = (2**61, 2**61 + 3)
+        assert orient(p, q, r) == _orient_exact(p, q, r) == 1
 
     coords = st.floats(min_value=-100, max_value=100,
                        allow_nan=False, allow_infinity=False)
@@ -174,6 +182,206 @@ class TestRoutingGraph:
             g.distances_from(3)
 
 
+# ---------------------------------------------------------------------------
+# scalar references: the per-element arrangement code that the array stages
+# of geom.build_arrangement replace
+# ---------------------------------------------------------------------------
+
+
+class _NodeRegistry:
+    """Merges points within snap_eps to a single node, deterministically."""
+
+    def __init__(self, snap_eps):
+        self.eps = snap_eps
+        self.coords = []
+        self._grid = {}
+
+    def _key(self, p):
+        return (int(math.floor(p[0] / self.eps)), int(math.floor(p[1] / self.eps)))
+
+    def insert(self, p):
+        kx, ky = self._key(p)
+        best = -1
+        best_d = self.eps
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for idx in self._grid.get((kx + dx, ky + dy), ()):
+                    q = self.coords[idx]
+                    d = math.hypot(p[0] - q[0], p[1] - q[1])
+                    if d <= best_d:
+                        best_d = d
+                        best = idx
+        if best >= 0:
+            return best
+        idx = len(self.coords)
+        self.coords.append(p)
+        self._grid.setdefault((kx, ky), []).append(idx)
+        return idx
+
+
+def _cells_of_segment(a, b, cell, pad=0.0):
+    """Grid cells traversed by segment (a, b), grown by ``pad`` units."""
+    ax, ay = a
+    bx, by = b
+    swap = abs(bx - ax) < abs(by - ay)
+    if swap:
+        ax, ay, bx, by = ay, ax, by, bx
+    if ax > bx:
+        ax, ay, bx, by = bx, by, ax, ay
+    dx, dy = bx - ax, by - ay
+    cells = set()
+    c0 = int(math.floor((ax - pad) / cell))
+    c1 = int(math.floor((bx + pad) / cell))
+    for cx in range(c0, c1 + 1):
+        x_lo = max(ax, cx * cell - pad)
+        x_hi = min(bx, (cx + 1) * cell + pad)
+        if dx == 0.0:
+            y_lo, y_hi = min(ay, by), max(ay, by)
+        else:
+            y0 = ay + (x_lo - ax) / dx * dy
+            y1 = ay + (x_hi - ax) / dx * dy
+            y_lo, y_hi = min(y0, y1), max(y0, y1)
+        r0 = int(math.floor((y_lo - pad) / cell))
+        r1 = int(math.floor((y_hi + pad) / cell))
+        for ry in range(r0, r1 + 1):
+            cells.add((ry, cx) if swap else (cx, ry))
+    return cells
+
+
+def _point_segment_distance(p, s):
+    """(distance, clamped parameter t) from point to segment."""
+    ax, ay = s.a
+    dx, dy = s.b[0] - ax, s.b[1] - ay
+    L2 = dx * dx + dy * dy
+    if L2 == 0:
+        return math.hypot(p[0] - ax, p[1] - ay), 0.0
+    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / L2
+    t = min(1.0, max(0.0, t))
+    qx, qy = ax + t * dx, ay + t * dy
+    return math.hypot(p[0] - qx, p[1] - qy), t
+
+
+def _buckets(segs, cell, pad):
+    buckets = {}
+    for idx, s in enumerate(segs):
+        for c in _cells_of_segment(s.a, s.b, cell, pad):
+            buckets.setdefault(c, []).append(idx)
+    return buckets
+
+
+def _bucket_pairs(buckets):
+    return sorted({(m[a], m[b]) for m in buckets.values()
+                   for a in range(len(m)) for b in range(a + 1, len(m))})
+
+
+def _build_reference(segments, cities, snap_eps=None, junctions=True):
+    """build_arrangement one element at a time: Segment lists, bucket dicts,
+    the node registry and a per-city attach loop.  Every candidate pair goes
+    through segment_intersection, with no filter and no topology rule."""
+    segs = [Segment((float(s[0][0]), float(s[0][1])), (float(s[1][0]), float(s[1][1])))
+            for s in segments]
+    cities = [(float(c[0]), float(c[1])) for c in cities]
+    if snap_eps is None:
+        pts = [p for s in segs for p in s] + list(cities)
+        if pts:
+            xs = [p[0] for p in pts]
+            ys = [p[1] for p in pts]
+            diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        else:
+            diam = 1.0
+        snap_eps = max(1e-9 * diam, 1e-300)
+    seen, uniq = set(), []
+    for s in segs:
+        key = (min(s.a, s.b), max(s.a, s.b))
+        if s.a != s.b and key not in seen:
+            seen.add(key)
+            uniq.append(s)
+    segs = uniq
+    cell = max(sum(s.length for s in segs) / len(segs), 16 * snap_eps) if segs else 1.0
+    for _ in range(32):  # merge collinear overlaps
+        merged_away = set()
+        for i, j in _bucket_pairs(_buckets(segs, cell, 1e-9 * cell)):
+            if i in merged_away or j in merged_away:
+                continue
+            if isinstance(segment_intersection(segs[i], segs[j]), Segment):
+                pts = [segs[i].a, segs[i].b, segs[j].a, segs[j].b]
+                axis = 0 if abs(segs[i].b[0] - segs[i].a[0]) >= abs(
+                    segs[i].b[1] - segs[i].a[1]) else 1
+                segs[i] = Segment(min(pts, key=lambda p: p[axis]),
+                                  max(pts, key=lambda p: p[axis]))
+                merged_away.add(j)
+        segs = [s for k, s in enumerate(segs) if k not in merged_away]
+        if not merged_away:
+            break
+    registry = _NodeRegistry(snap_eps)
+    splits = [[(0.0, registry.insert(s.a)), (1.0, registry.insert(s.b))] for s in segs]
+    seg_buckets = _buckets(segs, cell, max(snap_eps, 1e-9 * cell))
+    for i, j in _bucket_pairs(seg_buckets):
+        hit = segment_intersection(segs[i], segs[j])
+        if hit is None or isinstance(hit, Segment):
+            continue
+        _, t_i = _point_segment_distance(hit, segs[i])
+        _, t_j = _point_segment_distance(hit, segs[j])
+        interior_i = snap_eps < t_i * segs[i].length < segs[i].length - snap_eps
+        interior_j = snap_eps < t_j * segs[j].length < segs[j].length - snap_eps
+        if not junctions and interior_i and interior_j:
+            continue
+        node = registry.insert(hit)
+        if interior_i:
+            splits[i].append((t_i, node))
+        if interior_j:
+            splits[j].append((t_j, node))
+    city_nodes = np.empty(len(cities), dtype=int)
+    for ci, c in enumerate(cities):
+        node = registry.insert(c)
+        city_nodes[ci] = node
+        cands = seg_buckets.get((int(math.floor(c[0] / cell)), int(math.floor(c[1] / cell))), [])
+        attached = False
+        for si in cands:
+            d, t = _point_segment_distance(c, segs[si])
+            if d <= snap_eps:
+                attached = True
+                if snap_eps < t * segs[si].length < segs[si].length - snap_eps:
+                    splits[si].append((t, node))
+        if not attached and segs:
+            if not any(registry.insert(segs[si].a) == node or registry.insert(segs[si].b) == node
+                       for si in cands):
+                raise DisconnectedCityError(
+                    f"disconnected city: city {ci} at {c} lies farther than "
+                    f"{snap_eps:g} from every segment")
+        if not segs and len(cities) > 1:
+            raise DisconnectedCityError("disconnected city: empty segment set")
+    edge_weights = {}
+    coords = registry.coords
+    for si in range(len(segs)):
+        parts = sorted(set(splits[si]))
+        for (_, n0), (_, n1) in zip(parts, parts[1:]):
+            if n0 != n1:
+                p0, p1 = coords[n0], coords[n1]
+                edge_weights[(min(n0, n1), max(n0, n1))] = math.hypot(p1[0] - p0[0],
+                                                                      p1[1] - p0[1])
+    nodes = np.array(coords, dtype=float).reshape(-1, 2)
+    edges = np.array(sorted(edge_weights), dtype=int).reshape(-1, 2)
+    weights = np.array([edge_weights[tuple(e)] for e in edges.tolist()], dtype=float)
+    return nodes, edges, weights, city_nodes
+
+
+def _assert_same_as_reference(segments, cities, snap_eps=None, junctions=True):
+    try:
+        want = _build_reference(segments, cities, snap_eps, junctions)
+    except DisconnectedCityError as exc:
+        with pytest.raises(DisconnectedCityError) as got:
+            build_arrangement(segments, cities, snap_eps, junctions)
+        assert str(got.value) == str(exc)
+        return None
+    g = build_arrangement(segments, cities, snap_eps, junctions)
+    for name, w in zip(("nodes", "edges", "weights", "city_nodes"), want):
+        got = getattr(g, name)
+        assert got.dtype == w.dtype and got.shape == w.shape, name
+        np.testing.assert_array_equal(got, w, err_msg=name)
+    return g
+
+
 _coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 _point = st.tuples(_coord, _coord)
 
@@ -207,7 +415,7 @@ def _shared_endpoint_segments(draw):
 
 
 def _arrangement_input(segments):
-    """The segment set and candidate pairs that build_arrangement hands to
+    """The segment array and candidate pairs that build_arrangement hands to
     _intersection_events (duplicates dropped, collinear overlaps merged)."""
     seen, segs = set(), []
     for s in segments:
@@ -216,8 +424,9 @@ def _arrangement_input(segments):
             seen.add(key)
             segs.append(s)
     cell = sum(s.length for s in segs) / len(segs)
-    segs = geom._merge_overlaps(segs, cell)
-    return segs, geom._candidate_pairs(geom._segment_buckets(segs, cell, 1e-9 * cell))
+    S, _, pairs = geom._merge_overlaps(np.array(segs, dtype=float).reshape(-1, 4), cell,
+                                       1e-9 * cell)
+    return S, pairs
 
 
 class TestTopologyFastPaths:
@@ -227,12 +436,12 @@ class TestTopologyFastPaths:
         """Every pair the topology rule drops meets exactly at its shared point."""
         if not segments:
             return
-        segs, pairs = _arrangement_input(segments)
+        S, pairs = _arrangement_input(segments)
         if not len(pairs):
             return
-        P, A, B, C, D = geom._pair_arrays(segs, pairs)
-        for i, j in P[geom._shares_endpoint(A, B, C, D)]:
-            s, t = segs[i], segs[j]
+        P, cols = geom._pair_arrays(S, pairs)
+        for i, j in P[geom._shares_endpoint(*cols)].tolist():
+            s, t = geom._segment(S, i), geom._segment(S, j)
             hit = segment_intersection(s, t)
             assert not isinstance(hit, Segment) and hit is not None
             assert hit in (s.a, s.b) and hit in (t.a, t.b)
@@ -245,19 +454,188 @@ class TestTopologyFastPaths:
         cities = [segments[0].a, segments[-1].b]
         fast = build_arrangement(segments, cities)
         with mock.patch.object(geom, "_shares_endpoint",
-                               lambda A, B, C, D: np.zeros(len(A), dtype=bool)):
+                               lambda *cols: np.zeros(len(cols[0]), dtype=bool)):
             slow = build_arrangement(segments, cities)
         for name in ("nodes", "edges", "weights", "city_nodes"):
             np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
+        _assert_same_as_reference(segments, cities)
 
     @given(st.lists(st.tuples(_point, _point), min_size=0, max_size=40),
            st.floats(0.5, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_candidate_pairs_brute_force(self, raw, cell):
-        segs = [Segment(a, b) for a, b in raw]
-        buckets = geom._segment_buckets(segs, cell, 1e-9 * cell)
-        want = sorted({(m[a], m[b]) for m in buckets.values()
-                       for a in range(len(m)) for b in range(a + 1, len(m))})
-        got = geom._candidate_pairs(buckets)
+        S = np.array(raw, dtype=float).reshape(-1, 4)
+        want = _bucket_pairs(_buckets([Segment(a, b) for a, b in raw], cell, 1e-9 * cell))
+        got = geom._candidate_pairs(*geom._segment_cells(S, cell, 1e-9 * cell))
         assert got.dtype.kind == "i" and got.shape == (len(want), 2)
         assert [tuple(p) for p in got.tolist()] == want
+
+
+# segments snapped to a half-unit lattice put endpoints on cell boundaries and
+# make many of them axis-parallel; a jitter at snap scale makes near-equal
+# endpoints and chains of points about one snap distance apart
+_lattice = st.integers(-8, 8).map(lambda v: v / 2.0)
+_jitter = st.sampled_from([0.0, 0.0, 1e-12, -3e-10, 0.004, -0.006, 0.01])
+
+
+@st.composite
+def _segment_set(draw, max_size=14):
+    coord = st.one_of(_coord, st.tuples(_lattice, _jitter).map(sum))
+    raw = draw(st.lists(st.tuples(coord, coord, coord, coord), min_size=0,
+                        max_size=max_size))
+    return [((a, b), (c, d)) for a, b, c, d in raw]
+
+
+class TestArrangementStages:
+    """Each array stage of build_arrangement against its scalar reference."""
+
+    @given(_segment_set(), st.sampled_from([0.5, 1.0, 2.5, 0.37]),
+           st.sampled_from([0.0, 1e-9, 0.01, 0.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_segment_cells_match_scalar_sweep(self, raw, cell, pad):
+        S = np.array(raw, dtype=float).reshape(-1, 4)
+        seg, cx, cy = geom._segment_cells(S, cell, pad)
+        got = list(zip(seg.tolist(), cx.tolist(), cy.tolist()))
+        want = [(k, *c) for k, (a, b) in enumerate(raw)
+                for c in _cells_of_segment(a, b, cell, pad)]
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(want)
+
+    @given(_segment_set(), st.lists(_point, max_size=10),
+           st.lists(st.floats(0, 1), max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_project_matches_point_segment_distance(self, raw, points, ts):
+        segs = [Segment(a, b) for a, b in raw]
+        # points on the segments as well as off them
+        points = points + [(s.a[0] + t * (s.b[0] - s.a[0]), s.a[1] + t * (s.b[1] - s.a[1]))
+                           for s, t in zip(segs, ts)]
+        pairs = [(p, s) for p in points for s in segs]
+        if not pairs:
+            return
+        P = np.array([p for p, _ in pairs], dtype=float)
+        S = np.array([s for _, s in pairs], dtype=float).reshape(-1, 4)
+        t, qx, qy = geom._project(P[:, 0], P[:, 1], S)
+        d = geom._hypot(P[:, 0] - qx, P[:, 1] - qy)
+        want = np.array([_point_segment_distance(p, s) for p, s in pairs])
+        np.testing.assert_array_equal(d, want[:, 0])
+        np.testing.assert_array_equal(t, want[:, 1])
+
+    @st.composite
+    def _insertion_sequence(draw):
+        """Points with exact repeats, clusters and chains spaced about eps."""
+        eps = draw(st.sampled_from([1e-3, 0.05, 0.3]))
+        pts = list(draw(st.lists(_point, max_size=8)))
+        for _ in range(draw(st.integers(0, 4))):  # a chain along a direction
+            (x, y), ang = draw(_point), draw(st.floats(0, 2 * math.pi))
+            step = eps * draw(st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.5, 0.999]))
+            pts += [(x + k * step * math.cos(ang), y + k * step * math.sin(ang))
+                    for k in range(draw(st.integers(2, 6)))]
+        for _ in range(draw(st.integers(0, 4))):  # a cluster around a point
+            x, y = draw(_point)
+            pts += [(x + eps * dx, y + eps * dy) for dx, dy in draw(st.lists(
+                st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=1,
+                max_size=5))]
+        pts += draw(st.lists(st.sampled_from(pts), max_size=6)) if pts else []
+        return eps, draw(st.permutations(pts))
+
+    @given(_insertion_sequence())
+    @settings(max_examples=300, deadline=None)
+    def test_snap_nodes_match_registry(self, case):
+        eps, pts = case
+        registry = _NodeRegistry(eps)
+        want = [registry.insert(p) for p in pts]
+        node, makers = geom._snap_nodes(np.array(pts, dtype=float).reshape(-1, 2), eps)
+        assert node.tolist() == want
+        np.testing.assert_array_equal(np.array(pts, dtype=float).reshape(-1, 2)[makers],
+                                      np.array(registry.coords, dtype=float).reshape(-1, 2))
+
+
+class TestArrangementOracle:
+    """Whole arrangements against the scalar reference build."""
+
+    @st.composite
+    def _instance(draw):
+        raw = draw(_segment_set(max_size=10))
+        segs = [Segment(a, b) for a, b in raw if a != b]
+        cities = []
+        for s in draw(st.lists(st.sampled_from(segs), max_size=5)) if segs else []:
+            t = draw(st.sampled_from([0.0, 1.0, 0.5, 1e-10, 1 - 1e-10, 0.3]))
+            cities.append((s.a[0] + t * (s.b[0] - s.a[0]), s.a[1] + t * (s.b[1] - s.a[1])))
+        cities += draw(st.lists(_point, max_size=2))  # mostly disconnected
+        snap = draw(st.sampled_from([None, None, 1e-6, 0.01, 0.2]))
+        return raw, draw(st.permutations(cities)), snap, draw(st.booleans())
+
+    @given(_instance())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        _assert_same_as_reference(*case)
+
+    @pytest.mark.parametrize("kind", ["delaunay", "theta6", "cone4"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode", ["steiner", "graph"])
+    def test_torus_instances(self, kind, seed, mode):
+        cfg = poisson(Window.square(8), seed=seed, torus=True)
+        net = {"delaunay": lambda: nets.delaunay(cfg),
+               "theta6": lambda: nets.theta_graph(cfg, 6),
+               "cone4": lambda: nets.cone_road_network(cfg, 4)}[kind]()
+        planar = metrics._planar_view(net)
+        snap = 1e-9 * max(planar.config.window.diameter, 1.0)
+        g = _assert_same_as_reference(
+            [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in planar.segments.tolist()],
+            planar.config.points, snap, mode == "steiner")
+        assert g.stats["nodes"] == g.n_nodes and g.stats["edges"] == len(g.edges)
+
+    def test_city_within_snap_of_node_only(self):
+        """The second city is 1.45 from every segment but joins the first
+        city's node, which the endpoint (0.95, 0) snaps to at that time;
+        the third city makes a node nearer that endpoint only afterwards."""
+        segs = [((-5.0, 0.0), (0.0, 0.0)), ((0.95, 0.0), (0.95, 5.0))]
+        g = _assert_same_as_reference(segs, [(1.45, 0.3), (2.4, 0.3), (0.9, -0.56)], 1.0)
+        assert g.city_nodes[0] == g.city_nodes[1] != g.city_nodes[2]
+
+    # math.hypot(a, -a) = 0.003232558856781153 for this city, one ulp above
+    # np.hypot's value: attaching compares the math.hypot distance with snap_eps
+    @pytest.mark.parametrize("snap,attached", [(0.003232558856781153, True),
+                                               (0.0032325588567811525, False)])
+    def test_attach_distance_rounds_as_math_hypot(self, snap, attached):
+        segs, city = [((0.0, 0.0), (10.0, 10.0))], [(5.002285764288215, 4.997714235711785)]
+        if attached:
+            assert len(_assert_same_as_reference(segs, city, snap).edges) == 2
+        else:
+            with pytest.raises(DisconnectedCityError):
+                build_arrangement(segs, city, snap)
+            _assert_same_as_reference(segs, city, snap)
+
+    @pytest.mark.parametrize("segs,cities", [
+        ([((0, 0), (1, 0))], [(0, 0), (5, 5)]),
+        ([((0, 0), (1, 0)), ((3, 0), (3, 2))], [(1.2, 0), (2.7, 1)]),
+        ([], [(0, 0), (1, 1)]),
+    ])
+    def test_disconnected_city(self, segs, cities):
+        with pytest.raises(DisconnectedCityError):
+            _build_reference(segs, cities, 0.1)
+        _assert_same_as_reference(segs, cities, 0.1)
+
+    @pytest.mark.parametrize("segs,cities", [([], []), ([], [(2, 3)]), ([((0, 0), (1, 0))], [])])
+    def test_trivial_inputs(self, segs, cities):
+        _assert_same_as_reference(segs, cities)
+
+    def test_stats_on_two_segment_cross(self):
+        segs = [((0, 0), (2, 2)), ((0, 2), (2, 0))]
+        g = build_arrangement(segs, [(0, 0), (2, 0)])
+        assert g.stats == {"segments_in": 2, "overlap_rounds": 1, "candidate_pairs": 1,
+                           "exact_pairs": 0, "snapped": 0, "nodes": 5, "edges": 4}
+        g = build_arrangement(segs + [((1, 1), (2, 2)), ((2, 2), (0, 0))],
+                              [(0, 0), (2 + 1e-12, 0), (1 + 1e-12, 1)], snap_eps=1e-9,
+                              junctions=False)
+        # the reversed duplicate goes, the collinear overlap merges in a
+        # second round, the crossing carries no node, the second city snaps
+        # to the endpoint (2, 0) and the third, off the crossing by 1e-12,
+        # splits both roads at a node of its own
+        assert g.stats == {"segments_in": 4, "overlap_rounds": 2, "candidate_pairs": 1,
+                           "exact_pairs": 0, "snapped": 1, "nodes": 5, "edges": 4}
+
+    def test_tiny_segment_far_from_origin(self):
+        # cell indices near 3e76 overflow int64
+        segs = [Segment((1.0, 3.0709007730672982e-77), (1.0, 0.0))] * 2
+        _assert_same_as_reference(segs, [segs[0].a, segs[0].b])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanlab import nets
 from spanlab.configs import (PointConfig, Window, hex_config, poisson,
@@ -131,14 +133,17 @@ class TestYaoGraph:
 
 
 def _cone_edges_reference(config, n_cones, criterion):
-    """The per-city, per-candidate loop that nets._cone_edges vectorizes."""
+    """The per-city, per-candidate loop over all n cities that
+    nets._cone_edges replaces."""
     pts = config.points
     n = len(pts)
     side = config.window.width if config.torus else None
     theta = 2.0 * math.pi / n_cones
     edges = {}
     for i in range(n):
-        d = nets._displacements(pts, i, side)
+        d = pts - pts[i]  # minimal image on a torus
+        if side is not None:
+            d -= side * np.round(d / side)
         dist = np.hypot(d[:, 0], d[:, 1])
         dist[i] = np.inf
         ang = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * math.pi)
@@ -168,21 +173,34 @@ def _cone_edges_reference(config, n_cones, criterion):
 
 
 class TestConeEdgesFastPath:
-    """nets._cone_edges against the per-candidate loop kept above."""
+    """nets._cone_edges (k-nearest candidates) against the all-cities loop."""
 
     @staticmethod
     def _configs():
         grid = square_grid(Window.square(5)).points
+        line = np.column_stack([np.linspace(1, 9, 12), np.full(12, 4.0)])
         return [
             uniform_n(60, Window.square(10), seed=3),
             poisson(Window.square(8), seed=4, torus=True),
             # lattices tie on distance and angle, exercising the tie-break
             square_grid(Window.square(6)),
             PointConfig(grid, Window.square(6), torus=True),
+            hex_config(Window.square(6)),
+            tri_config(Window.square(6)),
+            PointConfig(tri_config(Window.square(6)).points, Window.square(6), torus=True),
+            # planar: boundary cities have empty cones, settled by the
+            # bounding box or by taking every city as a candidate
+            uniform_n(400, Window.square(20), seed=8),
+            _config(line),
+            _config([[0, 0], [10, 10], [0, 10], [10, 0], [5, 5], [5, 0]]),
+            # fewer cities than the first neighbour count
+            _config([[1, 1], [3, 2]]),
+            _config([[1, 1], [3, 2], [2, 5]], torus=True),
+            _config([[4, 4]]),
         ]
 
     @pytest.mark.parametrize("criterion", ["projection", "distance"])
-    @pytest.mark.parametrize("n_cones", [4, 6, 8])
+    @pytest.mark.parametrize("n_cones", [4, 6, 8, 12])
     def test_matches_reference_loop(self, criterion, n_cones):
         for cfg in self._configs():
             got = nets._cone_edges(cfg, n_cones, criterion)
@@ -190,6 +208,21 @@ class TestConeEdgesFastPath:
             assert list(got) == list(want)
             np.testing.assert_array_equal(np.array(list(got.values())),
                                           np.array(list(want.values())))
+
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([4, 6, 9]), st.sampled_from(["projection", "distance"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_random_sets(self, n, seed, torus, n_cones, criterion):
+        # coordinates on a coarse grid make exact distance and angle ties
+        # common; coincident cities (degenerate segments) are dropped
+        rng = np.random.default_rng(seed)
+        pts = rng.permutation(np.unique(rng.integers(0, 16, (n, 2)) / 2.0, axis=0))
+        cfg = _config(pts, side=8.0, torus=torus)
+        got = nets._cone_edges(cfg, n_cones, criterion)
+        want = _cone_edges_reference(cfg, n_cones, criterion)
+        assert list(got) == list(want)
+        np.testing.assert_array_equal(np.array(list(got.values())),
+                                      np.array(list(want.values())))
 
 
 class TestConeRoads:
