@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 Point = tuple[float, float]
@@ -413,7 +413,7 @@ def _merge_overlaps(S: np.ndarray, cell: float, pad: float):
     for rounds in range(1, 33):
         pairs = _candidate_pairs(*_segment_cells(S, cell, pad))
         near = _near_collinear_pairs(S, pairs)
-        if len(near) and pad != 1e-9 * cell:
+        if len(near):
             ids = np.unique(near)
             close = ids[_candidate_pairs(*_segment_cells(S[ids], cell, 1e-9 * cell))]
             near = near[np.isin(near[:, 0] * 2**32 + near[:, 1],
@@ -456,23 +456,34 @@ def _interior(t: np.ndarray, length: np.ndarray, snap_eps: float) -> np.ndarray:
     return (snap_eps < at) & (at < length - snap_eps)
 
 
-def _snap_pick(p, Q: np.ndarray, eps: float) -> int:
-    """Row of Q (nodes in creation order) that point p snaps to, or -1.
+def _eps_cell(p, eps: float) -> tuple[int, int]:
+    return math.floor(p[0] / eps), math.floor(p[1] / eps)
 
-    The nearest node within eps among those in the 3x3 block of eps-grid
-    cells around p; a tie goes to the last one met scanning the block
-    column by column, each column bottom to top, and each cell in creation
-    order.
+
+def _snap_pick(p, P: dict, grid: dict, eps: float) -> int:
+    """Row of the node that point p snaps to, or -1.
+
+    ``grid`` files the rows of P (row -> point) that made nodes by
+    eps-grid cell, each cell's rows in creation order.  The nearest node
+    within eps in the 3x3 block of cells around p wins; a tie goes to the
+    last one met scanning the block column by column, each column bottom to
+    top.
     """
-    if not len(Q):
-        return -1
-    k = np.floor(Q / eps) - np.floor(np.asarray(p) / eps)
-    d = _hypot(p[0] - Q[:, 0], p[1] - Q[:, 1])
-    rows = np.flatnonzero((np.abs(k) <= 1).all(1) & (d <= eps))
-    if not len(rows):
-        return -1
-    rows = rows[d[rows] == d[rows].min()]
-    return int(rows[np.lexsort((rows, k[rows, 1], k[rows, 0]))[-1]])
+    kx, ky = _eps_cell(p, eps)
+    best, best_d = -1, eps
+    for gx in (kx - 1, kx, kx + 1):
+        for gy in (ky - 1, ky, ky + 1):
+            for row in grid.get((gx, gy), ()):
+                d = math.hypot(p[0] - P[row][0], p[1] - P[row][1])
+                if d <= best_d:
+                    best, best_d = row, d
+    return best
+
+
+def _file_nodes(grid: dict, P: dict, rows, eps: float) -> None:
+    """File the node rows of P in grid, in the order given."""
+    for row in rows:
+        grid.setdefault(_eps_cell(P[row], eps), []).append(row)
 
 
 def _snap_nodes(X: np.ndarray, eps: float):
@@ -483,11 +494,10 @@ def _snap_nodes(X: np.ndarray, eps: float):
     every point and, per node, the row of X that made it.
 
     Only points that some distinct point comes near need that rule: a
-    point otherwise joins the node made by the first equal point.  Near
-    points form clusters (connected within a radius safely above eps; a
-    node within eps of a point is always made in its cluster).  In a
-    cluster whose points all snap to its first point, that point makes
-    the only node; the other clusters are replayed point by point.
+    point otherwise joins the node made by the first equal point.  The
+    near points (within a radius safely above eps of a distinct point, so
+    that every node within eps of one is made by another) are replayed in
+    order, against the nodes they made.
     """
     n = len(X)
     K = X + 0.0  # one key for -0.0 and 0.0
@@ -499,33 +509,16 @@ def _snap_nodes(X: np.ndarray, eps: float):
     uid[order] = np.cumsum(new) - 1
     maker = first[uid]
     near = cKDTree(K[first]).query_pairs(eps * (1.0 + 1e-6), output_type="ndarray")
-    if len(near):
-        members = np.unique(near)
-        _, label = connected_components(
-            csr_matrix((np.ones(len(near)), (near[:, 0], near[:, 1])),
-                       shape=(len(first),) * 2), directed=False)
-        cluster = np.full(len(first), -1)
-        cluster[members] = label[members]
-        head = np.full(label.max() + 1, n)
-        np.minimum.at(head, label[members], first[members])
-        rows, heads = first[members], head[label[members]]
-        grid = np.floor(X[rows] / eps) - np.floor(X[heads] / eps)
-        snaps = ((np.abs(grid) <= 1).all(1)
-                 & (_hypot(X[rows, 0] - X[heads, 0], X[rows, 1] - X[heads, 1]) <= eps))
-        tight = np.ones(len(head), dtype=bool)
-        tight[label[members][~snaps]] = False
-        c = cluster[uid]
-        clustered = c >= 0
-        maker[clustered & tight[c]] = head[c[clustered & tight[c]]]
-        made: dict[int, list[int]] = {}
-        for row in np.flatnonzero(clustered & ~tight[c]).tolist():
-            nodes = made.setdefault(int(c[row]), [])
-            pick = _snap_pick(X[row], X[nodes], eps)
-            if pick < 0:
-                nodes.append(row)
-                maker[row] = row
-            else:
-                maker[row] = nodes[pick]
+    is_near = np.zeros(len(first), dtype=bool)
+    is_near[near.ravel()] = True
+    rows = np.flatnonzero(is_near[uid])
+    P, grid, picks = dict(zip(rows.tolist(), X[rows].tolist())), {}, []
+    for row, p in P.items():
+        picks.append(_snap_pick(p, P, grid, eps))
+        if picks[-1] < 0:
+            picks[-1] = row
+            _file_nodes(grid, P, [row], eps)
+    maker[rows] = picks
     makes = maker == np.arange(n)
     node = (np.cumsum(makes) - 1)[maker]
     return node, np.flatnonzero(makes)
@@ -609,10 +602,16 @@ def build_arrangement(
     attached[city[near]] = True
     for k in np.flatnonzero(~attached).tolist() if m else ():
         # a city may still share its node with an endpoint of a segment in
-        # its cell, as the nodes stood right after the city's insertion
-        made = X[makers[makers <= 2 * m + len(hits) + k]]
+        # its cell, as the nodes near those endpoints stood right after the
+        # city's insertion
+        made = makers[makers <= 2 * m + len(hits) + k]
         ends = S[on[city == k]].reshape(-1, 2)
-        if not any(_snap_pick(p, made, snap_eps) == city_nodes[k] for p in ends):
+        gap = np.floor(X[made, None] / snap_eps) - np.floor(ends / snap_eps)
+        made = made[(np.abs(gap) <= 1).all(2).any(1)].tolist()
+        P, grid = dict(zip(made, X[made].tolist())), {}
+        _file_nodes(grid, P, made, snap_eps)
+        if not any(_snap_pick(p, P, grid, snap_eps) == makers[city_nodes[k]]
+                   for p in ends.tolist()):
             raise DisconnectedCityError(
                 f"disconnected city: city {k} at {tuple(cities[k].tolist())} lies "
                 f"farther than {snap_eps:g} from every segment"

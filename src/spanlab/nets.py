@@ -99,6 +99,12 @@ def _cone_extent(p: np.ndarray, lo, hi, n_cones: int) -> np.ndarray:
     return extent
 
 
+# Most (city, candidate) entries one round of _cone_edges ranks at once; at
+# about 110 bytes an entry a block peaks near 30 MiB, however many rounds a
+# city needs (a single city's k candidates may exceed it).
+_RANK_BLOCK = 1 << 18
+
+
 def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     """One outgoing edge per (city, nonempty cone).
 
@@ -116,7 +122,7 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     a winner whose key lies below that bound, less a rounding margin, or
     (in the plane) lies within r inside the points' bounding box, so that
     every city in it is a candidate.  Cities not settled are queried again
-    with 2k, up to k = n.
+    with 2k, up to k = n, in blocks of at most ``_RANK_BLOCK`` candidates.
     """
     pts = config.points
     n = len(pts)
@@ -129,10 +135,9 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     else:
         tree = cKDTree(pts)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
-    found = []  # (city, neighbor, dx, dy) of each winner, per settled city
-    todo = np.arange(n)
-    k = min(n, 4 * n_cones)
-    while len(todo):
+    def rank(todo: np.ndarray, k: int):
+        """Winners (city, neighbor, dx, dy) of the cities of todo settled
+        by their k nearest candidates, and which cities those are."""
         r, nbr = tree.query(tree.data[todo], k=k)
         r, nbr = r.reshape(len(todo), k), nbr.reshape(len(todo), k)
         i = todo[:, None]
@@ -166,8 +171,18 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
             done |= _cone_extent(pts[todo], lo, hi, n_cones) < r[:, -1:] * (1.0 - 1e-9)
         settled = done.all(axis=1) | (k == n)
         won = won[settled[w_row]]
-        found.append(np.column_stack([todo[won // k], nbr.ravel()[won],
-                                      d.reshape(-1, 2)[won]]))
+        return (np.column_stack([todo[won // k], nbr.ravel()[won], d.reshape(-1, 2)[won]]),
+                settled)
+
+    found = []  # winners of the settled cities, block by block
+    todo = np.arange(n)
+    k = min(n, 4 * n_cones)
+    while len(todo):
+        settled = np.zeros(len(todo), dtype=bool)
+        rows = max(1, _RANK_BLOCK // k)
+        for s in range(0, len(todo), rows):
+            winners, settled[s:s + rows] = rank(todo[s:s + rows], k)
+            found.append(winners)
         todo = todo[~settled]
         k = min(n, 2 * k)
     w = np.concatenate(found) if found else np.empty((0, 4))

@@ -550,6 +550,32 @@ class TestArrangementStages:
                                       np.array(registry.coords, dtype=float).reshape(-1, 2))
 
 
+    def test_snap_nodes_large_cluster(self, monkeypatch):
+        # 3000 points chained at half the snap distance form one cluster;
+        # each point is measured only against the nodes of its 3x3 block
+        eps = 1e-3
+        rng = np.random.default_rng(11)
+        X = np.column_stack([np.arange(3000) * eps / 2, rng.uniform(0, eps, 3000)])
+        X = X[rng.permutation(3000)]
+        registry = _NodeRegistry(eps)
+        want = [registry.insert(p) for p in X.tolist()]
+        hypot_calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def hypot(self, *v):
+                hypot_calls.append(1)
+                return math.hypot(*v)
+
+        monkeypatch.setattr(geom, "math", CountingMath())
+        node, makers = geom._snap_nodes(X, eps)
+        assert node.tolist() == want
+        np.testing.assert_array_equal(X[makers], np.array(registry.coords))
+        assert len(hypot_calls) < 20 * len(X)
+
+
 class TestArrangementOracle:
     """Whole arrangements against the scalar reference build."""
 

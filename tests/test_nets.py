@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from spanlab import nets
 from spanlab.configs import (PointConfig, Window, hex_config, poisson,
@@ -208,6 +209,31 @@ class TestConeEdgesFastPath:
             assert list(got) == list(want)
             np.testing.assert_array_equal(np.array(list(got.values())),
                                           np.array(list(want.values())))
+
+    @pytest.mark.parametrize("block", [1, 50, 1 << 18])
+    def test_blocks_match_reference_loop(self, monkeypatch, block):
+        # two far clusters: a city's winners across the gap are found only
+        # at k = n, so every round splits into blocks of cities
+        rng = np.random.default_rng(5)
+        pts = np.concatenate([rng.uniform(0, 3, (40, 2)), rng.uniform(0, 3, (40, 2)) + 500])
+        queried = []
+
+        class RecordingTree(cKDTree):
+            def query(self, x, k):
+                queried.append((len(x), k))
+                return super().query(x, k=k)
+
+        monkeypatch.setattr(nets, "_RANK_BLOCK", block)
+        monkeypatch.setattr(nets, "cKDTree", RecordingTree)
+        for cfg in [_config(pts, side=510.0), poisson(Window.square(8), seed=4, torus=True)]:
+            for n_cones, criterion in [(6, "projection"), (8, "distance")]:
+                got = nets._cone_edges(cfg, n_cones, criterion)
+                want = _cone_edges_reference(cfg, n_cones, criterion)
+                assert list(got) == list(want)
+                np.testing.assert_array_equal(np.array(list(got.values())),
+                                              np.array(list(want.values())))
+        assert any(k == len(pts) for _, k in queried)
+        assert all(rows * k <= block or rows == 1 for rows, k in queried)
 
     @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans(),
            st.sampled_from([4, 6, 9]), st.sampled_from(["projection", "distance"]))
