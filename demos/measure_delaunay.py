@@ -21,7 +21,7 @@ def main(seed: int = 0) -> None:
     net = nets.delaunay(cfg)
 
     length = metrics.normalized_length(net, 0.0)
-    rep = metrics.stretch(net, "steiner", margin_fraction=0.0, seed=seed)
+    rep = metrics.stretch(net, "steiner", seed=seed)
 
     target = 32.0 / (3.0 * math.pi)
     print(f"cities                  {cfg.n}")

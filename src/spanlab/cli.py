@@ -239,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("measure", help="measure a network file")
     m.add_argument("network", help="network JSON file")
     m.add_argument("--stretch", choices=["steiner", "graph"])
-    m.add_argument("--margin", type=float, default=metrics.DEFAULT_MARGIN)
+    m.add_argument("--margin", type=float, default=metrics.DEFAULT_MARGIN,
+                   help="inner-window margin fraction for length, intersection "
+                        "rate and planar stretch; stretch on a torus scores "
+                        "every city")
     m.add_argument("--lines", type=_non_negative_int, default=0,
                    help="intersection-rate test lines (0 = skip)")
     m.add_argument("--seed", type=int, default=0)

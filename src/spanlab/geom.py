@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 Point = tuple[float, float]
@@ -144,7 +144,8 @@ class RoutingGraph:
     stats: counts from build_arrangement's stages: segments_in (input
     rows), overlap_rounds, candidate_pairs (segment pairs sharing a grid
     cell), exact_pairs (those sent to segment_intersection), snapped (points
-    merged into a node at nonzero distance), nodes and edges.
+    merged into a node at nonzero distance), nodes and edges; on a torus
+    also seam_points and glued (see build_torus_arrangement).
     Immutable after construction; the sparse matrix is built once and
     each per-source search runs afresh.
     """
@@ -637,3 +638,88 @@ def build_arrangement(
     stats.update(nodes=len(nodes), edges=len(edges))
     return RoutingGraph(nodes=nodes, edges=edges, weights=weights,
                         city_nodes=city_nodes.astype(int), stats=stats)
+
+
+def _seam_pieces(S: np.ndarray, lo: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """Pieces of the lifts S cut where they cross a seam line lo + k * side,
+    each moved into the window [lo, lo + side] by the tile holding its
+    midpoint.  The coordinate a cut puts on a seam is set to the window's
+    edge exactly (a + t * d misses it by rounding), so both images of a cut
+    point lie on the edges at the same height; a cut through a corner sets
+    both."""
+    a, b = S[:, :2], S[:, 2:]
+    if (np.abs(b - a) >= side).any():
+        raise ValueError("a torus road lift must be shorter than the window side")
+    # a lift shorter than the side crosses at most one seam line per axis
+    k = np.floor((np.maximum(a, b) - lo) / side)
+    seam = lo + k * side
+    crosses = (np.minimum(a, b) < seam) & (seam < np.maximum(a, b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(crosses, (seam - a) / (b - a), np.inf)
+    # parameters of the boundary points a, the cuts in order and b; a
+    # missing cut repeats b and leaves a degenerate piece
+    tb = np.minimum(np.column_stack([np.zeros(len(S)), np.sort(t, axis=1),
+                                     np.ones(len(S))]), 1.0)
+    B = np.where(tb[..., None] < 1.0, a[:, None] + tb[..., None] * (b - a)[:, None],
+                 b[:, None])
+    on = crosses[:, None] & (tb[..., None] == t[:, None])
+    P = np.concatenate([B[:, :-1], B[:, 1:]], axis=2).reshape(-1, 4)
+    on = np.concatenate([on[:, :-1], on[:, 1:]], axis=2).reshape(-1, 4)
+    k = np.tile(np.repeat(k, 3, axis=0), 2)
+    keep = (P[:, :2] != P[:, 2:]).any(axis=1)
+    P, on, k = P[keep], on[keep], k[keep]
+    lo, side = np.tile(lo, 2), np.tile(side, 2)
+    tile = np.floor((0.5 * (P + P[:, [2, 3, 0, 1]]) - lo) / side)
+    # seam line k is the low edge of tile k and the high edge of tile k - 1
+    return np.where(on, np.where(tile == k, lo, lo + side), P - tile * side)
+
+
+def build_torus_arrangement(segments, cities, window, snap_eps: float | None = None,
+                            junctions: bool = True) -> RoutingGraph:
+    """Arrangement of a network on the torus ``window`` as a RoutingGraph.
+
+    ``window`` has the bounds x0, y0, x1, y1 of the torus; each row of
+    ``segments`` is a lift of a road, a plane segment shorter than the
+    window side on each axis whose points stand for their images modulo
+    the window; ``cities`` lie in the window.  snap_eps defaults to 1e-9
+    times the window's diagonal, at least 1e-9.  Each lift is cut at the seam
+    lines it crosses and its pieces are moved into the window
+    (_seam_pieces), build_arrangement arranges the pieces, and the nodes
+    of the points within snap_eps of a seam (piece ends and cities) are
+    glued to the nodes of their images across it.  Parallel edges left by
+    the gluing keep their shortest weight.  ``stats`` adds seam_points
+    (those points, counted once each) and glued (nodes merged away) to the
+    counts of build_arrangement, whose nodes and edges are recounted.
+    """
+    lo = np.array([window.x0, window.y0], dtype=float)
+    side = np.array([window.x1, window.y1], dtype=float) - lo
+    cities = np.asarray(cities, dtype=float).reshape(-1, 2)
+    pieces = _seam_pieces(np.asarray(segments, dtype=float).reshape(-1, 4), lo, side)
+    if snap_eps is None:
+        snap_eps = 1e-9 * max(math.hypot(*side.tolist()), 1.0)
+    ends = np.concatenate([pieces.reshape(-1, 2), cities])
+    near = ((np.abs(ends - lo) <= snap_eps) | (np.abs(ends - lo - side) <= snap_eps)).any(axis=1)
+    seam = np.unique(ends[near] + 0.0, axis=0)
+    g = build_arrangement(pieces, np.concatenate([cities, seam]), snap_eps, junctions)
+    n, n_nodes = len(cities), g.n_nodes
+    # one key per torus point: the far edge's coordinate moves to the near one
+    key = np.where(np.abs(seam - lo - side) <= snap_eps, seam - side, seam)
+    pairs = g.city_nodes[n:][cKDTree(key).query_pairs(snap_eps, output_type="ndarray")]
+    glue = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                      shape=(n_nodes, n_nodes))
+    n_comp, comp = connected_components(glue, directed=False)
+    rep = np.full(n_comp, n_nodes)
+    np.minimum.at(rep, comp, np.arange(n_nodes))
+    rep = rep[comp]  # each node joins the first node of its component
+    kept = rep == np.arange(n_nodes)
+    label = (np.cumsum(kept) - 1)[rep]
+    e = label[g.edges]
+    loop = e[:, 0] == e[:, 1]
+    e, w = np.sort(e[~loop], axis=1), g.weights[~loop]
+    codes = e[:, 0] * n_nodes + e[:, 1]
+    order = np.lexsort((w, codes))
+    first = order[np.diff(codes[order], prepend=-1) != 0]
+    stats = {**g.stats, "seam_points": len(seam), "glued": int(n_nodes - kept.sum()),
+             "nodes": int(kept.sum()), "edges": len(first)}
+    return RoutingGraph(nodes=g.nodes[kept], edges=e[first], weights=w[first],
+                        city_nodes=label[g.city_nodes[:n]], stats=stats)

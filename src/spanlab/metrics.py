@@ -16,12 +16,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from spanlab.configs import SCHEMA_VERSION, rng_from_seed
-from spanlab.geom import build_arrangement
+from spanlab.geom import build_arrangement, build_torus_arrangement
 from spanlab.nets import Network, unwrap
 
 DEFAULT_MARGIN = 0.1
 EXACT_PAIR_LIMIT = 400  # all-pairs below this many filtered cities
-TORUS_BUFFER_FRACTION = 0.2
 
 
 @dataclass
@@ -50,12 +49,6 @@ class StretchReport:
         return header + "\n" + row + "\n"
 
 
-def _planar_view(net: Network) -> Network:
-    if net.config.torus:
-        return unwrap(net, TORUS_BUFFER_FRACTION * net.config.window.width)
-    return net
-
-
 def _interior_mask(net: Network, margin_fraction: float) -> np.ndarray:
     inner = net.config.window.inner(margin_fraction)
     return inner.contains(net.config.points)
@@ -65,9 +58,12 @@ def routing_graph(net: Network, mode: str = "steiner"):
     """Arrangement of a network under steiner or graph semantics."""
     if mode not in ("steiner", "graph"):
         raise ValueError(f"unknown mode {mode!r}")
-    planar = _planar_view(net)
-    snap = 1e-9 * max(planar.config.window.diameter, 1.0)
-    return build_arrangement(planar.segments, planar.config.points,
+    win = net.config.window
+    snap = 1e-9 * max(win.diameter, 1.0)
+    if net.config.torus:
+        return build_torus_arrangement(net.segments, net.config.points, win,
+                                       snap_eps=snap, junctions=(mode == "steiner"))
+    return build_arrangement(net.segments, net.config.points,
                              snap_eps=snap, junctions=(mode == "steiner"))
 
 
@@ -84,14 +80,16 @@ def stretch(
     Exact over all filtered pairs when the filtered city count is at most
     400; otherwise a seeded random subset of source cities is used and the
     sampled pair count is reported.  A disconnected pair reports +inf.
+    A torus has no boundary, so there every city is scored (the report
+    reads pair_filter "all") and distances are minimal-image ones.
     """
-    if pair_filter == "interior":
-        mask = _interior_mask(net, margin_fraction)
-    elif pair_filter == "all":
-        mask = np.ones(net.config.n, dtype=bool)
-    else:
+    if pair_filter not in ("interior", "all"):
         raise ValueError(f"unknown pair_filter {pair_filter!r}")
-    cities = np.flatnonzero(mask)
+    side = net.config.window.width if net.config.torus else None
+    if side is not None:
+        pair_filter = "all"
+    cities = np.flatnonzero(_interior_mask(net, margin_fraction) if pair_filter == "interior"
+                            else np.ones(net.config.n, dtype=bool))
     if len(cities) < 2:
         raise ValueError("need at least two filtered cities")
 
@@ -109,11 +107,13 @@ def stretch(
 
     best = (-math.inf, (-1, -1))
     ratios = []
-    node_xy = g.nodes
     for src in sources:
         dist, _ = g.distances_from(int(src))
         route = dist[g.city_nodes[cities]]
-        eucl = np.hypot(pts[cities, 0] - pts[src, 0], pts[cities, 1] - pts[src, 1])
+        d = pts[cities] - pts[src]
+        if side is not None:
+            d -= side * np.round(d / side)
+        eucl = np.hypot(d[:, 0], d[:, 1])
         ok = (cities != src) & (eucl > 0)
         r = route[ok] / eucl[ok]
         ratios.append(r)

@@ -110,7 +110,9 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
 
     criterion "projection" picks the smallest orthogonal projection onto the
     cone bisector; "distance" the nearest Euclidean neighbor.  Ties broken
-    lexicographically by (criterion value, distance, angle, index).  Returns
+    lexicographically by (criterion value, distance, angle, index).  A city
+    at zero displacement is no candidate, so coincident cities get no
+    zero-length edge between them.  Returns
     a dict from (i, j, wx, wy), i < j with the torus wrap of j seen from i,
     to the segment x1, y1, x2, y2, in the order cities and then their
     winners are visited.
@@ -145,7 +147,7 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
         if side is not None:
             d -= side * np.round(d / side)
         dist = np.hypot(d[..., 0], d[..., 1])
-        dist[nbr == i] = np.inf
+        dist[dist == 0.0] = np.inf  # the city itself and cities coincident with it
         ang = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * math.pi)
         cone = np.minimum((ang / theta).astype(int), n_cones - 1)
         if criterion == "projection":

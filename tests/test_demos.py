@@ -42,7 +42,8 @@ def test_measure_delaunay_acceptance_scale(capsys):
     assert lines[1].split()[2] == "3.3983"
     assert lines[2].split()[2] == "1.3758"
     assert lines[3].split(maxsplit=2)[2] == "(695, 144)"
-    assert lines[4].startswith("stretch percentiles     p50=")
+    # every city of the torus is scored, by its minimal-image distance
+    assert lines[4] == "stretch percentiles     p50=1.0571 p90=1.0847 p99=1.1356"
 
 
 def test_tradeoff_curve_table(capsys):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from spanlab import geom, metrics, nets
 from spanlab.configs import Window, poisson
 from spanlab.geom import (DisconnectedCityError, Segment, build_arrangement,
-                          orient, segment_intersection, shortest_route)
+                          build_torus_arrangement, orient, segment_intersection,
+                          shortest_route)
 
 
 def _orient_exact(p, q, r):
@@ -604,12 +605,19 @@ class TestArrangementOracle:
         net = {"delaunay": lambda: nets.delaunay(cfg),
                "theta6": lambda: nets.theta_graph(cfg, 6),
                "cone4": lambda: nets.cone_road_network(cfg, 4)}[kind]()
-        planar = metrics._planar_view(net)
-        snap = 1e-9 * max(planar.config.window.diameter, 1.0)
+        # the planar arrangement that build_torus_arrangement glues: the
+        # network's lifts cut at the seams and moved into the window
+        win = cfg.window
+        pieces = geom._seam_pieces(net.segments, np.array([win.x0, win.y0]),
+                                   np.array([win.width, win.height]))
+        snap = 1e-9 * max(win.diameter, 1.0)
         g = _assert_same_as_reference(
-            [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in planar.segments.tolist()],
-            planar.config.points, snap, mode == "steiner")
+            [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in pieces.tolist()],
+            cfg.points, snap, mode == "steiner")
         assert g.stats["nodes"] == g.n_nodes and g.stats["edges"] == len(g.edges)
+        t = metrics.routing_graph(net, mode)
+        assert t.stats["nodes"] == t.n_nodes == g.n_nodes - t.stats["glued"]
+        assert t.stats["edges"] == len(t.edges)
 
     def test_city_within_snap_of_node_only(self):
         """The second city is 1.45 from every segment but joins the first
@@ -665,3 +673,63 @@ class TestArrangementOracle:
         # cell indices near 3e76 overflow int64
         segs = [Segment((1.0, 3.0709007730672982e-77), (1.0, 0.0))] * 2
         _assert_same_as_reference(segs, [segs[0].a, segs[0].b])
+
+
+class TestTorusArrangement:
+    """build_torus_arrangement on hand-made lifts over the 10x10 torus."""
+
+    WINDOW = Window.square(10)
+
+    def _graph(self, segs, cities):
+        return build_torus_arrangement(segs, cities, self.WINDOW)
+
+    def test_lift_across_x_seam(self):
+        g = self._graph([(9, 5, 11, 6)], [(9, 5), (1, 6)])
+        assert g.stats["seam_points"] == 2 and g.stats["glued"] == 1
+        assert (g.stats["segments_in"], g.stats["nodes"], g.stats["edges"]) == (2, 3, 2)
+        assert shortest_route(g, 0, 1)[0] == pytest.approx(math.sqrt(5))
+
+    def test_lift_through_corner(self):
+        g = self._graph([(9, 9, 11, 11)], [(9, 9), (1, 1)])
+        assert g.stats["seam_points"] == 2 and g.stats["glued"] == 1
+        assert (g.stats["nodes"], g.stats["edges"]) == (3, 2)
+        np.testing.assert_array_equal(g.nodes[1], [10.0, 10.0])
+        assert shortest_route(g, 0, 1)[0] == pytest.approx(2 * math.sqrt(2))
+
+    def test_lift_on_seam_line(self):
+        g = self._graph([(0, 1, 0, 3)], [(0, 1), (0, 3)])
+        assert g.stats["seam_points"] == 2 and g.stats["glued"] == 0
+        assert (g.stats["nodes"], g.stats["edges"]) == (2, 1)
+        # the same road lifted onto the far edge lands on the near one
+        h = self._graph([(10, 1, 10, 3)], [(0, 1), (0, 3)])
+        np.testing.assert_array_equal(h.nodes, g.nodes)
+
+    def test_seam_coordinate_is_exact(self):
+        # a + t * d puts the cut 5.6e-17 off x = 0; both pieces end on the
+        # window's edges exactly, at one height
+        lift = np.array([[-0.41, 1.7, 2.54, 2.3]])
+        t = 0.41 / (2.54 + 0.41)
+        assert -0.41 + t * (2.54 + 0.41) != 0.0
+        pieces = geom._seam_pieces(lift, np.array([0.0, 0.0]), np.array([10.0, 10.0]))
+        assert pieces[0, 2] == 10.0 and pieces[1, 0] == 0.0
+        assert pieces[0, 3] == pieces[1, 1]
+        # on a window at 0.1 moving the far piece by the side misses too
+        pieces = geom._seam_pieces(lift + 0.1, np.array([0.1, 0.1]), np.array([10.0, 10.0]))
+        assert pieces[0, 2] == 0.1 + 10.0 and pieces[1, 0] == 0.1
+        g = self._graph(lift, [(9.59, 1.7), (2.54, 2.3)])
+        assert g.stats["glued"] == 1
+        assert shortest_route(g, 0, 1)[0] == pytest.approx(math.hypot(2.95, 0.6))
+
+    def test_parallel_edges_keep_shortest_weight(self):
+        # a road on x = 0 and a longer copy within snap_eps of x = 10 glue
+        # into parallel edges (the sparse matrix would add their weights);
+        # the road at y = 5 that wraps all the way round glues into a loop
+        segs = [(0, 1, 0, 3), (10 - 1e-8, 1, 10 - 1e-8, 3 + 1e-9), (0, 5, 10 - 1e-12, 5)]
+        g = self._graph(segs, [(0, 1), (0, 3), (0, 5)])
+        assert g.stats["glued"] == 3
+        assert len(g.edges) == 1 and g.weights.tolist() == [2.0]
+        assert shortest_route(g, 0, 1)[0] == 2.0
+
+    def test_lift_as_long_as_the_side_rejected(self):
+        with pytest.raises(ValueError, match="shorter than the window side"):
+            self._graph([(1, 1, 11, 2)], [(1, 1)])

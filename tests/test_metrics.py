@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from spanlab import metrics, nets
-from spanlab.configs import (PointConfig, Window, hex_config, square_grid,
+from spanlab.configs import (PointConfig, Window, hex_config, poisson, square_grid,
                              tri_config, uniform_n)
-from spanlab.geom import shortest_route
+from spanlab.geom import build_arrangement, shortest_route
 
 
 def _net(points, segments, side=10.0, x0=0.0, y0=0.0):
@@ -89,6 +89,124 @@ class TestStretch:
         csv = rep.csv_row().splitlines()
         assert csv[0].startswith("mode,max_ratio")
         assert len(csv) == 2
+
+
+_TORUS_BUILDERS = {"delaunay": nets.delaunay,
+                   "theta6": lambda c: nets.theta_graph(c, 6),
+                   "cone4": lambda c: nets.cone_road_network(c, 4)}
+
+
+def _unrolled_graph(net, mode, cities=None, buffer=0.2):
+    """Oracle: the arrangement of a toroidal network unrolled into the
+    plane (nets.unwrap) with a buffer of that fraction of the side; cities:
+    those of the network by default."""
+    planar = nets.unwrap(net, buffer * net.config.window.width)
+    snap = 1e-9 * max(net.config.window.diameter, 1.0)
+    return build_arrangement(planar.segments,
+                             net.config.points if cities is None else cities,
+                             snap_eps=snap, junctions=mode == "steiner")
+
+
+def _recentred(net, center):
+    """The toroidal network shifted on the torus so that ``center`` sits in
+    the middle of the window; its cities keep their indices."""
+    win = net.config.window
+    side, lo = win.width, np.array([win.x0, win.y0])
+    shift = lo + 0.5 * side - np.asarray(center)
+    segs = net.segments + np.tile(shift, 2)
+    segs -= np.tile(side * np.floor((segs[:, :2] - lo) / side), 2)
+    cfg = PointConfig(lo + np.mod(net.config.points + shift - lo, side), win, torus=True)
+    return nets.Network(cfg, segs, net.kind, net.params)
+
+
+def _minimal_image(net, i, j):
+    d = net.config.points[j] - net.config.points[i]
+    side = net.config.window.width
+    return d - side * np.round(d / side)
+
+
+class TestTorusStretch:
+    """Stretch on the torus-native routing graph against unrolled builds."""
+
+    def test_scores_every_city_by_minimal_image(self):
+        # the two cities are 1 apart across the seam, 9 apart in the plane
+        cfg = PointConfig(np.array([[0.5, 5.0], [9.5, 5.0]]), Window.square(10),
+                          torus=True)
+        net = nets.Network(cfg, np.array([[9.5, 5.0, 10.5, 5.0]]), "custom")
+        rep = metrics.stretch(net)  # the interior filter would drop both
+        assert rep.max_ratio == 1.0 and rep.pair_filter == "all"
+        assert (rep.n_cities, rep.n_pairs, rep.exact) == (2, 1, True)
+
+    @pytest.mark.parametrize("mode", ["steiner", "graph"])
+    @pytest.mark.parametrize("kind", ["delaunay", "theta6", "cone4"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interior_distances_match_unrolled_bit_for_bit(self, seed, kind, mode):
+        cfg = poisson(Window.square(40), seed=seed, torus=True)
+        net = _TORUS_BUILDERS[kind](cfg)
+        g, u = metrics.routing_graph(net, mode), _unrolled_graph(net, mode)
+        assert g.n_nodes < 0.6 * u.n_nodes
+        cities = np.flatnonzero(cfg.window.inner(0.1).contains(cfg.points))
+        sources = np.random.default_rng(seed).choice(cities, 12, replace=False)
+        pts = cfg.points
+        for src in sources.tolist():
+            near = cities[np.hypot(*(pts[cities] - pts[src]).T) < 12]
+            got = g.distances_from(src)[0][g.city_nodes[near]]
+            want = u.distances_from(src)[0][u.city_nodes[near]]
+            assert np.isfinite(got).all()
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["steiner", "graph"])
+    @pytest.mark.parametrize("kind", ["delaunay", "theta6", "cone4"])
+    def test_worst_and_seam_pairs_match_recentred_build(self, kind, mode):
+        cfg = poisson(Window.square(40), seed=0, torus=True)
+        net = _TORUS_BUILDERS[kind](cfg)
+        g = metrics.routing_graph(net, mode)
+        rep = metrics.stretch(net, mode)
+        i, j = rep.argmax_pair
+        d = _minimal_image(net, i, j)
+        u = _unrolled_graph(_recentred(net, cfg.points[i] + 0.5 * d), mode)
+        route = u.distances_from(i)[0][u.city_nodes[j]]
+        assert rep.max_ratio == pytest.approx(route / np.hypot(*d), rel=1e-9)
+        # pairs under 6 apart across a seam, whose cities lie 8 or more
+        # from the edges once the seams run through the middle
+        pts, side = cfg.points, cfg.window.width
+        moved = np.mod(pts + 0.5 * side, side)
+        inner = cfg.window.inner(0.2).contains(moved)
+        near_seam = np.flatnonzero(inner & (np.abs(moved - 0.5 * side) < 3).any(axis=1))
+        u = _unrolled_graph(_recentred(net, [0.0, 0.0]), mode)
+        scored = 0
+        for src in near_seam[:8].tolist():
+            raw = pts - pts[src]
+            wrapped = (np.abs(raw) > 0.5 * side).any(axis=1)
+            dst = np.flatnonzero(inner & wrapped & (np.hypot(*_minimal_image(
+                net, src, slice(None)).T) < 6))
+            got = g.distances_from(src)[0][g.city_nodes[dst]]
+            want = u.distances_from(src)[0][u.city_nodes[dst]]
+            np.testing.assert_allclose(got, want, rtol=1e-9)
+            scored += len(dst)
+        assert scored >= 20
+
+    @pytest.mark.parametrize("build", [lambda c: nets.theta_graph(c, 6),
+                                       lambda c: nets.cone_road_network(c, 2),
+                                       lambda c: nets.yao_graph(c, 8)])
+    def test_grid_with_cities_on_seams_matches_unrolled(self, build):
+        # integer cities 0..5 on the 6x6 torus: rows and columns lie on
+        # x = 0 and y = 0, and wrapping edges end exactly on x = 6, y = 6
+        grid = square_grid(Window.square(5)).points
+        win = Window.square(6)
+        net = build(PointConfig(grid, win, torus=True))
+        g = metrics.routing_graph(net)
+        assert g.stats["glued"] > 0
+        n = len(grid)
+        tiles = np.array([(ox, oy) for ox in (-6, 0, 6) for oy in (-6, 0, 6)], float)
+        images = (grid[None] + tiles[:, None]).reshape(-1, 2)
+        u = _unrolled_graph(net, "steiner", images, buffer=1.0)
+        center = 4 * n  # tile (0, 0)
+        for src in range(n):
+            got = g.distances_from(src)[0][g.city_nodes]
+            want = u.distances_from(center + src)[0][u.city_nodes].reshape(9, n).min(axis=0)
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestLocalStretch:

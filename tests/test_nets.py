@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from spanlab import nets
+from spanlab import metrics, nets
 from spanlab.configs import (PointConfig, Window, hex_config, poisson,
                              square_grid, tri_config, uniform_n)
 
@@ -249,6 +249,20 @@ class TestConeEdgesFastPath:
         assert list(got) == list(want)
         np.testing.assert_array_equal(np.array(list(got.values())),
                                       np.array(list(want.values())))
+
+
+class TestCoincidentCities:
+    @pytest.mark.parametrize("torus", [False, True])
+    @pytest.mark.parametrize("kind,params", [("theta", {"m": 6}), ("yao", {"m": 6}),
+                                             ("cone", {"k": 3})])
+    def test_no_zero_length_edge(self, kind, params, torus):
+        # cities 0 and 1 coincide: neither wins a cone of the other
+        net = nets.build(kind, _config([[1, 1], [1, 1], [3, 2], [2, 4]], torus=torus),
+                         params)
+        assert len(net.segments) > 0
+        rep = metrics.stretch(net, pair_filter="all")
+        assert rep.max_ratio == pytest.approx(1.0)
+        assert rep.n_pairs == 5  # the coincident pair has no ratio
 
 
 class TestConeRoads:
