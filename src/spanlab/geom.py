@@ -457,6 +457,17 @@ def _interior(t: np.ndarray, length: np.ndarray, snap_eps: float) -> np.ndarray:
     return (snap_eps < at) & (at < length - snap_eps)
 
 
+def _end_near(S: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The end of each segment row of S nearer parameter t."""
+    return np.where((t < 0.5)[:, None], S[:, :2], S[:, 2:])
+
+
+def _among(points: np.ndarray, of: np.ndarray) -> np.ndarray:
+    """Whether each row of points equals some row of ``of`` exactly."""
+    of = np.asarray(of, dtype=float).reshape(-1, 2)
+    return np.isin(points[:, 0] + 1j * points[:, 1], of[:, 0] + 1j * of[:, 1])
+
+
 def _eps_cell(p, eps: float) -> tuple[int, int]:
     return math.floor(p[0] / eps), math.floor(p[1] / eps)
 
@@ -530,6 +541,7 @@ def build_arrangement(
     cities,
     snap_eps: float | None = None,
     junctions: bool = True,
+    cuts=None,
 ) -> RoutingGraph:
     """Planar subdivision of a segment set as a RoutingGraph.
 
@@ -540,7 +552,11 @@ def build_arrangement(
     order; a point within snap_eps of an earlier node joins the nearest
     one; collinear overlaps are deduplicated before splitting.  With
     ``junctions=False`` crossings stay geometrically present but carry no
-    node, giving graph-network (endpoint-only) semantics.  The stages count
+    node, giving graph-network (endpoint-only) semantics.  ``cuts`` is a
+    (k, 2) array of points where a road was cut into segments without
+    ending there (build_torus_arrangement cuts roads at the seams); with
+    ``junctions=False`` a segment end at one of them touching another
+    segment's interior is a crossing and carries no node.  The stages count
     their work in ``stats``.
     """
     S = np.asarray(segments, dtype=float).reshape(-1, 4)
@@ -579,6 +595,9 @@ def build_arrangement(
     in_i = _interior(t_i, length[ev[:, 0]], snap_eps)
     in_j = _interior(t_j, length[ev[:, 1]], snap_eps)
     keep = junctions | ~(in_i & in_j)
+    if cuts is not None and not junctions:
+        keep &= ~(in_j & _among(_end_near(S[ev[:, 0]], t_i), cuts))
+        keep &= ~(in_i & _among(_end_near(S[ev[:, 1]], t_j), cuts))
     ev, hits, t_i, t_j, in_i, in_j = (v[keep] for v in (ev, hits, t_i, t_j, in_i, in_j))
 
     # each city against the segments listed in its grid cell
@@ -640,71 +659,113 @@ def build_arrangement(
                         city_nodes=city_nodes.astype(int), stats=stats)
 
 
-def _seam_pieces(S: np.ndarray, lo: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """Pieces of the lifts S cut where they cross a seam line lo + k * side,
-    each moved into the window [lo, lo + side] by the tile holding its
-    midpoint.  The coordinate a cut puts on a seam is set to the window's
-    edge exactly (a + t * d misses it by rounding), so both images of a cut
-    point lie on the edges at the same height; a cut through a corner sets
-    both."""
+def _seam_pieces(S: np.ndarray, lo: np.ndarray, side: np.ndarray):
+    """Pieces of the lifts S cut at every seam line lo + k * side they
+    cross, each moved into the window [lo, lo + side] by the tile holding
+    its midpoint, and which of each piece's two ends are cuts.
+
+    A lift may have any length: one as long as the side or longer is cut
+    into pieces no longer than the side.  The coordinate a cut puts on a
+    seam is set to the window's edge exactly (a + t * d misses it by
+    rounding), so both images of a cut point lie on the edges at the same
+    height; a cut through a corner sets both.
+    """
+    m = len(S)
     a, b = S[:, :2], S[:, 2:]
-    if (np.abs(b - a) >= side).any():
-        raise ValueError("a torus road lift must be shorter than the window side")
-    # a lift shorter than the side crosses at most one seam line per axis
-    k = np.floor((np.maximum(a, b) - lo) / side)
-    seam = lo + k * side
-    crosses = (np.minimum(a, b) < seam) & (seam < np.maximum(a, b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(crosses, (seam - a) / (b - a), np.inf)
-    # parameters of the boundary points a, the cuts in order and b; a
-    # missing cut repeats b and leaves a degenerate piece
-    tb = np.minimum(np.column_stack([np.zeros(len(S)), np.sort(t, axis=1),
-                                     np.ones(len(S))]), 1.0)
-    B = np.where(tb[..., None] < 1.0, a[:, None] + tb[..., None] * (b - a)[:, None],
-                 b[:, None])
-    on = crosses[:, None] & (tb[..., None] == t[:, None])
-    P = np.concatenate([B[:, :-1], B[:, 1:]], axis=2).reshape(-1, 4)
-    on = np.concatenate([on[:, :-1], on[:, 1:]], axis=2).reshape(-1, 4)
-    k = np.tile(np.repeat(k, 3, axis=0), 2)
-    keep = (P[:, :2] != P[:, 2:]).any(axis=1)
-    P, on, k = P[keep], on[keep], k[keep]
+    d = b - a
+    low, high = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    lo2, side2 = np.tile(lo, m), np.tile(side, m)
+    # the seam lines lo + k * side strictly between the ends, per lift and axis
+    k0 = np.floor((low - lo2) / side2)
+    row, off = _expand((np.floor((high - lo2) / side2) - k0 + 1).astype(int))
+    k = k0[row] + off
+    seam = lo2[row] + k * side2[row]
+    crosses = (low[row] < seam) & (seam < high[row])
+    row, k, seam = row[crosses], k[crosses], seam[crosses]
+    lift, axis = row // 2, row % 2
+    t = (seam - a[lift, axis]) / d[lift, axis]
+    # the points along each lift: its ends and its cuts, cuts at the same t
+    # (through a corner) making one point
+    owner = np.concatenate([np.arange(m), lift, np.arange(m)])
+    at = np.concatenate([np.zeros(m), t, np.ones(m)])
+    order = np.lexsort((at, owner))
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (owner[order[1:]] != owner[order[:-1]]) | (at[order[1:]] != at[order[:-1]])
+    point = np.empty(len(order), dtype=int)
+    point[order] = np.cumsum(new) - 1
+    owner, at = owner[order[new]], at[order[new]]
+    B = np.where((at < 1.0)[:, None], a[owner] + at[:, None] * d[owner], b[owner])
+    on, K = np.zeros(B.shape, dtype=bool), np.zeros(B.shape)
+    cut = point[m:m + len(t)]
+    B[cut, axis], on[cut, axis], K[cut, axis] = seam, True, k
+    # a piece between each two consecutive points of a lift
+    i = np.flatnonzero(owner[1:] == owner[:-1])
+    i = i[(B[i] != B[i + 1]).any(axis=1)]
+    P = np.concatenate([B[i], B[i + 1]], axis=1)
+    on, K = np.concatenate([on[i], on[i + 1]], axis=1), np.concatenate([K[i], K[i + 1]], axis=1)
     lo, side = np.tile(lo, 2), np.tile(side, 2)
     tile = np.floor((0.5 * (P + P[:, [2, 3, 0, 1]]) - lo) / side)
     # seam line k is the low edge of tile k and the high edge of tile k - 1
-    return np.where(on, np.where(tile == k, lo, lo + side), P - tile * side)
+    P = np.where(on, np.where(tile == K, lo, lo + side), P - tile * side)
+    return P, on.reshape(-1, 2, 2).any(axis=2)
 
 
-def build_torus_arrangement(segments, cities, window, snap_eps: float | None = None,
+def _images_on_seam_roads(pieces: np.ndarray, points: np.ndarray, lo: np.ndarray,
+                          side: np.ndarray, eps: float) -> np.ndarray:
+    """The images across a seam of those points within eps of it that fall
+    inside a piece running along the opposite edge, placed on that edge."""
+    images = [np.empty((0, 2))]
+    for c in (0, 1):
+        o = 1 - c
+        for edge, far in ((lo[c], lo[c] + side[c]), (lo[c] + side[c], lo[c])):
+            road = pieces[(np.abs(pieces[:, c] - edge) <= eps)
+                          & (np.abs(pieces[:, c + 2] - edge) <= eps)]
+            q = points[np.abs(points[:, c] - far) <= eps]
+            s0 = np.minimum(road[:, o], road[:, o + 2])[:, None] + eps
+            s1 = np.maximum(road[:, o], road[:, o + 2])[:, None] - eps
+            q = q[((s0 < q[:, o]) & (q[:, o] < s1)).any(axis=0)]
+            q[:, c] = edge
+            images.append(q)
+    return np.concatenate(images)
+
+
+def build_torus_arrangement(segments, cities, window, snap_eps: float,
                             junctions: bool = True) -> RoutingGraph:
     """Arrangement of a network on the torus ``window`` as a RoutingGraph.
 
     ``window`` has the bounds x0, y0, x1, y1 of the torus; each row of
-    ``segments`` is a lift of a road, a plane segment shorter than the
-    window side on each axis whose points stand for their images modulo
-    the window; ``cities`` lie in the window.  snap_eps defaults to 1e-9
-    times the window's diagonal, at least 1e-9.  Each lift is cut at the seam
-    lines it crosses and its pieces are moved into the window
-    (_seam_pieces), build_arrangement arranges the pieces, and the nodes
-    of the points within snap_eps of a seam (piece ends and cities) are
-    glued to the nodes of their images across it.  Parallel edges left by
-    the gluing keep their shortest weight.  ``stats`` adds seam_points
-    (those points, counted once each) and glued (nodes merged away) to the
-    counts of build_arrangement, whose nodes and edges are recounted.
+    ``segments`` is a lift of a road, a plane segment whose points stand
+    for their images modulo the window; ``cities`` lie in the window.  Each
+    lift is cut at the seam lines it crosses and its pieces are moved into
+    the window (_seam_pieces).  build_arrangement arranges the pieces, with
+    the cut points where no road ends as ``cuts``: in graph mode a cut end
+    touching a road that runs along a seam crosses it, as in the plane.
+    The nodes within snap_eps of a seam are glued to the nodes of their
+    images across it; self-loops left by the gluing are dropped and
+    parallel edges keep their shortest weight.  ``stats`` adds seam_points
+    (the nodes within snap_eps of a seam) and glued (nodes merged away) to
+    the counts of build_arrangement, whose nodes and edges are recounted.
     """
     lo = np.array([window.x0, window.y0], dtype=float)
     side = np.array([window.x1, window.y1], dtype=float) - lo
+    pieces, cut = _seam_pieces(np.asarray(segments, dtype=float).reshape(-1, 4), lo, side)
+    ends, cut = pieces.reshape(-1, 2), cut.ravel()
+    cuts = ends[cut]
+    cuts = cuts[~_among(cuts, ends[~cut])]
+    # a road that runs along an edge takes a node at the image of every
+    # road end and city on the opposite edge
     cities = np.asarray(cities, dtype=float).reshape(-1, 2)
-    pieces = _seam_pieces(np.asarray(segments, dtype=float).reshape(-1, 4), lo, side)
-    if snap_eps is None:
-        snap_eps = 1e-9 * max(math.hypot(*side.tolist()), 1.0)
-    ends = np.concatenate([pieces.reshape(-1, 2), cities])
-    near = ((np.abs(ends - lo) <= snap_eps) | (np.abs(ends - lo - side) <= snap_eps)).any(axis=1)
-    seam = np.unique(ends[near] + 0.0, axis=0)
-    g = build_arrangement(pieces, np.concatenate([cities, seam]), snap_eps, junctions)
-    n, n_nodes = len(cities), g.n_nodes
+    images = _images_on_seam_roads(pieces, np.concatenate([ends[~cut], cities]),
+                                   lo, side, snap_eps)
+    g = build_arrangement(pieces, np.concatenate([cities, images]), snap_eps,
+                          junctions, cuts=cuts)
+    n_nodes = g.n_nodes
+    near_lo = np.abs(g.nodes - lo) <= snap_eps
+    near_hi = np.abs(g.nodes - lo - side) <= snap_eps
+    seam = np.flatnonzero((near_lo | near_hi).any(axis=1))
     # one key per torus point: the far edge's coordinate moves to the near one
-    key = np.where(np.abs(seam - lo - side) <= snap_eps, seam - side, seam)
-    pairs = g.city_nodes[n:][cKDTree(key).query_pairs(snap_eps, output_type="ndarray")]
+    key = np.where(near_hi[seam], g.nodes[seam] - side, g.nodes[seam])
+    pairs = seam[cKDTree(key).query_pairs(snap_eps, output_type="ndarray")]
     glue = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                       shape=(n_nodes, n_nodes))
     n_comp, comp = connected_components(glue, directed=False)
@@ -722,4 +783,4 @@ def build_torus_arrangement(segments, cities, window, snap_eps: float | None = N
     stats = {**g.stats, "seam_points": len(seam), "glued": int(n_nodes - kept.sum()),
              "nodes": int(kept.sum()), "edges": len(first)}
     return RoutingGraph(nodes=g.nodes[kept], edges=e[first], weights=w[first],
-                        city_nodes=label[g.city_nodes[:n]], stats=stats)
+                        city_nodes=label[g.city_nodes[:len(cities)]], stats=stats)

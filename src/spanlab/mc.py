@@ -78,8 +78,8 @@ def estimate_psi_ave_upper(
     """Empirical (length, stretch) of a builder on toroidal Poisson cities.
 
     Each replicate samples a rate-1 Poisson configuration on the torus,
-    builds the network, and records its normalized length and its interior
-    stretch.  Returns the length estimate and the stretch report of the
+    builds the network, and records its normalized length and its stretch
+    over every city, by minimal-image distance.  Returns the length estimate and the stretch report of the
     worst replicate; together they witness an upper bound on the optimal
     length at that stretch.
     """

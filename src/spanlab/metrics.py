@@ -81,7 +81,8 @@ def stretch(
     400; otherwise a seeded random subset of source cities is used and the
     sampled pair count is reported.  A disconnected pair reports +inf.
     A torus has no boundary, so there every city is scored (the report
-    reads pair_filter "all") and distances are minimal-image ones.
+    reads pair_filter "all"; pair_filter and margin_fraction are not used)
+    and distances are minimal-image ones.
     """
     if pair_filter not in ("interior", "all"):
         raise ValueError(f"unknown pair_filter {pair_filter!r}")

@@ -608,8 +608,8 @@ class TestArrangementOracle:
         # the planar arrangement that build_torus_arrangement glues: the
         # network's lifts cut at the seams and moved into the window
         win = cfg.window
-        pieces = geom._seam_pieces(net.segments, np.array([win.x0, win.y0]),
-                                   np.array([win.width, win.height]))
+        pieces, _ = geom._seam_pieces(net.segments, np.array([win.x0, win.y0]),
+                                      np.array([win.width, win.height]))
         snap = 1e-9 * max(win.diameter, 1.0)
         g = _assert_same_as_reference(
             [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in pieces.tolist()],
@@ -680,8 +680,9 @@ class TestTorusArrangement:
 
     WINDOW = Window.square(10)
 
-    def _graph(self, segs, cities):
-        return build_torus_arrangement(segs, cities, self.WINDOW)
+    def _graph(self, segs, cities, junctions=True):
+        return build_torus_arrangement(segs, cities, self.WINDOW,
+                                       1e-9 * self.WINDOW.diameter, junctions)
 
     def test_lift_across_x_seam(self):
         g = self._graph([(9, 5, 11, 6)], [(9, 5), (1, 6)])
@@ -710,11 +711,12 @@ class TestTorusArrangement:
         lift = np.array([[-0.41, 1.7, 2.54, 2.3]])
         t = 0.41 / (2.54 + 0.41)
         assert -0.41 + t * (2.54 + 0.41) != 0.0
-        pieces = geom._seam_pieces(lift, np.array([0.0, 0.0]), np.array([10.0, 10.0]))
+        pieces, cut = geom._seam_pieces(lift, np.array([0.0, 0.0]), np.array([10.0, 10.0]))
+        assert cut.tolist() == [[False, True], [True, False]]
         assert pieces[0, 2] == 10.0 and pieces[1, 0] == 0.0
         assert pieces[0, 3] == pieces[1, 1]
         # on a window at 0.1 moving the far piece by the side misses too
-        pieces = geom._seam_pieces(lift + 0.1, np.array([0.1, 0.1]), np.array([10.0, 10.0]))
+        pieces, _ = geom._seam_pieces(lift + 0.1, np.array([0.1, 0.1]), np.array([10.0, 10.0]))
         assert pieces[0, 2] == 0.1 + 10.0 and pieces[1, 0] == 0.1
         g = self._graph(lift, [(9.59, 1.7), (2.54, 2.3)])
         assert g.stats["glued"] == 1
@@ -730,6 +732,30 @@ class TestTorusArrangement:
         assert len(g.edges) == 1 and g.weights.tolist() == [2.0]
         assert shortest_route(g, 0, 1)[0] == 2.0
 
-    def test_lift_as_long_as_the_side_rejected(self):
-        with pytest.raises(ValueError, match="shorter than the window side"):
-            self._graph([(1, 1, 11, 2)], [(1, 1)])
+    def test_long_lifts_cut_at_every_seam(self):
+        # a lift 2.5 sides long crosses x = 0, 10 and 20, and the road one
+        # side long on the seam line y = 0 wraps once round: both close
+        # into loops, so the cities on them route the short way round
+        pieces, cut = geom._seam_pieces(np.array([[-5.0, 5, 20.5, 5], [3, 0, 3, 10]]),
+                                        np.array([0.0, 0.0]), np.array([10.0, 10.0]))
+        np.testing.assert_array_equal(pieces, [[5, 5, 10, 5], [0, 5, 10, 5], [0, 5, 10, 5],
+                                               [0, 5, 0.5, 5], [3, 0, 3, 10]])
+        assert cut.tolist() == [[False, True], [True, True], [True, True], [True, False],
+                                [False, False]]
+        g = self._graph([(-5, 5, 20.5, 5), (3, 0, 3, 10)], [(1, 5), (9, 5), (3, 1), (3, 9)])
+        assert shortest_route(g, 0, 1)[0] == pytest.approx(2.0)
+        assert shortest_route(g, 2, 3)[0] == pytest.approx(2.0)
+        assert shortest_route(g, 0, 2)[0] == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("junctions", [True, False])
+    def test_cut_on_a_road_along_the_seam(self, junctions):
+        # the road (9, 2)-(11, 4) crosses the road on x = 0 at (0, 3): a
+        # junction in steiner mode, none in graph mode, as in the plane
+        g = self._graph([(9, 2, 11, 4), (0, 1, 0, 5)], [(9, 2), (1, 4), (0, 1)],
+                        junctions)
+        assert (g.stats["seam_points"], g.stats["glued"]) == (4, 1)
+        route = shortest_route(g, 0, 2)[0]
+        if junctions:
+            assert route == pytest.approx(math.sqrt(2) + 2)
+        else:
+            assert math.isinf(route)

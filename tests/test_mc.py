@@ -227,6 +227,12 @@ class TestPsiAveUpper:
         assert worst.mode == "graph"
         assert worst.max_ratio <= analytic.s_m_bound(6) + 1e-9
 
+    def test_grid_freeway_on_the_torus(self):
+        # its skeleton roads run one window side along the seam lines
+        result, worst = mc.estimate_psi_ave_upper("grid_freeway", {"t": 4}, replicates=1)
+        assert result.n == 1 and worst.pair_filter == "all"
+        assert 1.0 <= worst.max_ratio < 3.0
+
 
 class TestWindowSweep:
     def test_runs_each_window(self):

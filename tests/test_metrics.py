@@ -186,27 +186,61 @@ class TestTorusStretch:
             scored += len(dst)
         assert scored >= 20
 
+    @pytest.mark.parametrize("mode", ["steiner", "graph"])
     @pytest.mark.parametrize("build", [lambda c: nets.theta_graph(c, 6),
                                        lambda c: nets.cone_road_network(c, 2),
                                        lambda c: nets.yao_graph(c, 8)])
-    def test_grid_with_cities_on_seams_matches_unrolled(self, build):
+    def test_grid_with_cities_on_seams_matches_unrolled(self, build, mode):
         # integer cities 0..5 on the 6x6 torus: rows and columns lie on
         # x = 0 and y = 0, and wrapping edges end exactly on x = 6, y = 6
         grid = square_grid(Window.square(5)).points
-        win = Window.square(6)
-        net = build(PointConfig(grid, win, torus=True))
-        g = metrics.routing_graph(net)
+        net = build(PointConfig(grid, Window.square(6), torus=True))
+        g = metrics.routing_graph(net, mode)
         assert g.stats["glued"] > 0
-        n = len(grid)
-        tiles = np.array([(ox, oy) for ox in (-6, 0, 6) for oy in (-6, 0, 6)], float)
-        images = (grid[None] + tiles[:, None]).reshape(-1, 2)
-        u = _unrolled_graph(net, "steiner", images, buffer=1.0)
-        center = 4 * n  # tile (0, 0)
-        for src in range(n):
-            got = g.distances_from(src)[0][g.city_nodes]
-            want = u.distances_from(center + src)[0][u.city_nodes].reshape(9, n).min(axis=0)
-            assert np.isfinite(got).all()
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+        _assert_matches_tiles(net, mode, g)
+
+    @pytest.mark.parametrize("mode", ["steiner", "graph"])
+    @pytest.mark.parametrize("build", [lambda c: nets.theta_graph(c, 6),
+                                       lambda c: nets.yao_graph(c, 8)])
+    def test_grid_and_random_cities_match_unrolled(self, build, mode):
+        # edges to the random cities cross the seams where grid edges run
+        # along them: junctions in steiner mode, none in graph mode
+        grid = square_grid(Window.square(5)).points
+        extra = np.random.default_rng(12).uniform(0, 6, (6, 2))
+        net = build(PointConfig(np.concatenate([grid, extra]), Window.square(6), torus=True))
+        _assert_matches_tiles(net, mode)
+
+    @pytest.mark.parametrize("mode", ["steiner", "graph"])
+    def test_grid_freeway_matches_unrolled(self, mode):
+        # the skeleton roads run one side long along x = 0 and y = 0 (and
+        # x = 12, y = 12, which land on them); access roads end on both
+        cfg = uniform_n(40, Window.square(12), seed=1, torus=True)
+        _assert_matches_tiles(nets.grid_freeway(cfg, 3.0), mode)
+
+    @pytest.mark.parametrize("mode", ["steiner", "graph"])
+    def test_few_city_delaunay_matches_unrolled(self, mode):
+        # three cities on the 10x10 torus: the Delaunay lifts are as long
+        # as the side or longer
+        cfg = uniform_n(3, Window.square(10), seed=0, torus=True)
+        net = nets.delaunay(cfg)
+        assert (np.abs(net.segments[:, 2:] - net.segments[:, :2]) >= 10).any()
+        _assert_matches_tiles(net, mode)
+
+
+def _assert_matches_tiles(net, mode, g=None):
+    """Every city's torus distances equal the shortest routes to the
+    nearest of the nine images of each city on the network unrolled over
+    3x3 tiles."""
+    g = g or metrics.routing_graph(net, mode)
+    pts, side, n = net.config.points, net.config.window.width, net.config.n
+    tiles = np.array([(ox, oy) for ox in (-side, 0, side) for oy in (-side, 0, side)])
+    images = (pts[None] + tiles[:, None]).reshape(-1, 2)
+    u = _unrolled_graph(net, mode, images, buffer=1.0)
+    for src in range(n):
+        got = g.distances_from(src)[0][g.city_nodes]
+        want = u.distances_from(4 * n + src)[0][u.city_nodes].reshape(9, n).min(axis=0)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestLocalStretch:
