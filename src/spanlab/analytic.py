@@ -9,49 +9,14 @@ reference constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
 
-from spanlab.configs import SCHEMA_VERSION
-
 # truncate infinite domains where the exponential factor drops below this
 # fraction of its peak; the tail is far below quadrature tolerance
 _TAIL = 1e-14
-
-
-@dataclass
-class BoundEntry:
-    name: str
-    params: dict
-    value: float
-    tag: str
-
-
-@dataclass
-class BoundTable:
-    entries: list[BoundEntry] = field(default_factory=list)
-
-    def add(self, name: str, params: dict, value: float, tag: str):
-        self.entries.append(BoundEntry(name, params, value, tag))
-
-    def value(self, name: str) -> float:
-        for e in self.entries:
-            if e.name == name:
-                return e.value
-        raise KeyError(name)
-
-    def to_csv(self) -> str:
-        import json
-
-        lines = ["name,param,value,tag,schema_version"]
-        for e in self.entries:
-            lines.append(
-                f"{e.name},\"{json.dumps(e.params)}\",{e.value:.17g},{e.tag},{SCHEMA_VERSION}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +42,7 @@ def _theta_alpha(m: int) -> float:
     return math.cos(half) / (4.0 * math.sin(half))
 
 
-def theta_mean_length(m: int, tol: float = 1e-6, method: str = "rl") -> float:
+def theta_mean_length(m: int) -> float:
     """Mean length per unit area L_m of the theta-graph on a rate-1 Poisson
     process, for even m >= 6.
 
@@ -86,48 +51,25 @@ def theta_mean_length(m: int, tol: float = 1e-6, method: str = "rl") -> float:
     further region of area alpha*(r^2 + (l-r)^2) is also empty, where r and
     l - r are the vertical distances from z to the cone boundaries (bisector
     drawn horizontal).  Mutual edges are counted half to avoid
-    double-counting.
-
-    Two independent integration paths are provided: the (r, l) strip
-    parametrization (``method="rl"``, with Jacobian dz = dl dr / (2 tan))
-    and raw Cartesian quadrature over the cone (``method="cartesian"``).
+    double-counting.  The quadrature runs over the (r, l) strip, with
+    Jacobian dz = dl dr / (2 tan), to an absolute tolerance of 1e-6.
     """
     if m < 6 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 6")
-    half = math.pi / m
-    tan_half = math.tan(half)
+    tan_half = math.tan(math.pi / m)
     alpha = _theta_alpha(m)
     l_max = math.sqrt(math.log(1.0 / _TAIL) / alpha)
 
-    def weight(l, r):
-        return math.exp(-alpha * l * l) - 0.5 * math.exp(
-            -alpha * (l * l + r * r + (l - r) ** 2)
-        )
+    def integrand(r, l):
+        x = l / (2.0 * tan_half)
+        y = r - l / 2.0
+        weight = math.exp(-alpha * l * l) - 0.5 * math.exp(
+            -alpha * (l * l + r * r + (l - r) ** 2))
+        return math.hypot(x, y) * weight
 
-    if method == "rl":
-        def integrand(r, l):
-            x = l / (2.0 * tan_half)
-            y = r - l / 2.0
-            return math.hypot(x, y) * weight(l, r)
-
-        val, _err = dblquad(integrand, 0.0, l_max, 0.0, lambda l: l,
-                            epsabs=tol * tan_half / m, epsrel=1e-10)
-        return m * val / (2.0 * tan_half)
-
-    if method == "cartesian":
-        x_max = l_max / (2.0 * tan_half)
-
-        def integrand(y, x):
-            l = 2.0 * x * tan_half
-            r = y + x * tan_half
-            return math.hypot(x, y) * weight(l, r)
-
-        val, _err = dblquad(integrand, 0.0, x_max,
-                            lambda x: -x * tan_half, lambda x: x * tan_half,
-                            epsabs=tol / m, epsrel=1e-10)
-        return m * val
-
-    raise ValueError(f"unknown method {method!r}")
+    val, _err = dblquad(integrand, 0.0, l_max, 0.0, lambda l: l,
+                        epsabs=1e-6 * tan_half / m, epsrel=1e-10)
+    return m * val / (2.0 * tan_half)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +83,7 @@ def _cone_area_factor(omega: float, k: int) -> float:
             + math.sin(omega) ** 2 * (math.cos(math.pi / k) / math.sin(math.pi / k)))
 
 
-def cone_Lk(k: int, tol: float = 1e-8) -> float:
+def cone_Lk(k: int) -> float:
     """Mean length per unit area L_k of one direction-pair of cone roads.
 
     Every city is linked to its Euclidean-nearest city in an angle-pi/k cone
@@ -154,27 +96,8 @@ def cone_Lk(k: int, tol: float = 1e-8) -> float:
     def integrand(omega):
         return _cone_area_factor(omega, k) ** (-1.5)
 
-    val, _err = quad(integrand, 0.0, math.pi / k, epsabs=tol, epsrel=1e-12, limit=200)
+    val, _err = quad(integrand, 0.0, math.pi / k, epsabs=1e-8, epsrel=1e-12, limit=200)
     return math.sqrt(2.0 * k) - 0.25 * math.sqrt(math.pi) * val
-
-
-def cone_Lk_2d(k: int, tol: float = 1e-8) -> float:
-    """L_k via the pre-integrated (r, omega) form: quadrature of
-    r^2 [2 p(r, omega) - p1(r, omega)] over the cone, as a cross-check of
-    :func:`cone_Lk`."""
-    if k < 2 or int(k) != k:
-        raise ValueError("k must be an integer >= 2")
-    a0 = math.pi / (2.0 * k)
-    r_max = math.sqrt(math.log(1.0 / _TAIL) / a0)
-
-    def integrand(omega, r):
-        p = math.exp(-a0 * r * r)
-        p1 = math.exp(-r * r * _cone_area_factor(omega, k))
-        return r * r * (2.0 * p - p1)
-
-    val, _err = dblquad(integrand, 0.0, r_max, 0.0, math.pi / k,
-                        epsabs=tol, epsrel=1e-10)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +203,13 @@ def second_moment_upper(h: float, L: float) -> float:
     return mean + mean ** 2 + 2.0 * (near + far)
 
 
-def prop38_lower_bound(s: float, grid: int = 64, refine_rounds: int = 3):
+def prop38_lower_bound(s: float):
     """Small-excess lower bound on achievable normalized length at stretch
     1 + s, maximized over the crossing-model parameters (h, L).
 
-    Searches a log-spaced grid h in [s^-1/16, s^-1/4], L in [s^1/2, s^1/4]
-    seeded with the schedule h = s^-1/8, L = s^3/8, then refines locally.
+    Searches a log-spaced 64 x 64 grid h in [s^-1/16, s^-1/4], L in
+    [s^1/2, s^1/4] seeded with the schedule h = s^-1/8, L = s^3/8, then
+    refines locally in three rounds.
     Returns (value, best_h, best_L).
     """
     if not 0.0 < s < 0.1:
@@ -299,8 +223,8 @@ def prop38_lower_bound(s: float, grid: int = 64, refine_rounds: int = 3):
         prob = mean ** 2 / second_moment_upper(h, L)
         return prob / (L + 2.0 * h * ginv)
 
-    hs = np.geomspace(s ** (-1.0 / 16.0), s ** (-0.25), grid)
-    ls = np.geomspace(math.sqrt(s), s ** 0.25, grid)
+    hs = np.geomspace(s ** (-1.0 / 16.0), s ** (-0.25), 64)
+    ls = np.geomspace(math.sqrt(s), s ** 0.25, 64)
     best = (objective(s ** (-0.125), s ** 0.375), s ** (-0.125), s ** 0.375)
     for h in hs:
         for L in ls:
@@ -309,7 +233,7 @@ def prop38_lower_bound(s: float, grid: int = 64, refine_rounds: int = 3):
                 best = (v, h, L)
     # local refinement around the best cell
     span = max(hs[1] / hs[0], ls[1] / ls[0])
-    for _ in range(refine_rounds):
+    for _ in range(3):
         h0, l0 = best[1], best[2]
         for h in np.geomspace(h0 / span, h0 * span, 9):
             for L in np.geomspace(l0 / span, l0 * span, 9):
@@ -325,20 +249,21 @@ def prop38_lower_bound(s: float, grid: int = 64, refine_rounds: int = 3):
 # ---------------------------------------------------------------------------
 
 
-def reference_constants() -> BoundTable:
-    """Fixed table of reference constants and exponents."""
-    table = BoundTable()
-    table.add("steiner_constant_worst_lower", {}, (3.0 / 4.0) ** 0.25,
-              "hexagonal-steiner-ratio")
-    table.add("steiner_constant_worst_upper", {}, 0.995, "chung-graham-bound")
-    table.add("delaunay_stretch", {}, 2.0 * math.pi / (3.0 * math.cos(math.pi / 6.0)),
-              "delaunay-spanner-bound")
-    table.add("delaunay_length", {}, 32.0 / (3.0 * math.pi), "delaunay-mean-length")
-    table.add("graph_spanner_exponent_worst", {}, 4.0, "mst-based-spanner")
-    table.add("line_pattern_exponent_worst", {}, 1.25, "line-pattern-upper")
-    table.add("theta_graph_exponent_ave", {}, 1.5, "theta-graph-upper")
-    table.add("cone_road_exponent_ave", {}, 0.75, "cone-road-upper")
-    table.add("cone_road_prefactor_ave", {}, 2.0 ** (-0.25) * math.pi ** 1.5,
-              "cone-road-upper")
-    table.add("lower_bound_exponent_ave", {}, 3.0 / 8.0, "crossing-rate-lower")
-    return table
+def reference_constants() -> list[tuple[str, dict, float, str]]:
+    """Fixed table of reference constants and exponents, as
+    (name, params, value, tag) rows."""
+    return [
+        ("steiner_constant_worst_lower", {}, (3.0 / 4.0) ** 0.25,
+         "hexagonal-steiner-ratio"),
+        ("steiner_constant_worst_upper", {}, 0.995, "chung-graham-bound"),
+        ("delaunay_stretch", {}, 2.0 * math.pi / (3.0 * math.cos(math.pi / 6.0)),
+         "delaunay-spanner-bound"),
+        ("delaunay_length", {}, 32.0 / (3.0 * math.pi), "delaunay-mean-length"),
+        ("graph_spanner_exponent_worst", {}, 4.0, "mst-based-spanner"),
+        ("line_pattern_exponent_worst", {}, 1.25, "line-pattern-upper"),
+        ("theta_graph_exponent_ave", {}, 1.5, "theta-graph-upper"),
+        ("cone_road_exponent_ave", {}, 0.75, "cone-road-upper"),
+        ("cone_road_prefactor_ave", {}, 2.0 ** (-0.25) * math.pi ** 1.5,
+         "cone-road-upper"),
+        ("lower_bound_exponent_ave", {}, 3.0 / 8.0, "crossing-rate-lower"),
+    ]

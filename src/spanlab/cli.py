@@ -12,8 +12,9 @@ import json
 import sys
 
 from spanlab import analytic, mc, metrics, nets
-from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, hex_config,
-                             poisson, square_grid, tri_config, uniform_n)
+from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, csv_text,
+                             hex_config, poisson, square_grid, tri_config,
+                             uniform_n)
 
 # flags that carry builder parameters (see nets.BUILDERS)
 _BUILDER_FLAGS = ("m", "k", "t", "variant", "directions")
@@ -26,14 +27,15 @@ _EXPERIMENT_FLAGS = {
     "empirical_lk": ("k",),
 }
 
+# bounds needs --table or at least one of these
+_BOUND_FLAGS = ("psi_star", "prop38", "lm", "lk")
+
+RESULT_CSV_HEADER = ("estimator", "params", "mean", "se", "n", "seed")
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _write(path: str | None, text: str) -> None:
@@ -96,8 +98,6 @@ def cmd_generate(args) -> int:
     if args.kind == "poisson":
         cfg = poisson(window, rate=args.rate, seed=args.seed, torus=args.torus)
     elif args.kind == "uniform":
-        if args.n is None:
-            raise ValueError("uniform requires --n")
         cfg = uniform_n(args.n, window, seed=args.seed, torus=args.torus)
     elif args.kind == "square":
         cfg = square_grid(window)
@@ -121,50 +121,41 @@ def cmd_build(args) -> int:
 def cmd_measure(args) -> int:
     net = nets.Network.from_json(_load(args.network))
     cols = ["schema_version", "kind", "normalized_length"]
-    vals = [str(SCHEMA_VERSION), net.kind,
-            _fmt(metrics.normalized_length(net, args.margin))]
+    vals = [SCHEMA_VERSION, net.kind, metrics.normalized_length(net, args.margin)]
     if args.stretch:
         rep = metrics.stretch(net, mode=args.stretch,
                               margin_fraction=args.margin, seed=args.seed)
         cols += ["stretch_mode", "max_stretch", "argmax_i", "argmax_j", "n_pairs"]
-        vals += [rep.mode, _fmt(rep.max_ratio), str(rep.argmax_pair[0]),
-                 str(rep.argmax_pair[1]), str(rep.n_pairs)]
+        vals += [rep.mode, rep.max_ratio, *rep.argmax_pair, rep.n_pairs]
     if args.lines:
         rate, se = metrics.intersection_rate(net, n_lines=args.lines,
                                              seed=args.seed,
                                              margin_fraction=args.margin)
         cols += ["intersection_rate", "intersection_rate_se"]
-        vals += [_fmt(rate), _fmt(se)]
-    _write(args.out, ",".join(cols) + "\n" + ",".join(vals))
+        vals += [rate, se]
+    _write(args.out, csv_text(cols, [vals]))
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    header = "name,param,value,schema_version"
-
-    def row(name, param, value):
-        return f"{name},{_fmt(param)},{_fmt(value)},{SCHEMA_VERSION}"
-
     if args.table:
-        table = analytic.reference_constants()
-        _write(args.out, table.to_csv())
-        return EXIT_OK
-    rows = [header]
-    if args.psi_star is not None:
-        rows.append(row("psi_star", args.psi_star, analytic.psi_star(args.psi_star)))
-    if args.prop38 is not None:
-        value, h, L = analytic.prop38_lower_bound(args.prop38)
-        rows.append(row("prop38_lower_bound", args.prop38, value))
-        rows.append(row("prop38_best_h", args.prop38, h))
-        rows.append(row("prop38_best_L", args.prop38, L))
-    if args.lm is not None:
-        rows.append(row("theta_mean_length", args.lm,
-                        analytic.theta_mean_length(args.lm)))
-    if args.lk is not None:
-        rows.append(row("cone_Lk", args.lk, analytic.cone_Lk(args.lk)))
-    if len(rows) == 1:
-        raise ValueError("bounds: pick one of --table/--psi-star/--prop38/--lm/--lk")
-    _write(args.out, "\n".join(rows))
+        header = ("name", "param", "value", "tag", "schema_version")
+        rows = analytic.reference_constants()
+    else:
+        header = ("name", "param", "value", "schema_version")
+        rows = []
+        if args.psi_star is not None:
+            rows.append(("psi_star", args.psi_star, analytic.psi_star(args.psi_star)))
+        if args.prop38 is not None:
+            value, h, L = analytic.prop38_lower_bound(args.prop38)
+            rows.append(("prop38_lower_bound", args.prop38, value))
+            rows.append(("prop38_best_h", args.prop38, h))
+            rows.append(("prop38_best_L", args.prop38, L))
+        if args.lm is not None:
+            rows.append(("theta_mean_length", args.lm, analytic.theta_mean_length(args.lm)))
+        if args.lk is not None:
+            rows.append(("cone_Lk", args.lk, analytic.cone_Lk(args.lk)))
+    _write(args.out, csv_text(header, [(*row, SCHEMA_VERSION) for row in rows]))
     return EXIT_OK
 
 
@@ -176,7 +167,7 @@ def cmd_experiment(args) -> int:
             args.net, _builder_params(args), window, replicates=args.replicates,
             master_seed=args.seed, mode=args.mode)
         results.append(result)
-        sys.stderr.write(f"max stretch {_fmt(worst.max_ratio)} over "
+        sys.stderr.write(f"max stretch {worst.max_ratio:.17g} over "
                          f"{worst.n_pairs} pairs\n")
     elif args.name == "crossing":
         first, second = mc.crossing_experiment(
@@ -192,8 +183,9 @@ def cmd_experiment(args) -> int:
                                        master_seed=args.seed))
     else:
         raise ValueError(f"unknown experiment {args.name!r}")
-    lines = [mc.RESULT_CSV_HEADER] + [r.csv_row() for r in results]
-    _write(args.out, "\n".join(lines))
+    _write(args.out, csv_text(RESULT_CSV_HEADER,
+                              [(r.estimator, r.params, r.mean, r.se, r.n, r.seed)
+                               for r in results]))
     return EXIT_OK
 
 
@@ -297,6 +289,11 @@ def main(argv=None) -> int:
         required = {}
         if args.command == "experiment":
             required[args.name] = _EXPERIMENT_FLAGS[args.name]
+        elif args.command == "generate" and args.kind == "uniform":
+            required["uniform"] = ("n",)
+        elif args.command == "bounds" and not args.table and all(
+                getattr(args, name) is None for name in _BOUND_FLAGS):
+            parser.error("bounds: pick one of --table/--psi-star/--prop38/--lm/--lk")
         net = getattr(args, "net", None)
         if net is not None:
             required[f"network {net}"] = nets.BUILDERS[net][0]

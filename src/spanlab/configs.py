@@ -1,9 +1,9 @@
 """Point-configuration generators, normalized to one city per unit area.
 
 All generators are pure functions of (parameters, seed).  Randomness uses
-the counter-based Philox generator; a master seed is split into
-per-replicate substreams via numpy's SeedSequence spawning, so parallel
-replicates are reproducible and independent.
+the counter-based Philox generator; a seed may be a spawned SeedSequence,
+as the Monte Carlo replicates are.  This module also holds the schema
+version and the one CSV writer of every versioned output.
 """
 
 from __future__ import annotations
@@ -15,6 +15,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SCHEMA_VERSION = 1
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows, each line newline-terminated.
+
+    A float prints as ``.17g``, so it reads back exactly; a params dict
+    prints quoted, as its sorted-key JSON with ``'`` for ``"``, so its
+    commas stay inside one field; anything else prints as ``str``.
+    """
+    def cell(value) -> str:
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        if isinstance(value, dict):
+            return '"' + json.dumps(value, sort_keys=True).replace('"', "'") + '"'
+        return str(value)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
 
 # honeycomb nearest-neighbor spacing giving density 1:  4 * 3^(-3/2) / l^2 = 1
 HEX_SPACING = 2.0 * 3.0 ** (-0.75)
@@ -138,11 +156,6 @@ class PointConfig:
 def rng_from_seed(seed) -> np.random.Generator:
     """Counter-based generator for a (possibly spawned) seed."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-def substreams(master_seed: int, n: int) -> list[np.random.Generator]:
-    """Independent per-replicate substreams derived from one master seed."""
-    return [rng_from_seed(s) for s in np.random.SeedSequence(master_seed).spawn(n)]
 
 
 def poisson(window: Window, rate: float = 1.0, seed: int = 0, torus: bool = False) -> PointConfig:

@@ -2,7 +2,7 @@
 
 Exact orientation predicates, segment intersection, construction of the
 planar arrangement induced by a set of road segments (crossings become
-junction nodes), and shortest-route queries on the resulting graph.
+junction nodes), and shortest-path distances on the resulting graph.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ class RoutingGraph:
             self._csr = csr_matrix((w, (i, j)), shape=(n, n))
         return self._csr
 
-    def distances_from(self, city: int) -> tuple[np.ndarray, np.ndarray]:
-        """All-node shortest-path distances (and predecessors) from a city.
+    def distances_from(self, city: int) -> np.ndarray:
+        """All-node shortest-path distances from a city.
 
         The matrix holds both directions of every edge, so a directed
         search gives the undirected distances without the transposed copy
@@ -187,28 +187,7 @@ class RoutingGraph:
         """
         if not 0 <= city < len(self.city_nodes):
             raise KeyError(f"unknown city index {city}")
-        return dijkstra(self._matrix(), directed=True,
-                        indices=self.city_nodes[city], return_predecessors=True)
-
-
-def shortest_route(g: RoutingGraph, src: int, dst: int) -> tuple[float, list[int]]:
-    """Exact shortest route length and node path between two cities.
-
-    Returns (+inf, []) for an unreachable pair.
-    """
-    if not 0 <= dst < len(g.city_nodes):
-        raise KeyError(f"unknown city index {dst}")
-    dist, pred = g.distances_from(src)
-    target = g.city_nodes[dst]
-    length = float(dist[target])
-    if math.isinf(length):
-        return length, []
-    path = [int(target)]
-    start = g.city_nodes[src]
-    while path[-1] != start:
-        path.append(int(pred[path[-1]]))
-    path.reverse()
-    return length, path
+        return dijkstra(self._matrix(), directed=True, indices=self.city_nodes[city])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -19,8 +18,6 @@ import numpy as np
 from spanlab import metrics, nets
 from spanlab.configs import SCHEMA_VERSION, Window, poisson, rng_from_seed
 from spanlab.metrics import StretchReport
-
-RESULT_CSV_HEADER = "estimator,params,mean,se,n,seed"
 
 
 @dataclass
@@ -38,11 +35,6 @@ class ExperimentResult:
         doc = dict(self.__dict__)
         doc["schema_version"] = SCHEMA_VERSION
         return json.dumps(doc)
-
-    def csv_row(self) -> str:
-        params = json.dumps(self.params, sort_keys=True).replace('"', "'")
-        return (f'{self.estimator},"{params}",{self.mean:.17g},'
-                f"{self.se:.17g},{self.n},{self.seed}")
 
 
 def _replicate_seeds(master_seed: int, n: int) -> list:
@@ -67,6 +59,23 @@ def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _torus_lengths(estimator, kind, params, window, replicates, master_seed,
+                   result_params, visit=None) -> ExperimentResult:
+    """Mean normalized length of builder ``kind`` of ``nets.BUILDERS`` over
+    rate-1 Poisson cities on the torus ``window``, one spawned seed per
+    replicate; ``visit``, if given, also sees each replicate's network.
+    The result's params are ``result_params`` plus the window area."""
+    t0 = time.perf_counter()
+    values = []
+    for seed_seq in _replicate_seeds(master_seed, replicates):
+        net = nets.build(kind, poisson(window, rate=1.0, seed=seed_seq, torus=True), params)
+        values.append(metrics.normalized_length(net, margin_fraction=0.0))
+        if visit is not None:
+            visit(net)
+    return _aggregate(estimator, {**result_params, "window": window.area}, values,
+                      master_seed, t0)
+
+
 def estimate_psi_ave_upper(
     kind: str,
     params: dict | None = None,
@@ -87,22 +96,11 @@ def estimate_psi_ave_upper(
     window = window or Window.square(40.0)
     if window.area < 100:
         raise ValueError("window area must be at least 100")
-
-    def one(seed_seq):
-        config = poisson(window, rate=1.0, seed=seed_seq, torus=True)
-        net = nets.build(kind, config, params)
-        length = metrics.normalized_length(net, margin_fraction=0.0)
-        report = metrics.stretch(net, mode=mode)
-        return length, report
-
-    t0 = time.perf_counter()
-    out = [one(s) for s in _replicate_seeds(master_seed, replicates)]
-    lengths = [length for length, _ in out]
-    worst = max((rep for _, rep in out), key=lambda r: r.max_ratio)
-    result = _aggregate(f"psi_ave_upper[{kind}]",
-                        {**params, "mode": mode, "window": window.area},
-                        lengths, master_seed, t0)
-    return result, worst
+    reports = []
+    result = _torus_lengths(f"psi_ave_upper[{kind}]", kind, params, window, replicates,
+                            master_seed, {**params, "mode": mode},
+                            lambda net: reports.append(metrics.stretch(net, mode=mode)))
+    return result, max(reports, key=lambda r: r.max_ratio)
 
 
 def empirical_Lm(
@@ -115,16 +113,8 @@ def empirical_Lm(
     if m < 6 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 6")
     window = window or Window.square(40.0)
-
-    def one(seed_seq):
-        config = poisson(window, rate=1.0, seed=seed_seq, torus=True)
-        return metrics.normalized_length(nets.theta_graph(config, m),
-                                         margin_fraction=0.0)
-
-    t0 = time.perf_counter()
-    values = [one(s) for s in _replicate_seeds(master_seed, replicates)]
-    return _aggregate("empirical_Lm", {"m": m, "window": window.area},
-                      values, master_seed, t0)
+    return _torus_lengths("empirical_Lm", "theta", {"m": m}, window, replicates,
+                          master_seed, {"m": m})
 
 
 def empirical_Lk(
@@ -132,23 +122,14 @@ def empirical_Lk(
     window: Window | None = None,
     replicates: int = 20,
     master_seed: int = 0,
-    direction: int = 0,
 ) -> ExperimentResult:
-    """Mean normalized length of one direction class of the cone network."""
+    """Mean normalized length of direction class 0 of the cone network on
+    toroidal Poisson cities."""
     if k < 2:
         raise ValueError("k must be an integer >= 2")
     window = window or Window.square(40.0)
-
-    def one(seed_seq):
-        config = poisson(window, rate=1.0, seed=seed_seq, torus=True)
-        net = nets.cone_road_network(config, k, directions=[direction])
-        return metrics.normalized_length(net, margin_fraction=0.0)
-
-    t0 = time.perf_counter()
-    values = [one(s) for s in _replicate_seeds(master_seed, replicates)]
-    return _aggregate("empirical_Lk", {"k": k, "direction": direction,
-                                       "window": window.area},
-                      values, master_seed, t0)
+    return _torus_lengths("empirical_Lk", "cone", {"k": k, "directions": [0]}, window,
+                          replicates, master_seed, {"k": k, "direction": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +183,20 @@ def _crossing_count(xs, ys, h: float, L: float) -> int:
 def crossing_experiment(
     h: float,
     L: float,
-    strip_width: float | None = None,
     replicates: int = 2000,
     master_seed: int = 0,
 ) -> tuple[ExperimentResult, ExperimentResult]:
     """Sample moments of the virtual-crossing count N.
 
     Each replicate draws a rate-1 Poisson set in the strip
-    [-W/2, W/2] x [-h, h]; a pair of points on opposite sides of the x-axis
+    [-W/2, W/2] x [-h, h], W = 40 max(h, L, 1); a pair of points on opposite sides of the x-axis
     with |dx| < |dy| contributes a virtual crossing where its connecting
     segment meets the axis; N counts crossings landing in [0, L].  Returns
     estimates of E N and E N^2.
     """
     if h <= 0 or L <= 0:
         raise ValueError("h and L must be positive")
-    W = strip_width if strip_width is not None else 40.0 * max(h, L, 1.0)
-    if W < 20.0 * max(L, h):
-        raise ValueError("strip width must be at least 20*max(L, h)")
+    W = 40.0 * max(h, L, 1.0)
 
     def one(seed_seq):
         rng = rng_from_seed(seed_seq)
@@ -234,40 +212,3 @@ def crossing_experiment(
     first = _aggregate("crossing_N", params, counts, master_seed, t0)
     second = _aggregate("crossing_N2", params, counts ** 2, master_seed, t0)
     return first, second
-
-
-# ---------------------------------------------------------------------------
-# finite-size diagnostics
-# ---------------------------------------------------------------------------
-
-
-def window_sweep(
-    estimator,
-    windows,
-    replicates: int = 20,
-    master_seed: int = 0,
-    **kwargs,
-) -> list[ExperimentResult]:
-    """Run a window-taking estimator at each window and report the drift.
-
-    ``estimator`` is one of the callables of this module accepting a
-    ``window`` keyword (or any callable with the same convention).
-    """
-    results = []
-    for win in windows:
-        if not isinstance(win, Window):
-            win = Window.square(float(win))
-        out = estimator(window=win, replicates=replicates,
-                        master_seed=master_seed, **kwargs)
-        results.append(out[0] if isinstance(out, tuple) else out)
-    return results
-
-
-def append_results_csv(path: str, results) -> None:
-    """Append experiment rows to a CSV file, writing the header if new."""
-    new = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a") as f:
-        if new:
-            f.write(RESULT_CSV_HEADER + "\n")
-        for r in results:
-            f.write(r.csv_row() + "\n")

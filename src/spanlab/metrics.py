@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -21,6 +21,7 @@ from spanlab.nets import Network, unwrap
 
 DEFAULT_MARGIN = 0.1
 EXACT_PAIR_LIMIT = 400  # all-pairs below this many filtered cities
+SAMPLED_PAIRS = 200_000  # pair budget above that: SAMPLED_PAIRS // n sources
 
 
 @dataclass
@@ -39,14 +40,6 @@ class StretchReport:
         doc["argmax_pair"] = list(self.argmax_pair)
         doc["schema_version"] = SCHEMA_VERSION
         return json.dumps(doc)
-
-    def csv_row(self) -> str:
-        header = "mode,max_ratio,argmax_i,argmax_j,p50,p90,p99,pair_filter,n_cities,n_pairs,exact"
-        row = (f"{self.mode},{self.max_ratio:.17g},{self.argmax_pair[0]},"
-               f"{self.argmax_pair[1]},{self.percentiles['p50']:.17g},"
-               f"{self.percentiles['p90']:.17g},{self.percentiles['p99']:.17g},"
-               f"{self.pair_filter},{self.n_cities},{self.n_pairs},{self.exact}")
-        return header + "\n" + row + "\n"
 
 
 def _interior_mask(net: Network, margin_fraction: float) -> np.ndarray:
@@ -72,7 +65,6 @@ def stretch(
     mode: str = "steiner",
     pair_filter: str = "interior",
     margin_fraction: float = DEFAULT_MARGIN,
-    max_pairs: int = 200_000,
     seed: int = 0,
 ) -> StretchReport:
     """Max over city pairs of route length / Euclidean distance.
@@ -102,14 +94,14 @@ def stretch(
     if exact:
         sources = cities
     else:
-        n_src = max(2, min(n, max_pairs // n))
+        n_src = max(2, min(n, SAMPLED_PAIRS // n))
         rng = rng_from_seed(seed)
         sources = rng.choice(cities, size=n_src, replace=False)
 
     best = (-math.inf, (-1, -1))
     ratios = []
     for src in sources:
-        dist, _ = g.distances_from(int(src))
+        dist = g.distances_from(int(src))
         route = dist[g.city_nodes[cities]]
         d = pts[cities] - pts[src]
         if side is not None:
@@ -182,7 +174,7 @@ def local_stretch(
     for i, j in pairs:
         by_src.setdefault(i, []).append(j)
     for i, targets in by_src.items():
-        dist, _ = g.distances_from(i)
+        dist = g.distances_from(i)
         for j in targets:
             d_ij = float(np.hypot(*(pts[i] - pts[j])))
             best = max(best, float(dist[g.city_nodes[j]]) / d_ij)
@@ -220,7 +212,9 @@ def intersection_rate(
     """Monte Carlo mean crossings of network edges per unit length of an
     isotropic random test line through the inner window.
 
-    Returns (rate, standard error).  For an isotropic network the identity
+    Returns (rate, standard error).  The SE comes from up to 20 batches of
+    lines; with fewer than two batches that meet the window it is nan.
+    For an isotropic network the identity
     normalized length = (pi/2) * rate holds; sampling line angles uniformly
     supplies the isotropy on average for any fixed network.
     """
@@ -275,6 +269,7 @@ def intersection_rate(
         sl = slice(b, None, n_batches)
         if chords[sl].sum() > 0:
             batch_rates.append(counts[sl].sum() / chords[sl].sum())
-    batch_rates = np.array(batch_rates)
-    se = float(batch_rates.std(ddof=1) / math.sqrt(len(batch_rates)))
+    if len(batch_rates) < 2:
+        return float(rate), math.nan
+    se = float(np.std(batch_rates, ddof=1) / math.sqrt(len(batch_rates)))
     return float(rate), se

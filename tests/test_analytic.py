@@ -11,11 +11,48 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from spanlab import analytic
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _theta_mean_length_cartesian(m):
+    """L_m by raw Cartesian quadrature over one cone, bisector horizontal:
+    the second integration path for :func:`analytic.theta_mean_length`."""
+    tan_half = math.tan(math.pi / m)
+    alpha = analytic._theta_alpha(m)
+    x_max = math.sqrt(math.log(1.0 / analytic._TAIL) / alpha) / (2.0 * tan_half)
+
+    def integrand(y, x):
+        l = 2.0 * x * tan_half
+        r = y + x * tan_half
+        weight = math.exp(-alpha * l * l) - 0.5 * math.exp(
+            -alpha * (l * l + r * r + (l - r) ** 2))
+        return math.hypot(x, y) * weight
+
+    val, _err = dblquad(integrand, 0.0, x_max,
+                        lambda x: -x * tan_half, lambda x: x * tan_half,
+                        epsabs=1e-6 / m, epsrel=1e-10)
+    return m * val
+
+
+def _cone_Lk_2d(k):
+    """L_k via the pre-integrated (r, omega) form: quadrature of
+    r^2 [2 p(r, omega) - p1(r, omega)] over the cone, as a cross-check of
+    :func:`analytic.cone_Lk`."""
+    a0 = math.pi / (2.0 * k)
+    r_max = math.sqrt(math.log(1.0 / analytic._TAIL) / a0)
+
+    def integrand(omega, r):
+        p = math.exp(-a0 * r * r)
+        p1 = math.exp(-r * r * analytic._cone_area_factor(omega, k))
+        return r * r * (2.0 * p - p1)
+
+    val, _err = dblquad(integrand, 0.0, r_max, 0.0, math.pi / k,
+                        epsabs=1e-8, epsrel=1e-10)
+    return val
 
 
 class TestThetaStretch:
@@ -48,8 +85,8 @@ class TestThetaMeanLength:
 
     @pytest.mark.parametrize("m", [6, 8, 12, 16, 24])
     def test_two_integration_paths_agree(self, m):
-        a = analytic.theta_mean_length(m, method="rl")
-        b = analytic.theta_mean_length(m, method="cartesian")
+        a = analytic.theta_mean_length(m)
+        b = _theta_mean_length_cartesian(m)
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_growth_band(self):
@@ -75,8 +112,7 @@ class TestConeLength:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 8, 16])
     def test_1d_and_2d_quadrature_agree(self, k):
-        assert analytic.cone_Lk(k) == pytest.approx(analytic.cone_Lk_2d(k),
-                                                    rel=1e-8)
+        assert analytic.cone_Lk(k) == pytest.approx(_cone_Lk_2d(k), rel=1e-8)
 
     def test_upper_envelope(self):
         for k in range(2, 65):
@@ -237,17 +273,15 @@ class TestProp38:
 
 class TestReferenceConstants:
     def test_table_values(self):
-        table = analytic.reference_constants()
-        assert table.value("delaunay_length") == pytest.approx(
+        table = {name: value for name, _, value, _ in analytic.reference_constants()}
+        assert table["delaunay_length"] == pytest.approx(
             32.0 / (3.0 * math.pi), rel=1e-12)
-        assert table.value("delaunay_stretch") == pytest.approx(2.4184,
-                                                                abs=1e-4)
-        assert table.value("steiner_constant_worst_lower") == pytest.approx(
+        assert table["delaunay_stretch"] == pytest.approx(2.4184, abs=1e-4)
+        assert table["steiner_constant_worst_lower"] == pytest.approx(
             math.sqrt(3.0) / 2.0 * (2.0 / math.sqrt(3.0)) ** 0.5, abs=0.01)
 
     def test_csv_shape(self):
-        csv = analytic.reference_constants().to_csv()
-        lines = csv.strip().split("\n")
-        assert lines[0] == "name,param,value,tag,schema_version"
-        assert len(lines) >= 5
-        assert any("3.3953" in line for line in lines)
+        rows = analytic.reference_constants()
+        assert len(rows) >= 5
+        assert len({row[0] for row in rows}) == len(rows)
+        assert all(isinstance(row[2], float) for row in rows)

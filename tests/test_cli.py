@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -12,6 +14,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def _assert_pinned_csv(out, expected):
+    """stdout equals the pinned bytes, and parses into rows as wide as the header."""
+    assert out == expected
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+
+
 class TestGenerate:
     def test_poisson_config_file(self, tmp_path):
         out = tmp_path / "cfg.json"
@@ -22,9 +31,10 @@ class TestGenerate:
         assert doc["kind"] == "poisson"
         assert doc["window"] == [0, 0, 10, 10]
 
-    def test_uniform_needs_n(self, tmp_path):
+    def test_uniform_needs_n(self, tmp_path, capsys):
         assert run("generate", "uniform", "--window", "10",
-                   "--out", str(tmp_path / "x.json")) == EXIT_DOMAIN
+                   "--out", str(tmp_path / "x.json")) == EXIT_USAGE
+        assert "--n" in capsys.readouterr().err
 
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
         assert run("generate", "gaussian") == EXIT_USAGE
@@ -59,6 +69,15 @@ class TestBuildMeasure:
         header, row = a.read_text().strip().split("\n")
         assert header.startswith("schema_version,kind,normalized_length")
         assert row.startswith("1,theta,")
+
+    def test_stretch_and_lines_bytes(self, tmp_path, capsys):
+        net = self._pipeline(tmp_path)
+        assert run("measure", str(net), "--stretch", "steiner", "--lines", "200") == EXIT_OK
+        _assert_pinned_csv(capsys.readouterr().out, (
+            "schema_version,kind,normalized_length,stretch_mode,max_stretch,argmax_i,"
+            "argmax_j,n_pairs,intersection_rate,intersection_rate_se\n"
+            "1,theta,5.3807554773106929,steiner,1.3561498981094442,57,131,9870,"
+            "3.433504077384911,0.026177813905921575\n"))
 
     @pytest.mark.parametrize("lines", ["-5", "x"])
     def test_bad_lines_usage_error(self, tmp_path, capsys, lines):
@@ -130,9 +149,35 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "prop38_lower_bound" in out
 
-    def test_no_selection_is_domain_error(self, capsys):
-        assert run("bounds") == EXIT_DOMAIN
-        capsys.readouterr()
+    def test_no_selection_is_usage_error(self, capsys):
+        assert run("bounds") == EXIT_USAGE
+        assert "pick one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("--table",),
+         'name,param,value,tag,schema_version\n'
+         'steiner_constant_worst_lower,"{}",0.93060485910209956,hexagonal-steiner-ratio,1\n'
+         'steiner_constant_worst_upper,"{}",0.995,chung-graham-bound,1\n'
+         'delaunay_stretch,"{}",2.4183991523122903,delaunay-spanner-bound,1\n'
+         'delaunay_length,"{}",3.3953054526271007,delaunay-mean-length,1\n'
+         'graph_spanner_exponent_worst,"{}",4,mst-based-spanner,1\n'
+         'line_pattern_exponent_worst,"{}",1.25,line-pattern-upper,1\n'
+         'theta_graph_exponent_ave,"{}",1.5,theta-graph-upper,1\n'
+         'cone_road_exponent_ave,"{}",0.75,cone-road-upper,1\n'
+         'cone_road_prefactor_ave,"{}",4.6823870514926798,cone-road-upper,1\n'
+         'lower_bound_exponent_ave,"{}",0.375,crossing-rate-lower,1\n'),
+        (("--lm", "6", "--lk", "4", "--psi-star", "1.5", "--prop38", "0.001"),
+         "name,param,value,schema_version\n"
+         "psi_star,1.5,19.656870211505279,1\n"
+         "prop38_lower_bound,0.001,1.6013599315974656,1\n"
+         "prop38_best_h,0.001,2.9649939362790545,1\n"
+         "prop38_best_L,0.001,0.091251097228687503,1\n"
+         "theta_mean_length,6,5.6420764736767497,1\n"
+         "cone_Lk,4,2.1514857208105207,1\n"),
+    ], ids=["table", "options"])
+    def test_bytes(self, capsys, argv, expected):
+        assert run("bounds", *argv) == EXIT_OK
+        _assert_pinned_csv(capsys.readouterr().out, expected)
 
 
 class TestExperiment:
@@ -145,6 +190,21 @@ class TestExperiment:
         assert lines[0] == "estimator,params,mean,se,n,seed"
         assert lines[1].startswith("crossing_N,")
         assert lines[2].startswith("crossing_N2,")
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("crossing", "--h", "1", "--L", "1", "--replicates", "50"),
+         "estimator,params,mean,se,n,seed\n"
+         "crossing_N,\"{'L': 1.0, 'W': 40.0, 'h': 1.0}\",1.46,0.25267547953686298,50,0\n"
+         "crossing_N2,\"{'L': 1.0, 'W': 40.0, 'h': 1.0}\",5.2599999999999998,"
+         "1.2859714028622844,50,0\n"),
+        (("empirical_lk", "--k", "4", "--window", "10", "--replicates", "2"),
+         "estimator,params,mean,se,n,seed\n"
+         "empirical_Lk,\"{'direction': 0, 'k': 4, 'window': 100.0}\","
+         "2.2133772879341373,0.066825728178379062,2,0\n"),
+    ], ids=["crossing", "empirical_lk"])
+    def test_bytes(self, capsys, argv, expected):
+        assert run("experiment", *argv) == EXIT_OK
+        _assert_pinned_csv(capsys.readouterr().out, expected)
 
     def test_missing_params_usage_error(self):
         assert run("experiment", "crossing", "--h", "1") == EXIT_USAGE

@@ -1,5 +1,7 @@
 """Tests for point-configuration generators."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from spanlab.configs import (HEX_SPACING, TRI_SPACING, PointConfig, Window,
-                             hex_config, poisson, square_grid, substreams,
+                             csv_text, hex_config, poisson, square_grid,
                              tri_config, uniform_n)
 
 
@@ -112,16 +114,6 @@ class TestRandomGenerators:
         with pytest.raises(ValueError):
             poisson(Window(0, 0, 10, 20), torus=True)
 
-    def test_substreams_differ(self):
-        rngs = substreams(7, 3)
-        draws = [r.uniform() for r in rngs]
-        assert len(set(draws)) == 3
-
-    def test_substreams_reproducible(self):
-        a = [r.uniform() for r in substreams(7, 3)]
-        b = [r.uniform() for r in substreams(7, 3)]
-        assert a == b
-
 
 class TestLattices:
     def test_square_grid_count(self):
@@ -173,3 +165,14 @@ class TestSerialization:
 
         doc = json.loads(uniform_n(4, Window.square(3)).to_json())
         assert doc["schema_version"] == 1
+
+
+def test_csv_text_cells():
+    text = csv_text(("name", "params", "x", "n"),
+                    [("a", {"mode": "graph", "k": 3}, 0.1, 7), ("b", {}, 2.0, True)])
+    assert text == ('name,params,x,n\n'
+                    'a,"{\'k\': 3, \'mode\': \'graph\'}",0.10000000000000001,7\n'
+                    'b,"{}",2,True\n')
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(r) for r in rows] == [4, 4, 4]
+    assert float(rows[1][2]) == 0.1

@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 from spanlab import geom, metrics, nets
 from spanlab.configs import Window, poisson
 from spanlab.geom import (DisconnectedCityError, Segment, build_arrangement,
-                          build_torus_arrangement, orient, segment_intersection,
-                          shortest_route)
+                          build_torus_arrangement, orient, segment_intersection)
+
+
+def _route(g, src, dst):
+    """Shortest route length between two cities of a routing graph."""
+    return float(g.distances_from(src)[g.city_nodes[dst]])
 
 
 def _orient_exact(p, q, r):
@@ -98,17 +102,14 @@ class TestArrangement:
         g = build_arrangement(segs, [(0, 0), (2, 0)])
         assert g.n_nodes == 5
         assert len(g.edges) == 4
-        length, path = shortest_route(g, 0, 1)
-        assert length == pytest.approx(2 * math.sqrt(2))
-        assert len(path) == 3  # via the junction
+        assert _route(g, 0, 1) == pytest.approx(2 * math.sqrt(2))  # via the junction
 
     def test_crossing_without_junction(self):
         segs = [((0, 0), (2, 2)), ((0, 2), (2, 0))]
         g = build_arrangement(segs, [(0, 0), (2, 0)], junctions=False)
         assert g.n_nodes == 4
         assert len(g.edges) == 2
-        length, path = shortest_route(g, 0, 1)
-        assert math.isinf(length) and path == []
+        assert math.isinf(_route(g, 0, 1))
 
     def test_duplicate_segments_deduplicated(self):
         segs = [((0, 0), (1, 0)), ((1, 0), (0, 0)), ((0, 0), (1, 0))]
@@ -119,17 +120,17 @@ class TestArrangement:
         segs = [((0, 0), (2, 0)), ((1, 0), (3, 0))]
         g = build_arrangement(segs, [(0, 0), (3, 0)])
         assert g.total_length == pytest.approx(3.0)
-        assert shortest_route(g, 0, 1)[0] == pytest.approx(3.0)
+        assert _route(g, 0, 1) == pytest.approx(3.0)
 
     def test_square_route(self):
         corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
         segs = list(zip(corners, corners[1:] + corners[:1]))
         g = build_arrangement(segs, corners)
-        assert shortest_route(g, 0, 2)[0] == pytest.approx(2.0)
+        assert _route(g, 0, 2) == pytest.approx(2.0)
 
     def test_city_in_segment_interior_splits(self):
         g = build_arrangement([((0, 0), (2, 0))], [(1, 0), (2, 0)])
-        assert shortest_route(g, 0, 1)[0] == pytest.approx(1.0)
+        assert _route(g, 0, 1) == pytest.approx(1.0)
 
     def test_disconnected_city_raises(self):
         with pytest.raises(DisconnectedCityError):
@@ -139,7 +140,7 @@ class TestArrangement:
         eps = 1e-9
         g = build_arrangement([((0, 0), (1, 0)), ((1 + eps / 10, 0), (2, 0))],
                               [(0, 0), (2, 0)], snap_eps=eps)
-        assert math.isfinite(shortest_route(g, 0, 1)[0])
+        assert math.isfinite(_route(g, 0, 1))
 
     def test_stretch_at_least_one(self):
         # route length can never beat the straight-line distance
@@ -151,7 +152,7 @@ class TestArrangement:
         for i in range(6):
             for j in range(i + 1, 6):
                 d = math.hypot(*(pts[i] - pts[j]))
-                assert shortest_route(g, i, j)[0] >= d - 1e-9
+                assert _route(g, i, j) >= d - 1e-9
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 8))
     @settings(max_examples=25, deadline=None)
@@ -173,9 +174,9 @@ class TestRoutingGraph:
     def test_route_endpoints_are_cities(self):
         g = build_arrangement([((0, 0), (1, 0)), ((1, 0), (1, 1))],
                               [(0, 0), (1, 1)])
-        length, path = shortest_route(g, 0, 1)
-        assert length == pytest.approx(2.0)
-        assert path[0] == g.city_nodes[0] and path[-1] == g.city_nodes[1]
+        dist = g.distances_from(0)
+        assert dist[g.city_nodes[0]] == 0.0
+        assert dist[g.city_nodes[1]] == pytest.approx(2.0)
 
     def test_unknown_city_raises(self):
         g = build_arrangement([((0, 0), (1, 0))], [(0, 0)])
@@ -688,14 +689,14 @@ class TestTorusArrangement:
         g = self._graph([(9, 5, 11, 6)], [(9, 5), (1, 6)])
         assert g.stats["seam_points"] == 2 and g.stats["glued"] == 1
         assert (g.stats["segments_in"], g.stats["nodes"], g.stats["edges"]) == (2, 3, 2)
-        assert shortest_route(g, 0, 1)[0] == pytest.approx(math.sqrt(5))
+        assert _route(g, 0, 1) == pytest.approx(math.sqrt(5))
 
     def test_lift_through_corner(self):
         g = self._graph([(9, 9, 11, 11)], [(9, 9), (1, 1)])
         assert g.stats["seam_points"] == 2 and g.stats["glued"] == 1
         assert (g.stats["nodes"], g.stats["edges"]) == (3, 2)
         np.testing.assert_array_equal(g.nodes[1], [10.0, 10.0])
-        assert shortest_route(g, 0, 1)[0] == pytest.approx(2 * math.sqrt(2))
+        assert _route(g, 0, 1) == pytest.approx(2 * math.sqrt(2))
 
     def test_lift_on_seam_line(self):
         g = self._graph([(0, 1, 0, 3)], [(0, 1), (0, 3)])
@@ -720,7 +721,7 @@ class TestTorusArrangement:
         assert pieces[0, 2] == 0.1 + 10.0 and pieces[1, 0] == 0.1
         g = self._graph(lift, [(9.59, 1.7), (2.54, 2.3)])
         assert g.stats["glued"] == 1
-        assert shortest_route(g, 0, 1)[0] == pytest.approx(math.hypot(2.95, 0.6))
+        assert _route(g, 0, 1) == pytest.approx(math.hypot(2.95, 0.6))
 
     def test_parallel_edges_keep_shortest_weight(self):
         # a road on x = 0 and a longer copy within snap_eps of x = 10 glue
@@ -730,7 +731,7 @@ class TestTorusArrangement:
         g = self._graph(segs, [(0, 1), (0, 3), (0, 5)])
         assert g.stats["glued"] == 3
         assert len(g.edges) == 1 and g.weights.tolist() == [2.0]
-        assert shortest_route(g, 0, 1)[0] == 2.0
+        assert _route(g, 0, 1) == 2.0
 
     def test_long_lifts_cut_at_every_seam(self):
         # a lift 2.5 sides long crosses x = 0, 10 and 20, and the road one
@@ -743,9 +744,9 @@ class TestTorusArrangement:
         assert cut.tolist() == [[False, True], [True, True], [True, True], [True, False],
                                 [False, False]]
         g = self._graph([(-5, 5, 20.5, 5), (3, 0, 3, 10)], [(1, 5), (9, 5), (3, 1), (3, 9)])
-        assert shortest_route(g, 0, 1)[0] == pytest.approx(2.0)
-        assert shortest_route(g, 2, 3)[0] == pytest.approx(2.0)
-        assert shortest_route(g, 0, 2)[0] == pytest.approx(6.0)
+        assert _route(g, 0, 1) == pytest.approx(2.0)
+        assert _route(g, 2, 3) == pytest.approx(2.0)
+        assert _route(g, 0, 2) == pytest.approx(6.0)
 
     @pytest.mark.parametrize("junctions", [True, False])
     def test_cut_on_a_road_along_the_seam(self, junctions):
@@ -754,7 +755,7 @@ class TestTorusArrangement:
         g = self._graph([(9, 2, 11, 4), (0, 1, 0, 5)], [(9, 2), (1, 4), (0, 1)],
                         junctions)
         assert (g.stats["seam_points"], g.stats["glued"]) == (4, 1)
-        route = shortest_route(g, 0, 2)[0]
+        route = _route(g, 0, 2)
         if junctions:
             assert route == pytest.approx(math.sqrt(2) + 2)
         else:

@@ -83,8 +83,6 @@ class TestCrossingExperiment:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             mc.crossing_experiment(0.0, 1.0)
-        with pytest.raises(ValueError):
-            mc.crossing_experiment(1.0, 1.0, strip_width=5.0)
 
 
 def _loop_crossing_count(xs, ys, h, L):
@@ -234,32 +232,7 @@ class TestPsiAveUpper:
         assert 1.0 <= worst.max_ratio < 3.0
 
 
-class TestWindowSweep:
-    def test_runs_each_window(self):
-        results = mc.window_sweep(mc.empirical_Lm, [10, 14], replicates=4,
-                                  master_seed=1, m=6)
-        assert len(results) == 2
-        assert results[0].params["window"] == 100.0
-        assert results[1].params["window"] == 196.0
-
-    def test_deterministic(self):
-        a = mc.window_sweep(mc.empirical_Lm, [10], replicates=4,
-                            master_seed=1, m=6)
-        b = mc.window_sweep(mc.empirical_Lm, [10], replicates=4,
-                            master_seed=1, m=6)
-        assert a[0].replicate_values == b[0].replicate_values
-
-
 class TestResultsFile:
-    def test_csv_append(self, tmp_path):
-        path = tmp_path / "results.csv"
-        r = mc.empirical_Lm(6, Window.square(10), replicates=3, master_seed=0)
-        mc.append_results_csv(str(path), [r])
-        mc.append_results_csv(str(path), [r])
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == mc.RESULT_CSV_HEADER
-        assert len(lines) == 3  # header written once, two data rows
-
     def test_result_json(self):
         r = mc.empirical_Lm(6, Window.square(10), replicates=3, master_seed=0)
         import json
