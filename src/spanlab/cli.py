@@ -277,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     for s in (g, b, m, bo, e):
         s.add_argument("--save-run", dest="save_run",
                        help="record this invocation as a replayable run file")
+        s.set_defaults(usage_error=s.error)  # prints the subcommand's usage
     return p
 
 
@@ -293,14 +294,14 @@ def main(argv=None) -> int:
             required["uniform"] = ("n",)
         elif args.command == "bounds" and not args.table and all(
                 getattr(args, name) is None for name in _BOUND_FLAGS):
-            parser.error("bounds: pick one of --table/--psi-star/--prop38/--lm/--lk")
+            args.usage_error("pick one of --table/--psi-star/--prop38/--lm/--lk")
         net = getattr(args, "net", None)
         if net is not None:
             required[f"network {net}"] = nets.BUILDERS[net][0]
         for what, names in required.items():
             missing = [f"--{name}" for name in names if getattr(args, name) is None]
             if missing:
-                parser.error(f"{what} requires {', '.join(missing)}")
+                args.usage_error(f"{what} requires {', '.join(missing)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -46,7 +46,7 @@ def _replicate_seeds(master_seed: int, n: int) -> list:
 def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:
     values = np.asarray(values, dtype=float)
     mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else math.nan
     return ExperimentResult(
         estimator=name, params=params, n=len(values), mean=mean, se=se,
         seed=master_seed, replicate_values=[float(v) for v in values],

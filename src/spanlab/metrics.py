@@ -20,8 +20,7 @@ from spanlab.geom import build_arrangement, build_torus_arrangement
 from spanlab.nets import Network, unwrap
 
 DEFAULT_MARGIN = 0.1
-EXACT_PAIR_LIMIT = 400  # all-pairs below this many filtered cities
-SAMPLED_PAIRS = 200_000  # pair budget above that: SAMPLED_PAIRS // n sources
+SAMPLED_PAIRS = 200_000  # pair budget: SAMPLED_PAIRS // n sources, exact once that is all n
 
 
 @dataclass
@@ -69,9 +68,10 @@ def stretch(
 ) -> StretchReport:
     """Max over city pairs of route length / Euclidean distance.
 
-    Exact over all filtered pairs when the filtered city count is at most
-    400; otherwise a seeded random subset of source cities is used and the
-    sampled pair count is reported.  A disconnected pair reports +inf.
+    Exact over all filtered pairs when the pair budget SAMPLED_PAIRS // n
+    covers all n filtered cities as sources (n <= 447); otherwise that many
+    seeded random source cities are used and the sampled pair count is
+    reported.  A disconnected pair reports +inf.
     A torus has no boundary, so there every city is scored (the report
     reads pair_filter "all"; pair_filter and margin_fraction are not used)
     and distances are minimal-image ones.
@@ -90,13 +90,12 @@ def stretch(
     pts = net.config.points
 
     n = len(cities)
-    exact = n <= EXACT_PAIR_LIMIT
+    exact = SAMPLED_PAIRS // n >= n
     if exact:
         sources = cities
     else:
-        n_src = max(2, min(n, SAMPLED_PAIRS // n))
         rng = rng_from_seed(seed)
-        sources = rng.choice(cities, size=n_src, replace=False)
+        sources = rng.choice(cities, size=max(2, SAMPLED_PAIRS // n), replace=False)
 
     best = (-math.inf, (-1, -1))
     ratios = []
@@ -185,13 +184,17 @@ def normalized_length(net: Network, margin_fraction: float = DEFAULT_MARGIN) -> 
     """Total network length inside the inner window, per unit inner area.
 
     Segments are clipped exactly; toroidal networks are unrolled first so
-    wrapped road pieces land back inside the window.
+    wrapped road pieces land back inside the window.  On a torus the far
+    edges x1 and y1 are the near ones, so a translate lying along a far
+    edge counts nothing: its translate along the near edge counts it.
     """
     if not 0 <= margin_fraction < 0.5:
         raise ValueError("margin_fraction must be in [0, 0.5)")
-    if net.config.torus:
+    torus = net.config.torus
+    if torus:
         net = unwrap(net, 0.0)
-    inner = net.config.window.inner(margin_fraction)
+    win = net.config.window
+    inner = win.inner(margin_fraction)
     if inner.area <= 0:
         raise ValueError("empty inner window")
     if len(net.segments) == 0:
@@ -200,6 +203,9 @@ def normalized_length(net: Network, margin_fraction: float = DEFAULT_MARGIN) -> 
     dx, dy = segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]
     t0, t1 = inner.clip(segs[:, 0], segs[:, 1], dx, dy, 0.0, 1.0)
     clipped = np.clip(t1 - t0, 0.0, 1.0) * np.hypot(dx, dy)
+    if torus:  # zeroed in place, so the other terms sum as before
+        clipped[((segs[:, 0] == win.x1) & (segs[:, 2] == win.x1))
+                | ((segs[:, 1] == win.y1) & (segs[:, 3] == win.y1))] = 0.0
     return float(clipped.sum()) / inner.area
 
 

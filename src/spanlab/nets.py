@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import Delaunay as _SciDelaunay
@@ -113,9 +113,10 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     lexicographically by (criterion value, distance, angle, index).  A city
     at zero displacement is no candidate, so coincident cities get no
     zero-length edge between them.  Returns
-    a dict from (i, j, wx, wy), i < j with the torus wrap of j seen from i,
-    to the segment x1, y1, x2, y2, in the order cities and then their
-    winners are visited.
+    arrays (keys, segs, cone), one row per edge in the order cities and then
+    their winners are visited: the key (i, j, wx, wy), i < j with the torus
+    wrap of j seen from i, the segment x1, y1, x2, y2 and the cone of the
+    city that picked the edge.
 
     Each city's candidates are its k nearest cities (a periodic cKDTree on
     the torus), ranked exactly as against all n.  A point farther than the
@@ -173,7 +174,8 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
             done |= _cone_extent(pts[todo], lo, hi, n_cones) < r[:, -1:] * (1.0 - 1e-9)
         settled = done.all(axis=1) | (k == n)
         won = won[settled[w_row]]
-        return (np.column_stack([todo[won // k], nbr.ravel()[won], d.reshape(-1, 2)[won]]),
+        return (np.column_stack([todo[won // k], nbr.ravel()[won], d.reshape(-1, 2)[won],
+                                 cone.ravel()[won]]),
                 settled)
 
     found = []  # winners of the settled cities, block by block
@@ -187,10 +189,10 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
             found.append(winners)
         todo = todo[~settled]
         k = min(n, 2 * k)
-    w = np.concatenate(found) if found else np.empty((0, 4))
+    w = np.concatenate(found) if found else np.empty((0, 5))
     w = w[np.argsort(w[:, 0], kind="stable")]
-    i, j = w[:, 0].astype(int), w[:, 1].astype(int)
-    d = w[:, 2:]
+    i, j, cone = w[:, 0].astype(int), w[:, 1].astype(int), w[:, 4].astype(int)
+    d = w[:, 2:4]
     wrap = (np.round((pts[j] - pts[i] - d) / side).astype(int) if side
             else np.zeros((len(w), 2), dtype=int))
     lower = i < j
@@ -199,7 +201,7 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     segs = np.column_stack([pts[i], pts[i] + d])
     _, first = np.unique(keys, axis=0, return_index=True)
     first = np.sort(first)
-    return dict(zip(map(tuple, keys[first].tolist()), map(tuple, segs[first].tolist())))
+    return keys[first], segs[first], cone[first]
 
 
 def theta_graph(config: PointConfig, m: int) -> Network:
@@ -208,41 +210,30 @@ def theta_graph(config: PointConfig, m: int) -> Network:
     is nearest; mutual edges stored once."""
     if m < 6 or int(m) != m:
         raise ValueError("m must be an integer >= 6")
-    edges = _cone_edges(config, m, "projection")
-    return Network(config, np.array(list(edges.values())).reshape(-1, 4),
-                   "theta", {"m": int(m)})
+    _, segs, _ = _cone_edges(config, m, "projection")
+    return Network(config, segs, "theta", {"m": int(m)})
 
 
 def yao_graph(config: PointConfig, m: int) -> Network:
     """Yao graph: same cones as the theta-graph, nearest by Euclidean distance."""
     if m < 6 or int(m) != m:
         raise ValueError("m must be an integer >= 6")
-    edges = _cone_edges(config, m, "distance")
-    return Network(config, np.array(list(edges.values())).reshape(-1, 4),
-                   "yao", {"m": int(m)})
+    _, segs, _ = _cone_edges(config, m, "distance")
+    return Network(config, segs, "yao", {"m": int(m)})
 
 
 def cone_road_network(config: PointConfig, k: int, directions=None) -> Network:
     """Cone roads: for each direction index i in 0..k-1, link every city to
     its Euclidean-nearest city in cone(z, i*pi/k, (i+1)*pi/k) and in the
-    opposite cone.  ``directions`` restricts to a subset of indices (a single
-    index gives the one-direction network whose mean length is L_k)."""
+    opposite cone.  An edge belongs to direction c mod k, c the cone of the
+    city that picked it.  ``directions`` restricts to a subset of indices (a
+    single index gives the one-direction network whose mean length is L_k)."""
     if k < 2 or int(k) != k:
         raise ValueError("k must be an integer >= 2")
-    edges = _cone_edges(config, 2 * k, "distance")
-    if directions is not None:
-        wanted = {int(i) % k for i in directions}
-    else:
-        wanted = set(range(k))
-    kept = []
-    for seg in edges.values():
-        dx, dy = seg[2] - seg[0], seg[3] - seg[1]
-        ang = math.atan2(dy, dx) % math.pi
-        idx = min(int(ang / (math.pi / k)), k - 1)
-        if idx in wanted:
-            kept.append(seg)
-    return Network(config, np.array(kept).reshape(-1, 4), "cone",
-                   {"k": int(k), "directions": sorted(wanted)})
+    _, segs, cone = _cone_edges(config, 2 * k, "distance")
+    wanted = sorted({int(i) % k for i in (range(k) if directions is None else directions)})
+    return Network(config, segs[np.isin(cone % k, wanted)], "cone",
+                   {"k": int(k), "directions": wanted})
 
 
 # ---------------------------------------------------------------------------
@@ -256,46 +247,42 @@ def delaunay(config: PointConfig) -> Network:
     On a toroidal configuration the triangulation is taken over a 3x3
     tiling and an edge is kept once, when its midpoint falls inside the
     fundamental window, so segments may stick out of the window just as
-    the wrap-around edges of the cone builders do.
+    the wrap-around edges of the cone builders do.  An edge is known by
+    the key (i, j, wx, wy): cities i <= j and the tile of j's end seen from
+    i's.  Planar edges come in (i, j) order, toroidal ones in the order
+    the triangulation first lists them.
     """
     pts = config.points
-    if len(pts) < 3:
+    n = len(pts)
+    if n < 3:
         raise ValueError("Delaunay needs at least 3 cities")
-    if config.torus:
-        side = config.window.width
-        tiles = [(ix * side, iy * side) for ix in (-1, 0, 1) for iy in (-1, 0, 1)]
-        tiled = np.vstack([pts + np.array(t) for t in tiles])
-        try:
-            tri = _SciDelaunay(tiled)
-        except QhullError as exc:
-            raise ValueError("Delaunay triangulation failed") from exc
-        win = config.window
-        # triangle edges (0, 1), (1, 2), (2, 0) of each simplex, in order;
-        # only those whose midpoint lies in the window are visited
-        edges = tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        mid = 0.5 * (tiled[edges[:, 0]] + tiled[edges[:, 1]])
-        inside = ((win.x0 <= mid[:, 0]) & (mid[:, 0] < win.x1)
-                  & (win.y0 <= mid[:, 1]) & (mid[:, 1] < win.y1))
-        p, q = tiled[edges[inside, 0]], tiled[edges[inside, 1]]
-        keys = np.round(np.column_stack([p - q, mid[inside] % side]), 9)
-        seen = set()
-        segs = []
-        for key, seg in zip(map(tuple, keys.tolist()), np.hstack([p, q]).tolist()):
-            if key not in seen and (-key[0], -key[1], key[2], key[3]) not in seen:
-                seen.add(key)
-                segs.append(seg)
-        return Network(config, np.array(segs).reshape(-1, 4), "delaunay", {})
+    span = (-1, 0, 1) if config.torus else (0,)
+    tiles = np.array([(ix, iy) for ix in span for iy in span])
+    tiled = np.concatenate([pts + config.window.width * t for t in tiles])
     try:
-        tri = _SciDelaunay(pts)
+        tri = _SciDelaunay(tiled)
     except QhullError as exc:
         raise ValueError("Delaunay triangulation failed (collinear input?)") from exc
-    pairs = set()
-    for simplex in tri.simplices:
-        for a in range(3):
-            i, j = int(simplex[a]), int(simplex[(a + 1) % 3])
-            pairs.add((min(i, j), max(i, j)))
-    segs = np.array([[*pts[i], *pts[j]] for i, j in sorted(pairs)]).reshape(-1, 4)
-    return Network(config, segs, "delaunay", {})
+    # triangle edges (0, 1), (1, 2), (2, 0) of each simplex, in order
+    a, b = tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).T
+    if config.torus:
+        win = config.window
+        mid = 0.5 * (tiled[a] + tiled[b])
+        inside = ((win.x0 <= mid[:, 0]) & (mid[:, 0] < win.x1)
+                  & (win.y0 <= mid[:, 1]) & (mid[:, 1] < win.y1))
+        a, b = a[inside], b[inside]
+    else:
+        a, b = np.minimum(a, b), np.maximum(a, b)
+    # tiles are in lexicographic order, so (city, tiled index) orders an
+    # edge's two ends the same way whichever lift it is read from
+    i, j = a % n, b % n
+    flip = (i > j) | ((i == j) & (a > b))
+    wrap = np.where(flip, -1, 1)[:, None] * (tiles[b // n] - tiles[a // n])
+    keys = np.column_stack([np.where(flip, j, i), np.where(flip, i, j), wrap])
+    _, first = np.unique(keys, axis=0, return_index=True)
+    if config.torus:
+        first = np.sort(first)
+    return Network(config, np.hstack([tiled[a[first]], tiled[b[first]]]), "delaunay", {})
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +307,13 @@ def grid_freeway(config: PointConfig, t: float, variant: str = "N1") -> Network:
     m = max(1, round(W / t))
     t = W / m
     m_y = max(1, round(H / t))
+    # on a torus the lines at x1 and y1 are those at x0 and y0
+    lines = 0 if config.torus else 1
     segs = []
-    for j in range(m + 1):
+    for j in range(m + lines):
         x = win.x0 + j * t
         segs.append((x, win.y0, x, win.y1))
-    for j in range(m_y + 1):
+    for j in range(m_y + lines):
         y = win.y0 + j * t
         segs.append((win.x0, y, win.x1, y))
     interior = {"N1": (), "N2": (0.5,), "N3": (1.0 / 3.0, 2.0 / 3.0)}[variant]
@@ -381,11 +370,11 @@ def lattice_edges(config: PointConfig) -> Network:
     spacing = config.params.get("spacing")
     if config.kind not in ("square", "hex", "tri") or spacing is None:
         raise ValueError("lattice_edges requires a square/hex/tri lattice config")
-    tree = cKDTree(config.points)
-    pairs = tree.query_pairs(r=spacing * (1.0 + 1e-9))
     pts = config.points
-    segs = np.array([[*pts[i], *pts[j]] for i, j in sorted(pairs)]).reshape(-1, 4)
-    return Network(config, segs, f"{config.kind}_lattice", {"spacing": spacing})
+    pairs = cKDTree(pts).query_pairs(r=spacing * (1.0 + 1e-9), output_type="ndarray")
+    i, j = pairs[np.lexsort(pairs.T[::-1])].T
+    return Network(config, np.hstack([pts[i], pts[j]]), f"{config.kind}_lattice",
+                   {"spacing": spacing})
 
 
 # ---------------------------------------------------------------------------
@@ -424,30 +413,25 @@ def build(kind: str, config: PointConfig, params: dict) -> Network:
 
 
 def unwrap(net: Network, buffer: float) -> Network:
-    """Planar view of a toroidal network: translated copies of every segment
-    are added so that all roads within ``buffer`` of the window are present.
-    Cities stay those of the center copy; use for interior stretch
-    measurement on torus-built networks."""
+    """Planar view of a toroidal network: the translates of every segment
+    by whole sides that lie within ``buffer`` of the window.  The tiles
+    tried are those of the 3x3 block around the window, widened to hold
+    every translate that meets the closed window, so a lift longer than
+    the side keeps all of its length.  Cities stay those of the center
+    copy."""
     if not net.config.torus:
         return net
-    win = net.config.window
+    win, base = net.config.window, net.segments
     side = win.width
-    tiles = [(ix * side, iy * side) for ix in (-1, 0, 1) for iy in (-1, 0, 1)]
-    x_lo, x_hi = win.x0 - buffer, win.x1 + buffer
-    y_lo, y_hi = win.y0 - buffer, win.y1 + buffer
+    lo, hi = np.minimum(base[:, :2], base[:, 2:]), np.maximum(base[:, :2], base[:, 2:])
+    win_lo, win_hi = np.array([win.x0, win.y0]), np.array([win.x1, win.y1])
+    k_lo = np.ceil((win_lo - hi) / side).min(axis=0, initial=-1).astype(int)
+    k_hi = np.floor((win_hi - lo) / side).max(axis=0, initial=1).astype(int)
     segs = []
-    base = net.segments
-    for ox, oy in tiles:
-        s = base + np.array([ox, oy, ox, oy])
-        keep = (
-            (np.maximum(s[:, 0], s[:, 2]) >= x_lo)
-            & (np.minimum(s[:, 0], s[:, 2]) <= x_hi)
-            & (np.maximum(s[:, 1], s[:, 3]) >= y_lo)
-            & (np.minimum(s[:, 1], s[:, 3]) <= y_hi)
-        )
-        segs.append(s[keep])
-    planar_config = PointConfig(net.config.points.copy(), win, torus=False,
-                                kind=net.config.kind, params=net.config.params,
-                                seed=net.config.seed)
-    return Network(planar_config, np.vstack(segs), net.kind,
-                   {**net.params, "unwrapped": True})
+    for ix in range(k_lo[0], k_hi[0] + 1):
+        for iy in range(k_lo[1], k_hi[1] + 1):
+            off = np.array([ix * side, iy * side])
+            keep = ((hi + off >= win_lo - buffer) & (lo + off <= win_hi + buffer)).all(axis=1)
+            segs.append(base[keep] + np.tile(off, 2))
+    return Network(replace(net.config, points=net.config.points.copy(), torus=False),
+                   np.vstack(segs), net.kind, {**net.params, "unwrapped": True})

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -35,6 +36,17 @@ class TestGenerate:
         assert run("generate", "uniform", "--window", "10",
                    "--out", str(tmp_path / "x.json")) == EXIT_USAGE
         assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("square", "85c8a44a115791c836b0c1304cfce66d22225828ef3ffe272e10177edaac1d91"),
+        ("hex", "b98d253ec72486abdfc585eb01973d79fc931423cdfdbf69c0081e68992f96b0"),
+        ("tri", "5c40c9c0ddf45a4dfeb928679803d97263921de87f06dda6790de5e4ea1cf18e"),
+    ])
+    def test_lattice_bytes(self, capsys, kind, digest):
+        assert run("generate", kind, "--window", "3") == EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out)["kind"] == kind
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
         assert run("generate", "gaussian") == EXIT_USAGE
@@ -113,6 +125,16 @@ class TestBuildMeasure:
             "--out", str(cfg))
         assert run("build", str(cfg), net) == EXIT_USAGE
         assert flag in capsys.readouterr().err
+
+    def test_cone_directions_bytes(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        assert run("generate", "poisson", "--window", "5", "--seed", "1", "--torus",
+                   "--out", str(cfg)) == EXIT_OK
+        assert run("build", str(cfg), "cone", "--k", "4", "--directions", "0,2") == EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out)["params"] == {"k": 4, "directions": [0, 2]}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2df9b128ac1cdde8f614d91ea590b2deae6f4ce8720a64f481a538434d4b22d2")
 
     def test_build_all_kinds(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -206,6 +228,23 @@ class TestExperiment:
         assert run("experiment", *argv) == EXIT_OK
         _assert_pinned_csv(capsys.readouterr().out, expected)
 
+    def test_psi_ave_upper_bytes(self, capsys):
+        assert run("experiment", "psi_ave_upper", "--net", "theta", "--m", "6",
+                   "--window", "10", "--replicates", "1") == EXIT_OK
+        captured = capsys.readouterr()
+        _assert_pinned_csv(captured.out, (
+            "estimator,params,mean,se,n,seed\n"
+            "psi_ave_upper[theta],\"{'m': 6, 'mode': 'steiner', 'window': 100.0}\","
+            "5.8124881486062563,nan,1,0\n"))
+        assert captured.err == "max stretch 1.41746559445701 over 5671 pairs\n"
+
+    def test_single_replicate_se_is_nan(self, capsys):
+        # one replicate gives no spread to estimate, not a spread of zero
+        assert run("experiment", "empirical_lm", "--m", "6", "--window", "10",
+                   "--replicates", "1") == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert (row["se"], row["n"]) == ("nan", "1")
+
     def test_missing_params_usage_error(self):
         assert run("experiment", "crossing", "--h", "1") == EXIT_USAGE
         assert run("experiment", "empirical_lm") == EXIT_USAGE
@@ -233,6 +272,15 @@ class TestExperiment:
     def test_missing_builder_flag_is_usage_error(self, capsys):
         assert run("experiment", "psi_ave_upper", "--net", "cone") == EXIT_USAGE
         assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("generate", "uniform", "--window", "10"),
+                                  ("bounds",),
+                                  ("experiment", "crossing", "--h", "1"),
+                                  ("experiment", "psi_ave_upper", "--net", "cone")])
+def test_usage_error_prints_the_subcommand_usage(capsys, argv):
+    assert run(*argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage: spanlab {argv[0]} ")
 
 
 class TestRepro:

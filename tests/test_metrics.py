@@ -73,6 +73,20 @@ class TestStretch:
         assert metrics.normalized_length(scaled) == pytest.approx(
             metrics.normalized_length(net) / c, rel=1e-9)
 
+    def test_pair_budget_covering_every_source_is_exact(self):
+        # SAMPLED_PAIRS // n >= n holds up to n = 447: every city is a source
+        cfg = uniform_n(420, Window.square(20), seed=4)
+        net = nets.delaunay(cfg)
+        rep = metrics.stretch(net, pair_filter="all")
+        assert rep.exact and (rep.n_cities, rep.n_pairs) == (420, 420 * 419 // 2)
+        g = metrics.routing_graph(net)
+        pts, worst = cfg.points, 0.0
+        for src in range(420):
+            eucl = np.hypot(*(pts - pts[src]).T)
+            eucl[src] = np.inf
+            worst = max(worst, float(np.max(g.distances_from(src)[g.city_nodes] / eucl)))
+        assert rep.max_ratio == worst
+
     def test_bad_mode_and_filter_rejected(self):
         net = _net([[1, 1], [2, 2]], [[1, 1, 2, 2]])
         with pytest.raises(ValueError):
@@ -207,10 +221,20 @@ class TestTorusStretch:
         net = build(PointConfig(np.concatenate([grid, extra]), Window.square(6), torus=True))
         _assert_matches_tiles(net, mode)
 
+    def test_road_across_the_seam_meets_the_image_of_a_road(self):
+        # the road (9, 5)-(11, 5) meets the road at x = 0.5 only through
+        # its image on the torus: up 1, across the seam 1, down 1
+        cfg = PointConfig(np.array([[9.5, 4.0], [0.5, 4.0], [9.0, 5.0], [1.0, 5.0]]),
+                          Window.square(10), torus=True)
+        net = nets.Network(cfg, np.array([[9.0, 5.0, 11.0, 5.0], [9.5, 4.0, 9.5, 6.0],
+                                          [0.5, 4.0, 0.5, 6.0]]), "custom")
+        g = metrics.routing_graph(net, "steiner")
+        assert g.distances_from(0)[g.city_nodes[1]] == 3.0
+
     @pytest.mark.parametrize("mode", ["steiner", "graph"])
     def test_grid_freeway_matches_unrolled(self, mode):
-        # the skeleton roads run one side long along x = 0 and y = 0 (and
-        # x = 12, y = 12, which land on them); access roads end on both
+        # the skeleton roads run one side long along x = 0 and y = 0, the
+        # seam lines; access roads end on them
         cfg = uniform_n(40, Window.square(12), seed=1, torus=True)
         _assert_matches_tiles(nets.grid_freeway(cfg, 3.0), mode)
 
@@ -294,6 +318,28 @@ class TestNormalizedLength:
         # the protruding part wraps back in, so nothing is lost
         assert metrics.normalized_length(net, 0.0) == pytest.approx(
             net.total_length / 36.0, rel=1e-9)
+
+    def test_torus_lift_longer_than_the_side_keeps_all_its_length(self):
+        # (-5, 5)-(20.5, 5) winds 2.55 times round the torus; one of its
+        # translates meets the window only two sides away
+        cfg = PointConfig(np.array([[1.0, 1.0]]), Window.square(10), torus=True)
+        net = nets.Network(cfg, np.array([[-5.0, 5.0, 20.5, 5.0], [3.0, 0.0, 3.0, 10.0]]),
+                           "custom")
+        assert metrics.normalized_length(net, 0.0) == pytest.approx(0.355, rel=1e-12)
+
+    @pytest.mark.parametrize("edge", [0.0, 10.0])
+    def test_torus_road_on_a_seam_counts_once(self, edge):
+        # on the 10x10 torus the lines x = 0 and x = 10 are one line
+        cfg = PointConfig(np.array([[1.0, 1.0]]), Window.square(10), torus=True)
+        net = nets.Network(cfg, np.array([[edge, 2.0, edge, 7.0], [2.0, edge, 9.0, edge]]),
+                           "custom")
+        assert metrics.normalized_length(net, 0.0) == pytest.approx(0.12, rel=1e-12)
+
+    def test_torus_grid_freeway_counts_each_skeleton_line_once(self):
+        # t = 10/3: three lines per axis, and two access roads of length t a city
+        net = nets.grid_freeway(uniform_n(5, Window.square(10), seed=0, torus=True), 3.0)
+        assert metrics.normalized_length(net, 0.0) == pytest.approx(
+            (60.0 + 5 * 2 * 10.0 / 3.0) / 100.0, rel=1e-12)
 
     def test_clipping_is_exact(self):
         net = _net([[4, 4], [6, 6]], [[-10.0, 5.0, 20.0, 5.0]])

@@ -135,7 +135,8 @@ class TestYaoGraph:
 
 def _cone_edges_reference(config, n_cones, criterion):
     """The per-city, per-candidate loop over all n cities that
-    nets._cone_edges replaces."""
+    nets._cone_edges replaces: a dict from edge key to the segment and the
+    cone of the city that picked the edge."""
     pts = config.points
     n = len(pts)
     side = config.window.width if config.torus else None
@@ -169,8 +170,18 @@ def _cone_edges_reference(config, n_cones, criterion):
                 key = (j, i, int(wrap[0]), int(wrap[1]))
             if key not in edges:
                 edges[key] = (pts[i][0], pts[i][1],
-                              pts[i][0] + d[j][0], pts[i][1] + d[j][1])
+                              pts[i][0] + d[j][0], pts[i][1] + d[j][1], c)
     return edges
+
+
+def _assert_cone_edges_match_reference(cfg, n_cones, criterion):
+    """Same keys in the same order, segments bit for bit, same cones."""
+    keys, segs, cone = nets._cone_edges(cfg, n_cones, criterion)
+    want = _cone_edges_reference(cfg, n_cones, criterion)
+    assert [tuple(k) for k in keys.tolist()] == list(want)
+    want = np.array(list(want.values())).reshape(-1, 5)
+    np.testing.assert_array_equal(segs, want[:, :4])
+    np.testing.assert_array_equal(cone, want[:, 4])
 
 
 class TestConeEdgesFastPath:
@@ -204,11 +215,7 @@ class TestConeEdgesFastPath:
     @pytest.mark.parametrize("n_cones", [4, 6, 8, 12])
     def test_matches_reference_loop(self, criterion, n_cones):
         for cfg in self._configs():
-            got = nets._cone_edges(cfg, n_cones, criterion)
-            want = _cone_edges_reference(cfg, n_cones, criterion)
-            assert list(got) == list(want)
-            np.testing.assert_array_equal(np.array(list(got.values())),
-                                          np.array(list(want.values())))
+            _assert_cone_edges_match_reference(cfg, n_cones, criterion)
 
     @pytest.mark.parametrize("block", [1, 50, 1 << 18])
     def test_blocks_match_reference_loop(self, monkeypatch, block):
@@ -227,11 +234,7 @@ class TestConeEdgesFastPath:
         monkeypatch.setattr(nets, "cKDTree", RecordingTree)
         for cfg in [_config(pts, side=510.0), poisson(Window.square(8), seed=4, torus=True)]:
             for n_cones, criterion in [(6, "projection"), (8, "distance")]:
-                got = nets._cone_edges(cfg, n_cones, criterion)
-                want = _cone_edges_reference(cfg, n_cones, criterion)
-                assert list(got) == list(want)
-                np.testing.assert_array_equal(np.array(list(got.values())),
-                                              np.array(list(want.values())))
+                _assert_cone_edges_match_reference(cfg, n_cones, criterion)
         assert any(k == len(pts) for _, k in queried)
         assert all(rows * k <= block or rows == 1 for rows, k in queried)
 
@@ -244,11 +247,7 @@ class TestConeEdgesFastPath:
         rng = np.random.default_rng(seed)
         pts = rng.permutation(np.unique(rng.integers(0, 16, (n, 2)) / 2.0, axis=0))
         cfg = _config(pts, side=8.0, torus=torus)
-        got = nets._cone_edges(cfg, n_cones, criterion)
-        want = _cone_edges_reference(cfg, n_cones, criterion)
-        assert list(got) == list(want)
-        np.testing.assert_array_equal(np.array(list(got.values())),
-                                      np.array(list(want.values())))
+        _assert_cone_edges_match_reference(cfg, n_cones, criterion)
 
 
 class TestCoincidentCities:
@@ -314,6 +313,20 @@ class TestDelaunay:
         net = nets.delaunay(cfg)
         assert len(net.segments) == 3 * cfg.n
 
+    def test_planar_edges_in_index_order(self):
+        cfg = uniform_n(30, Window.square(10), seed=1)
+        index = {p: k for k, p in enumerate(map(tuple, cfg.points.tolist()))}
+        pairs = [(index[tuple(s[:2])], index[tuple(s[2:])])
+                 for s in nets.delaunay(cfg).segments.tolist()]
+        assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_few_city_torus_edge_count(self, n):
+        # edges from a city to its own image, read from either end, are one
+        for seed in range(20):
+            cfg = uniform_n(n, Window.square(10), seed=seed, torus=True)
+            assert len(nets.delaunay(cfg).segments) == 3 * n, seed
+
     def test_torus_edges_are_minimal_images(self):
         cfg = poisson(Window.square(10), seed=4, torus=True)
         net = nets.delaunay(cfg)
@@ -328,6 +341,13 @@ class TestGridFreeway:
         for variant, lines in (("N1", 14), ("N2", 26), ("N3", 38)):
             net = nets.grid_freeway(empty, 1.0, variant)
             assert net.total_length == pytest.approx(6.0 * lines)
+
+    def test_torus_skeleton_has_no_far_edge_lines(self):
+        # on a torus the lines at x = 6 and y = 6 are those at x = 0 and y = 0
+        empty = PointConfig(np.empty((0, 2)), Window.square(6), torus=True)
+        net = nets.grid_freeway(empty, 1.0, "N1")
+        assert len(net.segments) == 12
+        assert net.segments[:6, 0].tolist() == net.segments[6:, 1].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_t_snaps_to_divisor(self):
         empty = PointConfig(np.empty((0, 2)), Window.square(6))
@@ -388,6 +408,14 @@ class TestLatticeEdges:
         interior = net.config.window.inner(0.25).contains(net.config.points)
         for i in np.flatnonzero(interior):
             assert len(_incident_directions(net, i)) == 6
+
+    def test_edges_in_index_order(self):
+        cfg = tri_config(Window.square(6))
+        pts = cfg.points
+        d = np.hypot(*(pts[:, None] - pts[None]).transpose(2, 0, 1))
+        i, j = np.nonzero(np.triu(d <= cfg.params["spacing"] * (1.0 + 1e-9), 1))
+        np.testing.assert_array_equal(nets.lattice_edges(cfg).segments,
+                                      np.hstack([pts[i], pts[j]]))
 
     def test_non_lattice_rejected(self):
         with pytest.raises(ValueError):
