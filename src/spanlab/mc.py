@@ -142,27 +142,36 @@ def empirical_Lk(
 _PAIR_BLOCK = 1 << 20
 
 
-def _crossing_count(xs, ys, h: float, L: float) -> int:
-    """Virtual crossings in [0, L] of one point set in the strip |y| <= h.
+def _crossing_counts(rep, xs, ys, h: float, L: float, replicates: int) -> np.ndarray:
+    """Virtual crossings in [0, L] of each replicate's points in the strip
+    |y| <= h; point k belongs to replicate ``rep[k]`` in [0, replicates).
 
-    A point below the axis (y < 0) and one on or above it (y >= 0) are
-    friends when |dx| < dy; their segment then meets the axis at
-    x1 + (x2 - x1) * (-y1) / (y2 - y1).  All friend pairs are expanded with
-    numpy, in blocks of below-axis points holding at most ``_PAIR_BLOCK``
-    candidate pairs (or one point's candidates, when those alone exceed it).
+    A point below the axis (y < 0) and one on or above it (y >= 0) of the
+    same replicate are friends when |dx| < dy; their segment then meets the
+    axis at x1 + (x2 - x1) * (-y1) / (y2 - y1), less than -y1 <= h from x1
+    and less than y2 <= h from x2.  So only points with x in [-h, L + h]
+    can count; the band kept is 1 wider on each side, far above rounding.
+    Above-axis points are sorted by the exact complex key rep + i x, which
+    numpy orders lexicographically, so each below-axis point finds its
+    partners in its own replicate's 2h x-window.  All friend pairs are
+    expanded with numpy, in blocks of below-axis points holding at most
+    ``_PAIR_BLOCK`` candidate pairs (or one point's candidates, when those
+    alone exceed it).
     """
-    below = ys < 0
-    xb, yb = xs[below], ys[below]
-    xa, ya = xs[~below], ys[~below]
-    order = np.argsort(xa)
-    xa, ya = xa[order], ya[order]
-    # |dx| < dy - y1 <= 2h restricts partners to a 2h x-window
-    lo = np.searchsorted(xa, xb - 2.0 * h)
-    hi = np.searchsorted(xa, xb + 2.0 * h)
+    band = (xs >= -h - 1.0) & (xs <= L + h + 1.0)
+    below, above = band & (ys < 0), band & (ys >= 0)
+    rb, xb, yb = rep[below], xs[below], ys[below]
+    key = rep[above] + 1j * xs[above]
+    order = np.argsort(key)
+    key, ya = key[order], ys[above][order]
+    xa = key.imag
+    # |dx| < y2 - y1 <= 2h restricts partners to a 2h x-window
+    lo = np.searchsorted(key, rb + 1j * (xb - 2.0 * h))
+    hi = np.searchsorted(key, rb + 1j * (xb + 2.0 * h))
     sizes = hi - lo
     ends = np.cumsum(sizes)
     starts = ends - sizes  # flat index of each point's first candidate pair
-    count = 0
+    counts = np.zeros(replicates, dtype=np.int64)
     i = 0
     while i < len(xb):
         j = max(int(np.searchsorted(ends, starts[i] + _PAIR_BLOCK, side="right")),
@@ -175,9 +184,11 @@ def _crossing_count(xs, ys, h: float, L: float) -> int:
         friends = np.abs(x2 - x1) < (y2 - y1)
         x1, y1, x2, y2 = x1[friends], y1[friends], x2[friends], y2[friends]
         cross = x1 + (x2 - x1) * (-y1) / (y2 - y1)
-        count += int(np.count_nonzero((cross >= 0.0) & (cross <= L)))
+        hit = (cross >= 0.0) & (cross <= L)
+        counts += np.bincount(np.repeat(rb[i:j], block)[friends][hit],
+                              minlength=replicates)
         i = j
-    return count
+    return counts
 
 
 def crossing_experiment(
@@ -194,20 +205,26 @@ def crossing_experiment(
     segment meets the axis; N counts crossings landing in [0, L].  Returns
     estimates of E N and E N^2.
     """
-    if h <= 0 or L <= 0:
-        raise ValueError("h and L must be positive")
+    if not (0.0 < h < math.inf and 0.0 < L < math.inf):
+        raise ValueError("h and L must be positive and finite")
     W = 40.0 * max(h, L, 1.0)
-
-    def one(seed_seq):
-        rng = rng_from_seed(seed_seq)
-        n = rng.poisson(W * 2.0 * h)
-        xs = rng.uniform(-W / 2.0, W / 2.0, n)
-        ys = rng.uniform(-h, h, n)
-        return _crossing_count(xs, ys, h, L)
-
+    # a replicate's expected hW points below the axis and hW above make at
+    # most (hW)^2 candidate pairs, so a chunk expects at most one pair block
+    chunk = max(1, int(_PAIR_BLOCK / max(h * W, 1.0) ** 2))
     t0 = time.perf_counter()
-    counts = [one(s) for s in _replicate_seeds(master_seed, replicates)]
-    counts = np.asarray(counts, dtype=float)
+    seeds = _replicate_seeds(master_seed, replicates)
+    counts = []
+    for start in range(0, replicates, chunk):
+        xs, ys = [], []
+        for seed_seq in seeds[start:start + chunk]:
+            rng = rng_from_seed(seed_seq)
+            n = rng.poisson(W * 2.0 * h)
+            xs.append(rng.uniform(-W / 2.0, W / 2.0, n))
+            ys.append(rng.uniform(-h, h, n))
+        rep = np.repeat(np.arange(len(xs)), [len(x) for x in xs])
+        counts.append(_crossing_counts(rep, np.concatenate(xs), np.concatenate(ys),
+                                       h, L, len(xs)))
+    counts = np.concatenate(counts).astype(float)
     params = {"h": h, "L": L, "W": W}
     first = _aggregate("crossing_N", params, counts, master_seed, t0)
     second = _aggregate("crossing_N2", params, counts ** 2, master_seed, t0)

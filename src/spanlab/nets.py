@@ -370,6 +370,10 @@ def lattice_edges(config: PointConfig) -> Network:
     spacing = config.params.get("spacing")
     if config.kind not in ("square", "hex", "tri") or spacing is None:
         raise ValueError("lattice_edges requires a square/hex/tri lattice config")
+    if config.torus:
+        # it would add no wrap-around edge, and a square grid's cities on the
+        # far edges would double those on the near ones
+        raise ValueError("lattice_edges has no torus form")
     pts = config.points
     pairs = cKDTree(pts).query_pairs(r=spacing * (1.0 + 1e-9), output_type="ndarray")
     i, j = pairs[np.lexsort(pairs.T[::-1])].T

@@ -228,6 +228,25 @@ class TestExperiment:
         assert run("experiment", *argv) == EXIT_OK
         _assert_pinned_csv(capsys.readouterr().out, expected)
 
+    @pytest.mark.parametrize("argv,digest", [
+        # the README example
+        (("--h", "2", "--L", "0.5", "--replicates", "2000", "--seed", "3"),
+         "7577a4f68d5772a960ebe6ce3460348fbd1b998da44bc0cb4debdf6526cbb7e4"),
+        # large h: each replicate is a chunk of its own
+        (("--h", "12", "--L", "1", "--replicates", "20"),
+         "b36c93023338db3662c4bd702998c9a2dbf24cdbc15551b8da2a68507f0eec8b"),
+    ], ids=["readme", "large_h"])
+    def test_crossing_digest(self, capsys, argv, digest):
+        assert run("experiment", "crossing", *argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags", [("--h", "1", "--L", "nan"),
+                                       ("--h", "nan", "--L", "1")])
+    def test_crossing_non_finite_is_domain_error(self, capsys, flags):
+        assert run("experiment", "crossing", *flags) == EXIT_DOMAIN
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_psi_ave_upper_bytes(self, capsys):
         assert run("experiment", "psi_ave_upper", "--net", "theta", "--m", "6",
                    "--window", "10", "--replicates", "1") == EXIT_OK

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiment harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,9 +85,25 @@ class TestCrossingExperiment:
         with pytest.raises(ValueError):
             mc.crossing_experiment(0.0, 1.0)
 
+    @pytest.mark.parametrize("h,L", [(math.nan, 1.0), (1.0, math.nan),
+                                     (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_rejected(self, h, L):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mc.crossing_experiment(h, L, replicates=2)
+
+    def test_memory_stays_bounded(self):
+        # replicates reach the kernel in chunks, not all at once
+        tracemalloc.start()
+        try:
+            mc.crossing_experiment(2.0, 0.5, replicates=1500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
+
 
 def _loop_crossing_count(xs, ys, h, L):
-    """Per-point loop that mc._crossing_count replaced; its reference."""
+    """Per-point loop over one replicate's points; the kernel's reference."""
     below = ys < 0
     xb, yb = xs[below], ys[below]
     xa, ya = xs[~below], ys[~below]
@@ -121,6 +138,16 @@ def _case(points, h, L):
     return pts[:, 0], pts[:, 1], h, L
 
 
+def _one_replicate(xs, ys, h, L):
+    return int(mc._crossing_counts(np.zeros(len(xs), dtype=np.int64), xs, ys,
+                                   h, L, 1)[0])
+
+
+def _loop_counts(rep, xs, ys, h, L, replicates):
+    return [_loop_crossing_count(xs[rep == r], ys[rep == r], h, L)
+            for r in range(replicates)]
+
+
 @st.composite
 def _strip_points(draw):
     """Points in |y| <= h, many on a grid of step 1/4 in x and h/4 in y, so
@@ -133,6 +160,29 @@ def _strip_points(draw):
     y = st.one_of(st.integers(-4, 4).map(lambda k: k * h / 4.0),
                   st.floats(-h, h))
     return _case(draw(st.lists(st.tuples(x, y), max_size=40)), h, L)
+
+
+def _multi_case(points, h, L, replicates):
+    pts = np.array(points, dtype=float).reshape(-1, 3)
+    return pts[:, 0].astype(np.int64), pts[:, 1], pts[:, 2], h, L, replicates
+
+
+@st.composite
+def _replicate_points(draw):
+    """Points of up to four replicates in any order, on a grid of step 1/8
+    in x wide enough that points fall exactly on the band edges -h - 1, -h,
+    L + h and L + h + 1 and beyond them, and that replicates share x
+    values; some replicates may have no points."""
+    h = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    L = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    replicates = draw(st.integers(1, 4))
+    rep = st.integers(0, replicates - 1)
+    x = st.one_of(st.integers(-48, 48).map(lambda k: k / 8.0),
+                  st.floats(-6.0, 6.0))
+    y = st.one_of(st.integers(-4, 4).map(lambda k: k * h / 4.0),
+                  st.floats(-h, h))
+    return _multi_case(draw(st.lists(st.tuples(rep, x, y), max_size=60)),
+                       h, L, replicates)
 
 
 # acceptance-suite (h, L) points: the three means and the second-moment grid
@@ -157,38 +207,66 @@ class TestCrossingKernel:
                    1.0, 2.0))
     def test_matches_loop(self, case):
         xs, ys, h, L = case
-        assert mc._crossing_count(xs, ys, h, L) == _loop_crossing_count(xs, ys, h, L)
+        assert _one_replicate(xs, ys, h, L) == _loop_crossing_count(xs, ys, h, L)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_replicate_points())
+    # one pair per replicate at the same x, one replicate empty; points on
+    # and just past the band edges of h = 1, L = 1 (-2, -1, 2, 3); pairs
+    # that count with a point 1/8 inside the band's inner edges
+    @example(_multi_case([(0, 0.5, -0.5), (0, 0.75, 0.5), (2, 0.5, -0.5),
+                          (2, 0.75, 0.5)], 1.0, 1.0, 3))
+    @example(_multi_case([(1, -2.0, -0.5), (0, -2.0, 0.5), (1, -1.0, -1.0),
+                          (1, 0.0, 1.0), (0, 2.0, -1.0), (0, 1.0, 1.0),
+                          (1, 3.0, -0.25), (0, 3.25, 0.25)], 1.0, 1.0, 2))
+    @example(_multi_case([(0, -0.875, -1.0), (0, 0.0, 0.0), (1, 0.875, -0.0625),
+                          (1, 1.75, 1.0)], 1.0, 1.0, 2))
+    def test_replicates_match_loop(self, case):
+        rep, xs, ys, h, L, replicates = case
+        counts = mc._crossing_counts(rep, xs, ys, h, L, replicates)
+        assert list(counts) == _loop_counts(rep, xs, ys, h, L, replicates)
 
     def test_crossings_at_interval_ends_count(self):
         # two friend pairs meeting the axis exactly at 0 and exactly at L = 3
         xs, ys, h, L = _case([(-0.25, -0.5), (0.25, 0.5),
                               (2.75, -0.5), (3.25, 0.5)], 1.0, 3.0)
-        assert mc._crossing_count(xs, ys, h, L) == 2
+        assert _one_replicate(xs, ys, h, L) == 2
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_small_blocks_match_loop(self, monkeypatch, block):
         # block = 1 leaves every point's candidates over the block size
         monkeypatch.setattr(mc, "_PAIR_BLOCK", block)
         xs, ys = _strip_sample(2.0, 0.5, 11)
-        assert mc._crossing_count(xs, ys, 2.0, 0.5) == _loop_crossing_count(
+        assert _one_replicate(xs, ys, 2.0, 0.5) == _loop_crossing_count(
             xs, ys, 2.0, 0.5)
 
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_small_blocks_split_across_replicates(self, monkeypatch, block):
+        monkeypatch.setattr(mc, "_PAIR_BLOCK", block)
+        samples = [_strip_sample(2.0, 0.5, s) for s in range(11, 19)]
+        rep = np.repeat(np.arange(8), [len(xs) for xs, _ in samples])
+        xs, ys = (np.concatenate(v) for v in zip(*samples))
+        counts = mc._crossing_counts(rep, xs, ys, 2.0, 0.5, 8)
+        assert list(counts) == _loop_counts(rep, xs, ys, 2.0, 0.5, 8)
+
     def test_several_blocks_at_large_h(self):
-        h, L = 12.0, 1.0
+        # the band keeps x in [-h - 1, L + h + 1]; its pairs fill 2.5 blocks
+        h, L = 28.0, 1.0
         xs, ys = _strip_sample(h, L, 5)
-        xa = np.sort(xs[ys >= 0])
-        xb = xs[ys < 0]
+        band = (xs >= -h - 1.0) & (xs <= L + h + 1.0)
+        xa = np.sort(xs[band & (ys >= 0)])
+        xb = xs[band & (ys < 0)]
         pairs = int((np.searchsorted(xa, xb + 2.0 * h)
                      - np.searchsorted(xa, xb - 2.0 * h)).sum())
         assert pairs > 2 * mc._PAIR_BLOCK
-        assert mc._crossing_count(xs, ys, h, L) == _loop_crossing_count(xs, ys, h, L)
+        assert _one_replicate(xs, ys, h, L) == _loop_crossing_count(xs, ys, h, L)
 
-    @pytest.mark.parametrize("h,L", ACCEPTANCE_GRID)
+    @pytest.mark.parametrize("h,L", ACCEPTANCE_GRID + [(0.05, 1.0)])
     def test_driver_matches_loop(self, h, L):
-        first, second = mc.crossing_experiment(h, L, replicates=10,
+        first, second = mc.crossing_experiment(h, L, replicates=50,
                                                master_seed=17)
         expected = [float(_loop_crossing_count(*_strip_sample(h, L, s), h, L))
-                    for s in mc._replicate_seeds(17, 10)]
+                    for s in mc._replicate_seeds(17, 50)]
         assert first.replicate_values == expected
         assert second.replicate_values == [v * v for v in expected]
 

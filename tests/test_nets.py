@@ -1,5 +1,6 @@
 """Tests for the network builders."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -420,6 +421,12 @@ class TestLatticeEdges:
     def test_non_lattice_rejected(self):
         with pytest.raises(ValueError):
             nets.lattice_edges(poisson(Window.square(10), seed=1))
+
+    @pytest.mark.parametrize("make", [square_grid, hex_config, tri_config])
+    def test_torus_rejected(self, make):
+        cfg = dataclasses.replace(make(Window.square(6)), torus=True)
+        with pytest.raises(ValueError, match="torus"):
+            nets.lattice_edges(cfg)
 
 
 class TestUnwrap:
