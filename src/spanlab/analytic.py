@@ -9,6 +9,7 @@ reference constants.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 from scipy.integrate import dblquad, quad
@@ -216,30 +217,37 @@ def prop38_lower_bound(s: float):
         raise ValueError("prop38_lower_bound requires 0 < s < 0.1")
     ginv = g_inverse(s)
 
-    def objective(h, L):
-        if h <= L / 2.0:
-            return -math.inf
-        mean = expected_crossings(h, L)
-        prob = mean ** 2 / second_moment_upper(h, L)
-        return prob / (L + 2.0 * h * ginv)
+    def objective(hs, ls):
+        # at every (h, L) of hs x ls: numpy arithmetic in the scalar formula's
+        # order, but scalar powers and logs (numpy's SIMD ones may differ)
+        def each(f, a, *rest):
+            return np.fromiter(map(f, a.ravel().tolist(), *rest), float,
+                               a.size).reshape(a.shape)
+
+        h, L = np.asarray(hs)[:, None], np.asarray(ls)[None, :]
+        h2, h3, h4 = (np.array([v ** k for v in hs])[:, None] for k in (2, 3, 4))
+        L2, L3, L4 = (np.array([v ** k for v in ls])[None, :] for k in (2, 3, 4))
+        mean = 2.0 * h3 * L
+        square = each(pow, mean, repeat(2))
+        near = 0.75 * h4 * L2 + (5.0 / 6.0) * h3 * L3 + (7.0 / 24.0) * h2 * L4
+        far = (3.5 * h4 * L2 - 0.25 * h3 * L3 - 0.75 * h2 * L4
+               + (0.5 * L2 * h4 + L3 * h3) * each(math.log, 2.0 * h / L))
+        prob = square / (mean + square + 2.0 * (near + far))
+        return np.where(h <= L / 2.0, -math.inf, prob / (L + 2.0 * h * ginv))
 
     hs = np.geomspace(s ** (-1.0 / 16.0), s ** (-0.25), 64)
     ls = np.geomspace(math.sqrt(s), s ** 0.25, 64)
-    best = (objective(s ** (-0.125), s ** 0.375), s ** (-0.125), s ** 0.375)
-    for h in hs:
-        for L in ls:
-            v = objective(h, L)
-            if v > best[0]:
-                best = (v, h, L)
-    # local refinement around the best cell
     span = max(hs[1] / hs[0], ls[1] / ls[0])
-    for _ in range(3):
-        h0, l0 = best[1], best[2]
-        for h in np.geomspace(h0 / span, h0 * span, 9):
-            for L in np.geomspace(l0 / span, l0 * span, 9):
-                v = objective(h, L)
-                if v > best[0]:
-                    best = (v, h, L)
+    h0, l0 = s ** (-0.125), s ** 0.375
+    best = (float(objective([h0], [l0])[0, 0]), h0, l0)
+    for _ in range(4):  # the grid, then three local refinements
+        v = objective(hs, ls)
+        # the first strict maximum in row-major order, if it beats best
+        i, j = np.unravel_index(np.argmax(v), v.shape)
+        if v[i, j] > best[0]:
+            best = (v[i, j], hs[i], ls[j])
+        hs = np.geomspace(best[1] / span, best[1] * span, 9)
+        ls = np.geomspace(best[2] / span, best[2] * span, 9)
         span = span ** 0.4
     return (math.pi / 2.0) * best[0], best[1], best[2]
 

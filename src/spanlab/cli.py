@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--window", default="40", help="SIDE or X0,Y0,X1,Y1")
     g.add_argument("--rate", type=float, default=1.0)
     g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_non_negative_int, default=0)
     g.add_argument("--torus", action="store_true")
     g.add_argument("--out", default="-")
     g.set_defaults(func=cmd_generate)
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "every city")
     m.add_argument("--lines", type=_non_negative_int, default=0,
                    help="intersection-rate test lines (0 = skip)")
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=_non_negative_int, default=0)
     m.add_argument("--out", default="-")
     m.set_defaults(func=cmd_measure)
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SIDE or X0,Y0,X1,Y1; crossing ignores it and uses a "
                         "strip of width 40*max(h, L, 1)")
     e.add_argument("--replicates", type=_positive_int, default=20)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_non_negative_int, default=0)
     e.add_argument("--out", default="-")
     e.set_defaults(func=cmd_experiment)
 

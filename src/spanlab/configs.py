@@ -1,15 +1,18 @@
 """Point-configuration generators, normalized to one city per unit area.
 
 All generators are pure functions of (parameters, seed).  Randomness uses
-the counter-based Philox generator; a seed may be a spawned SeedSequence,
-as the Monte Carlo replicates are.  This module also holds the schema
-version and the one CSV writer of every versioned output.
+the counter-based Philox generator.  A seed is an integer, or a Monte Carlo
+replicate's Philox key: ``spawn_keys`` derives all replicates' keys in one
+vector pass, each equal to the key of its ``SeedSequence.spawn`` child.
+This module also holds the schema version and the one CSV writer of every
+versioned output.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,8 +156,55 @@ class PointConfig:
         )
 
 
+def spawn_keys(master_seed: int, n: int) -> np.ndarray:
+    """Philox keys of n replicates, as (n, 2) uint64: row i equals the key
+    of the i-th child of ``np.random.SeedSequence(master_seed).spawn(n)``.
+
+    SeedSequence hashes the master's 32-bit words, zero-padded to its pool
+    of 4, into the pool, mixes the pool, then mixes in any words past the
+    pool: the rest of the master's and the child's spawn word i.  Only
+    that last word differs between children, so it alone runs on arrays.
+    """
+    master = operator.index(master_seed)
+    if master < 0:
+        raise ValueError("expected non-negative integer")
+    if n < 1:
+        raise ValueError("replicates must be at least 1")
+    words = [master >> shift & 0xFFFFFFFF
+             for shift in range(0, max(master.bit_length(), 1), 32)]
+    entropy = [*map(np.uint32, words + [0] * (4 - len(words))),
+               np.arange(n, dtype=np.uint32)]
+
+    def hasher(const, mult):  # SeedSequence's hashmix and its running constant
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * np.uint32(const)
+            return value ^ value >> np.uint32(16)
+        return hashmix
+
+    def mix(x, y):
+        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return value ^ value >> np.uint32(16)
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    with np.errstate(over="ignore"):  # uint32 arithmetic wraps, as in C
+        pool = [hashmix(word) for word in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            pool = [mix(value, hashmix(word)) for value in pool]
+        state = np.column_stack([*map(hasher(0x8B51F9DD, 0x58F38DED), pool)])
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def rng_from_seed(seed) -> np.random.Generator:
-    """Counter-based generator for a (possibly spawned) seed."""
+    """Counter-based generator for an integer seed or a ``spawn_keys`` key."""
+    if isinstance(seed, np.ndarray):
+        return np.random.Generator(np.random.Philox(key=seed))
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -2,8 +2,11 @@
 
 Every estimator here has an analytic partner (mean network lengths, the
 crossing-count moments, the length upper bounds) and exists to confirm
-that partner numerically.  Replicates draw independent Philox substreams
-from a master seed, so results are reproducible and order-independent.
+that partner numerically.  Replicate i draws its own Philox substream,
+keyed by row i of ``configs.spawn_keys(master_seed, replicates)``: the key
+of the i-th spawned child of ``SeedSequence(master_seed)``, derived for all
+replicates in one vector pass.  So results are reproducible and
+order-independent.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spanlab import metrics, nets
-from spanlab.configs import SCHEMA_VERSION, Window, poisson, rng_from_seed
+from spanlab.configs import SCHEMA_VERSION, Window, poisson, spawn_keys
 from spanlab.metrics import StretchReport
 
 
@@ -35,12 +38,6 @@ class ExperimentResult:
         doc = dict(self.__dict__)
         doc["schema_version"] = SCHEMA_VERSION
         return json.dumps(doc)
-
-
-def _replicate_seeds(master_seed: int, n: int) -> list:
-    if n < 1:
-        raise ValueError("replicates must be at least 1")
-    return list(np.random.SeedSequence(master_seed).spawn(n))
 
 
 def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:
@@ -62,13 +59,13 @@ def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:
 def _torus_lengths(estimator, kind, params, window, replicates, master_seed,
                    result_params, visit=None) -> ExperimentResult:
     """Mean normalized length of builder ``kind`` of ``nets.BUILDERS`` over
-    rate-1 Poisson cities on the torus ``window``, one spawned seed per
+    rate-1 Poisson cities on the torus ``window``, one spawned Philox key per
     replicate; ``visit``, if given, also sees each replicate's network.
     The result's params are ``result_params`` plus the window area."""
     t0 = time.perf_counter()
     values = []
-    for seed_seq in _replicate_seeds(master_seed, replicates):
-        net = nets.build(kind, poisson(window, rate=1.0, seed=seed_seq, torus=True), params)
+    for key in spawn_keys(master_seed, replicates):
+        net = nets.build(kind, poisson(window, rate=1.0, seed=key, torus=True), params)
         values.append(metrics.normalized_length(net, margin_fraction=0.0))
         if visit is not None:
             visit(net)
@@ -212,12 +209,17 @@ def crossing_experiment(
     # most (hW)^2 candidate pairs, so a chunk expects at most one pair block
     chunk = max(1, int(_PAIR_BLOCK / max(h * W, 1.0) ** 2))
     t0 = time.perf_counter()
-    seeds = _replicate_seeds(master_seed, replicates)
+    keys = spawn_keys(master_seed, replicates)
+    # one Philox, re-keyed per replicate to the state Philox(key=key) starts
+    # in: counter 0 and an empty buffer
+    bitgen = np.random.Philox(key=keys[0])
+    rng, state = np.random.Generator(bitgen), bitgen.state
     counts = []
     for start in range(0, replicates, chunk):
         xs, ys = [], []
-        for seed_seq in seeds[start:start + chunk]:
-            rng = rng_from_seed(seed_seq)
+        for key in keys[start:start + chunk]:
+            state["state"]["key"] = key
+            bitgen.state = state
             n = rng.poisson(W * 2.0 * h)
             xs.append(rng.uniform(-W / 2.0, W / 2.0, n))
             ys.append(rng.uniform(-h, h, n))

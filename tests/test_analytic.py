@@ -245,7 +245,47 @@ class TestSecondMoment:
         assert bound == pytest.approx(lam ** 2 + lam, rel=1e-2)
 
 
+def _loop_prop38(s):
+    """The scalar grid search :func:`analytic.prop38_lower_bound` runs on
+    arrays: one objective call per (h, L), the running best replaced only
+    by a strictly larger value."""
+    ginv = analytic.g_inverse(s)
+
+    def objective(h, L):
+        if h <= L / 2.0:
+            return -math.inf
+        mean = analytic.expected_crossings(h, L)
+        prob = mean ** 2 / analytic.second_moment_upper(h, L)
+        return prob / (L + 2.0 * h * ginv)
+
+    hs = np.geomspace(s ** (-1.0 / 16.0), s ** (-0.25), 64)
+    ls = np.geomspace(math.sqrt(s), s ** 0.25, 64)
+    best = (objective(s ** (-0.125), s ** 0.375), s ** (-0.125), s ** 0.375)
+    for h in hs:
+        for L in ls:
+            v = objective(h, L)
+            if v > best[0]:
+                best = (v, h, L)
+    span = max(hs[1] / hs[0], ls[1] / ls[0])
+    for _ in range(3):
+        h0, l0 = best[1], best[2]
+        for h in np.geomspace(h0 / span, h0 * span, 9):
+            for L in np.geomspace(l0 / span, l0 * span, 9):
+                v = objective(h, L)
+                if v > best[0]:
+                    best = (v, h, L)
+        span = span ** 0.4
+    return (math.pi / 2.0) * best[0], best[1], best[2]
+
+
 class TestProp38:
+    @pytest.mark.parametrize("s", [1e-4, 1e-3, 1e-2,
+                                   *np.geomspace(1e-7, 0.0999, 300).tolist()])
+    def test_matches_loop(self, s):
+        got, expected = analytic.prop38_lower_bound(s), _loop_prop38(s)
+        assert got == expected
+        assert [type(v) for v in got] == [type(v) for v in expected]
+
     def test_domain(self):
         for s in (0.0, 0.5):
             with pytest.raises(ValueError):

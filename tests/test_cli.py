@@ -302,6 +302,15 @@ def test_usage_error_prints_the_subcommand_usage(capsys, argv):
     assert capsys.readouterr().err.startswith(f"usage: spanlab {argv[0]} ")
 
 
+@pytest.mark.parametrize("argv", [("generate", "poisson", "--window", "5"),
+                                  ("measure", "net.json", "--stretch", "steiner"),
+                                  ("experiment", "crossing", "--h", "1", "--L", "1")],
+                         ids=["generate", "measure", "experiment"])
+def test_negative_seed_usage_error(capsys, argv):
+    assert run(*argv, "--seed", "-1") == EXIT_USAGE
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+
+
 class TestRepro:
     def test_replays_identical_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from spanlab.configs import (HEX_SPACING, TRI_SPACING, PointConfig, Window,
-                             csv_text, hex_config, poisson, square_grid,
-                             tri_config, uniform_n)
+                             csv_text, hex_config, poisson, spawn_keys,
+                             square_grid, tri_config, uniform_n)
 
 
 class TestWindow:
@@ -113,6 +113,34 @@ class TestRandomGenerators:
     def test_torus_requires_square(self):
         with pytest.raises(ValueError):
             poisson(Window(0, 0, 10, 20), torus=True)
+
+
+class TestSpawnKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 140), st.integers(1, 3000))
+    # one master word; the largest one-word master; two words; three; five,
+    # past the pool of four, so a master word is mixed in after the pool
+    @example(0, 1)
+    @example(0, 3000)
+    @example(1, 2)
+    @example(2 ** 32 - 1, 3000)
+    @example(2 ** 32, 17)
+    @example(2 ** 64 + 7, 3000)
+    @example(2 ** 128 + 5, 3000)
+    @example(2 ** 140 - 1, 1)
+    def test_matches_seed_sequence(self, master, n):
+        keys = spawn_keys(master, n)
+        expected = [child.generate_state(2, np.uint64)
+                    for child in np.random.SeedSequence(master).spawn(n)]
+        assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+        assert np.array_equal(keys, expected)
+
+    def test_negative_master_rejected(self):
+        with pytest.raises(ValueError) as theirs:
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError) as ours:
+            spawn_keys(-1, 3)
+        assert str(ours.value) == str(theirs.value)
 
 
 class TestLattices:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spanlab import analytic, mc, nets
-from spanlab.configs import Window, rng_from_seed, uniform_n
+from spanlab import analytic, mc, metrics, nets
+from spanlab.configs import Window, poisson, rng_from_seed, uniform_n
 
 
 class TestBuilderRegistry:
@@ -50,6 +50,15 @@ class TestEmpiricalLengths:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             mc.empirical_Lk(1)
+
+    def test_replicates_match_spawned_children(self):
+        window = Window.square(10)
+        r = mc.empirical_Lm(6, window, replicates=3, master_seed=5)
+        expected = [metrics.normalized_length(
+                        nets.theta_graph(poisson(window, seed=child, torus=True), 6),
+                        margin_fraction=0.0)
+                    for child in np.random.SeedSequence(5).spawn(3)]
+        assert r.replicate_values == expected
 
     def test_determinism(self):
         a = mc.empirical_Lm(6, Window.square(12), replicates=5, master_seed=4)
@@ -266,7 +275,7 @@ class TestCrossingKernel:
         first, second = mc.crossing_experiment(h, L, replicates=50,
                                                master_seed=17)
         expected = [float(_loop_crossing_count(*_strip_sample(h, L, s), h, L))
-                    for s in mc._replicate_seeds(17, 50)]
+                    for s in np.random.SeedSequence(17).spawn(50)]
         assert first.replicate_values == expected
         assert second.replicate_values == [v * v for v in expected]
 
