@@ -4,9 +4,9 @@ For a range of small stretch excesses s, prints three quantities per row:
 the optimized lower bound on normalized length for Poisson cities, the
 cone-road upper bound k * L_k at the matching stretch, and the
 line-pattern optimum psi_star(1 + s) for patterns of parallel line
-families. The lower and upper bounds bracket the (unknown) optimal curve
-and share the s^(-3/8) growth rate; the line-pattern optimum grows
-faster, like s^(-5/4).
+families. The lower and upper bounds bracket the (unknown) optimal curve:
+the lower bound grows like s^(-3/8) and the cone-road upper bound like
+s^(-3/4). The line-pattern optimum grows faster still, like s^(-5/4).
 
 Run:  python demos/tradeoff_curve.py
 """

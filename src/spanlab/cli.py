@@ -16,8 +16,23 @@ from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, csv_text,
                              hex_config, poisson, square_grid, tri_config,
                              uniform_n)
 
-# flags that carry builder parameters (see nets.BUILDERS)
-_BUILDER_FLAGS = ("m", "k", "t", "variant", "directions")
+# flags that carry builder parameters (see nets.BUILDERS) -> add_argument keywords
+_BUILDER_FLAGS = {
+    "m": {"type": int},
+    "k": {"type": int},
+    "t": {"type": float},
+    "variant": {"choices": ["N1", "N2", "N3"]},
+    "directions": {"help": "comma-separated cone direction indices"},
+}
+
+# configuration kind -> (flags it requires, generator(window, args))
+_GENERATORS = {
+    "poisson": ((), lambda w, a: poisson(w, rate=a.rate, seed=a.seed, torus=a.torus)),
+    "uniform": (("n",), lambda w, a: uniform_n(a.n, w, seed=a.seed, torus=a.torus)),
+    "square": ((), lambda w, a: square_grid(w)),
+    "hex": ((), lambda w, a: hex_config(w)),
+    "tri": ((), lambda w, a: tri_config(w)),
+}
 
 # experiment name -> flags it requires (a --net also requires its builder's)
 _EXPERIMENT_FLAGS = {
@@ -94,19 +109,7 @@ def _save_run(path: str | None, argv: list[str]) -> None:
 
 
 def cmd_generate(args) -> int:
-    window = _window_arg(args.window)
-    if args.kind == "poisson":
-        cfg = poisson(window, rate=args.rate, seed=args.seed, torus=args.torus)
-    elif args.kind == "uniform":
-        cfg = uniform_n(args.n, window, seed=args.seed, torus=args.torus)
-    elif args.kind == "square":
-        cfg = square_grid(window)
-    elif args.kind == "hex":
-        cfg = hex_config(window)
-    elif args.kind == "tri":
-        cfg = tri_config(window)
-    else:
-        raise ValueError(f"unknown configuration kind {args.kind!r}")
+    cfg = _GENERATORS[args.kind][1](_window_arg(args.window), args)
     _write(args.out, cfg.to_json())
     return EXIT_OK
 
@@ -161,28 +164,19 @@ def cmd_bounds(args) -> int:
 
 def cmd_experiment(args) -> int:
     window = _window_arg(args.window)
-    results = []
+    runs = {"replicates": args.replicates, "master_seed": args.seed}
     if args.name == "psi_ave_upper":
-        result, worst = mc.estimate_psi_ave_upper(
-            args.net, _builder_params(args), window, replicates=args.replicates,
-            master_seed=args.seed, mode=args.mode)
-        results.append(result)
+        result, worst = mc.estimate_psi_ave_upper(args.net, _builder_params(args), window,
+                                                  mode=args.mode, **runs)
+        results = [result]
         sys.stderr.write(f"max stretch {worst.max_ratio:.17g} over "
                          f"{worst.n_pairs} pairs\n")
     elif args.name == "crossing":
-        first, second = mc.crossing_experiment(
-            args.h, args.L, replicates=args.replicates, master_seed=args.seed)
-        results += [first, second]
+        results = list(mc.crossing_experiment(args.h, args.L, **runs))
     elif args.name == "empirical_lm":
-        results.append(mc.empirical_Lm(args.m, window,
-                                       replicates=args.replicates,
-                                       master_seed=args.seed))
-    elif args.name == "empirical_lk":
-        results.append(mc.empirical_Lk(args.k, window,
-                                       replicates=args.replicates,
-                                       master_seed=args.seed))
-    else:
-        raise ValueError(f"unknown experiment {args.name!r}")
+        results = [mc.empirical_Lm(args.m, window, **runs)]
+    else:  # empirical_lk
+        results = [mc.empirical_Lk(args.k, window, **runs)]
     _write(args.out, csv_text(RESULT_CSV_HEADER,
                               [(r.estimator, r.params, r.mean, r.se, r.n, r.seed)
                                for r in results]))
@@ -208,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample or construct a configuration")
-    g.add_argument("kind", choices=["poisson", "uniform", "square", "hex", "tri"])
+    g.add_argument("kind", choices=list(_GENERATORS))
     g.add_argument("--window", default="40", help="SIDE or X0,Y0,X1,Y1")
     g.add_argument("--rate", type=float, default=1.0)
     g.add_argument("--n", type=int)
@@ -220,11 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a network over a configuration")
     b.add_argument("config", help="configuration JSON file")
     b.add_argument("net", choices=list(nets.BUILDERS))
-    b.add_argument("--m", type=int)
-    b.add_argument("--k", type=int)
-    b.add_argument("--t", type=float)
-    b.add_argument("--variant", choices=["N1", "N2", "N3"])
-    b.add_argument("--directions", help="comma-separated cone direction indices")
+    for name, options in _BUILDER_FLAGS.items():
+        b.add_argument(f"--{name}", **options)
     b.add_argument("--out", default="-")
     b.set_defaults(func=cmd_build)
 
@@ -255,10 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("name", choices=list(_EXPERIMENT_FLAGS))
     e.add_argument("--net", choices=[kind for kind in nets.BUILDERS
                                      if kind not in ("alt_diag", "lattice")])
-    e.add_argument("--m", type=int)
-    e.add_argument("--k", type=int)
-    e.add_argument("--t", type=float)
-    e.add_argument("--variant", choices=["N1", "N2", "N3"])
+    for name, options in _BUILDER_FLAGS.items():
+        if name != "directions":  # psi_ave_upper builds cone roads in every direction
+            e.add_argument(f"--{name}", **options)
     e.add_argument("--h", type=float)
     e.add_argument("--L", type=float)
     e.add_argument("--mode", choices=["steiner", "graph"], default="steiner")
@@ -290,8 +280,8 @@ def main(argv=None) -> int:
         required = {}
         if args.command == "experiment":
             required[args.name] = _EXPERIMENT_FLAGS[args.name]
-        elif args.command == "generate" and args.kind == "uniform":
-            required["uniform"] = ("n",)
+        elif args.command == "generate":
+            required[args.kind] = _GENERATORS[args.kind][0]
         elif args.command == "bounds" and not args.table and all(
                 getattr(args, name) is None for name in _BOUND_FLAGS):
             args.usage_error("pick one of --table/--psi-star/--prop38/--lm/--lk")

@@ -114,7 +114,7 @@ class PointConfig:
     torus: bool = False
     kind: str = "custom"
     params: dict = field(default_factory=dict)
-    seed: int | None = None
+    seed: int | np.ndarray | None = None  # an integer or a spawn_keys key
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
@@ -136,7 +136,7 @@ class PointConfig:
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "params": self.params,
-            "seed": self.seed,
+            "seed": self.seed.tolist() if isinstance(self.seed, np.ndarray) else self.seed,
             "window": [self.window.x0, self.window.y0, self.window.x1, self.window.y1],
             "torus": self.torus,
             "points": [[float(x), float(y)] for x, y in self.points],
@@ -146,13 +146,16 @@ class PointConfig:
     @staticmethod
     def from_json(text: str) -> "PointConfig":
         doc = json.loads(text)
+        seed = doc.get("seed")
+        if isinstance(seed, list) and len(seed) == 2:  # a replicate's Philox key
+            seed = np.array(seed, dtype=np.uint64)
         return PointConfig(
             points=np.array(doc["points"], dtype=float).reshape(-1, 2),
             window=Window(*doc["window"]),
             torus=bool(doc["torus"]),
             kind=doc.get("kind", "custom"),
             params=doc.get("params", {}),
-            seed=doc.get("seed"),
+            seed=seed,
         )
 
 
@@ -208,16 +211,20 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _uniform_points(rng, window: Window, n: int) -> np.ndarray:
+    """n i.i.d. uniform points in the window: all x draws, then all y."""
+    return np.column_stack([
+        rng.uniform(window.x0, window.x1, n),
+        rng.uniform(window.y0, window.y1, n),
+    ])
+
+
 def poisson(window: Window, rate: float = 1.0, seed: int = 0, torus: bool = False) -> PointConfig:
     """Poisson point process: count ~ Poisson(rate * area), positions uniform."""
     if rate < 0:
         raise ValueError("rate must be nonnegative")
     rng = rng_from_seed(seed)
-    n = rng.poisson(rate * window.area)
-    pts = np.column_stack([
-        rng.uniform(window.x0, window.x1, n),
-        rng.uniform(window.y0, window.y1, n),
-    ])
+    pts = _uniform_points(rng, window, rng.poisson(rate * window.area))
     return PointConfig(pts, window, torus=torus, kind="poisson",
                        params={"rate": rate}, seed=seed)
 
@@ -226,11 +233,7 @@ def uniform_n(n: int, window: Window, seed: int = 0, torus: bool = False) -> Poi
     """Exactly n i.i.d. uniform points in the window."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = rng_from_seed(seed)
-    pts = np.column_stack([
-        rng.uniform(window.x0, window.x1, n),
-        rng.uniform(window.y0, window.y1, n),
-    ])
+    pts = _uniform_points(rng_from_seed(seed), window, n)
     return PointConfig(pts, window, torus=torus, kind="uniform",
                        params={"n": n}, seed=seed)
 
@@ -251,21 +254,18 @@ def _row_lattice(window: Window, row_height: float, offsets_even, offsets_odd, p
     # anchor half a cell in from the lower-left corner
     x_anchor = window.x0 + period / 2.0
     y_anchor = window.y0 + row_height / 2.0
-    rows = []
-    j = 0
-    y = y_anchor
-    while y <= window.y1:
-        offsets = offsets_even if j % 2 == 0 else offsets_odd
-        k_min = math.floor((window.x0 - x_anchor) / period) - 1
-        k_max = math.ceil((window.x1 - x_anchor) / period) + 1
-        for k in range(k_min, k_max + 1):
-            for off in offsets:
-                x = x_anchor + k * period + off
-                if window.x0 <= x <= window.x1:
-                    rows.append((x, y))
-        j += 1
-        y = y_anchor + j * row_height
-    return np.array(rows, dtype=float).reshape(-1, 2)
+    k = np.arange(math.floor((window.x0 - x_anchor) / period) - 1,
+                  math.ceil((window.x1 - x_anchor) / period) + 2)
+    patterns = []
+    for offsets in (offsets_even, offsets_odd):
+        x = (x_anchor + k[:, None] * period + np.array(offsets)).ravel()
+        patterns.append(x[(window.x0 <= x) & (x <= window.x1)])
+    n_rows = max(0, math.floor((window.y1 - y_anchor) / row_height) + 2)
+    ys = y_anchor + np.arange(n_rows) * row_height
+    ys = ys[ys <= window.y1]  # y grows with the row index, so this keeps a prefix
+    rows = [patterns[j % 2] for j in range(len(ys))]
+    return np.column_stack([np.concatenate([np.empty(0), *rows]),
+                            np.repeat(ys, [len(x) for x in rows])])
 
 
 def hex_config(window: Window) -> PointConfig:

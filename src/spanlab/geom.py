@@ -166,16 +166,10 @@ class RoutingGraph:
         return float(self.weights.sum())
 
     def _matrix(self) -> csr_matrix:
-        if self._csr is None:
-            n = self.n_nodes
-            if len(self.edges):
-                i = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-                j = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-                w = np.concatenate([self.weights, self.weights])
-            else:
-                i = j = np.empty(0, dtype=int)
-                w = np.empty(0)
-            self._csr = csr_matrix((w, (i, j)), shape=(n, n))
+        if self._csr is None:  # both directions of every edge
+            n, e = self.n_nodes, self.edges
+            self._csr = csr_matrix((np.tile(self.weights, 2), (e.T.ravel(), e[:, ::-1].T.ravel())),
+                                   shape=(n, n))
         return self._csr
 
     def distances_from(self, city: int) -> np.ndarray:
@@ -207,11 +201,6 @@ def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def _lengths(S: np.ndarray) -> np.ndarray:
     return _hypot(S[:, 2] - S[:, 0], S[:, 3] - S[:, 1])
-
-
-def _segment(S: np.ndarray, k: int) -> Segment:
-    x1, y1, x2, y2 = S[k].tolist()
-    return Segment((x1, y1), (x2, y2))
 
 
 def _expand(counts: np.ndarray):
@@ -402,7 +391,7 @@ def _merge_overlaps(S: np.ndarray, cell: float, pad: float):
         for i, j in near.tolist():
             if i in merged_away or j in merged_away:
                 continue
-            si, sj = _segment(S, i), _segment(S, j)
+            si, sj = (Segment(*map(tuple, S[k].reshape(2, 2).tolist())) for k in (i, j))
             if isinstance(segment_intersection(si, sj), Segment):
                 # union of the two collinear segments
                 pts = [si.a, si.b, sj.a, sj.b]

@@ -35,9 +35,7 @@ class ExperimentResult:
     wall_time: float = 0.0
 
     def to_json(self) -> str:
-        doc = dict(self.__dict__)
-        doc["schema_version"] = SCHEMA_VERSION
-        return json.dumps(doc)
+        return json.dumps({**self.__dict__, "schema_version": SCHEMA_VERSION})
 
 
 def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:

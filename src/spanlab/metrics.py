@@ -8,6 +8,7 @@ clipped exactly to an inner window to control boundary effects.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -35,10 +36,7 @@ class StretchReport:
     exact: bool
 
     def to_json(self) -> str:
-        doc = dict(self.__dict__)
-        doc["argmax_pair"] = list(self.argmax_pair)
-        doc["schema_version"] = SCHEMA_VERSION
-        return json.dumps(doc)
+        return json.dumps({**self.__dict__, "schema_version": SCHEMA_VERSION})
 
 
 def _interior_mask(net: Network, margin_fraction: float) -> np.ndarray:
@@ -141,71 +139,70 @@ def local_stretch(
 
     neighbor_rule "unit-distance" pairs cities at Euclidean distance 1;
     "mutual-nearest" pairs each city with its nearest neighbor when the
-    relation is symmetric.  Only pairs with both cities in the inner window
-    are scored.
+    relation is symmetric.  Only pairs of distinct positions with both
+    cities in the inner window are scored.
     """
     pts = net.config.points
     tree = cKDTree(pts)
     tol = 1e-9
     if neighbor_rule == "unit-distance":
-        pairs = tree.query_pairs(r=1.0 + tol)
-        pairs = {(i, j) for i, j in pairs
-                 if abs(np.hypot(*(pts[i] - pts[j])) - 1.0) <= tol}
+        pairs = tree.query_pairs(r=1.0 + tol, output_type="ndarray").reshape(-1, 2)
+        i, j = pairs.T
+        pairs = pairs[np.abs(np.hypot(*(pts[i] - pts[j]).T) - 1.0) <= tol]
     elif neighbor_rule == "mutual-nearest":
-        d, idx = tree.query(pts, k=2)
-        nn_dist = d[:, 1]
-        pairs = set()
-        for i in range(len(pts)):
-            cand = tree.query_ball_point(pts[i], nn_dist[i] * (1 + tol))
-            for j in cand:
-                if j != i and nn_dist[j] * (1 + tol) >= np.hypot(*(pts[i] - pts[j])):
-                    pairs.add((min(i, j), max(i, j)))
+        nn_dist = tree.query(pts, k=2)[0][:, 1]
+        near = tree.query_ball_point(pts, nn_dist * (1 + tol))
+        i = np.repeat(np.arange(len(pts)), [len(c) for c in near])
+        j = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=len(i))
+        mutual = (i != j) & (nn_dist[j] * (1 + tol) >= np.hypot(*(pts[i] - pts[j]).T))
+        pairs = np.sort(np.column_stack([i, j])[mutual], axis=1)
     else:
         raise ValueError(f"unknown neighbor_rule {neighbor_rule!r}")
 
+    # each pair once, grouped by its smaller index, which is its source
+    i, j = np.unique(pairs, axis=0).T
+    d = np.hypot(*(pts[i] - pts[j]).T)
     mask = _interior_mask(net, margin_fraction)
-    pairs = [(i, j) for i, j in pairs if mask[i] and mask[j]]
-    if not pairs:
+    keep = mask[i] & mask[j] & (d > 0)  # coincident cities have no ratio, as in stretch
+    i, j, d = i[keep], j[keep], d[keep]
+    if len(i) == 0:
         raise ValueError("no neighbor pairs inside the inner window")
     g = routing_graph(net, "steiner")
-    best = -math.inf
-    by_src: dict[int, list[int]] = {}
-    for i, j in pairs:
-        by_src.setdefault(i, []).append(j)
-    for i, targets in by_src.items():
-        dist = g.distances_from(i)
-        for j in targets:
-            d_ij = float(np.hypot(*(pts[i] - pts[j])))
-            best = max(best, float(dist[g.city_nodes[j]]) / d_ij)
-    return best
+    sources, start = np.unique(i, return_index=True)
+    return max(float(np.max(g.distances_from(int(src))[g.city_nodes[js]] / ds))
+               for src, js, ds in zip(sources, np.split(j, start[1:]), np.split(d, start[1:])))
+
+
+def _planar_segments(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """A network's segments in the plane, and a mask of those that count
+    nothing.  A torus gives the translates of its roads that meet the
+    closed window; its far edges x1 and y1 are its near edges x0 and y0, so
+    a translate lying along a far edge repeats the one along the near edge.
+    """
+    if not net.config.torus:
+        return net.segments, np.zeros(len(net.segments), dtype=bool)
+    win, segs = net.config.window, unwrap(net, 0.0).segments
+    return segs, (((segs[:, 0] == win.x1) & (segs[:, 2] == win.x1))
+                  | ((segs[:, 1] == win.y1) & (segs[:, 3] == win.y1)))
 
 
 def normalized_length(net: Network, margin_fraction: float = DEFAULT_MARGIN) -> float:
     """Total network length inside the inner window, per unit inner area.
 
     Segments are clipped exactly; toroidal networks are unrolled first so
-    wrapped road pieces land back inside the window.  On a torus the far
-    edges x1 and y1 are the near ones, so a translate lying along a far
-    edge counts nothing: its translate along the near edge counts it.
+    wrapped road pieces land back inside the window, and a road along a
+    seam counts once (see ``_planar_segments``).
     """
     if not 0 <= margin_fraction < 0.5:
         raise ValueError("margin_fraction must be in [0, 0.5)")
-    torus = net.config.torus
-    if torus:
-        net = unwrap(net, 0.0)
-    win = net.config.window
-    inner = win.inner(margin_fraction)
+    inner = net.config.window.inner(margin_fraction)
     if inner.area <= 0:
         raise ValueError("empty inner window")
-    if len(net.segments) == 0:
-        return 0.0
-    segs = net.segments
+    segs, far = _planar_segments(net)
     dx, dy = segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]
     t0, t1 = inner.clip(segs[:, 0], segs[:, 1], dx, dy, 0.0, 1.0)
     clipped = np.clip(t1 - t0, 0.0, 1.0) * np.hypot(dx, dy)
-    if torus:  # zeroed in place, so the other terms sum as before
-        clipped[((segs[:, 0] == win.x1) & (segs[:, 2] == win.x1))
-                | ((segs[:, 1] == win.y1) & (segs[:, 3] == win.y1))] = 0.0
+    clipped[far] = 0.0  # zeroed in place, so the other terms sum as before
     return float(clipped.sum()) / inner.area
 
 
@@ -226,15 +223,18 @@ def intersection_rate(
     """
     if n_lines < 1:
         raise ValueError("n_lines must be >= 1")
-    if net.config.torus:
-        net = unwrap(net, 0.0)
-    inner = net.config.window.inner(margin_fraction)
+    win = net.config.window
+    inner = win.inner(margin_fraction)
+    segs, far = _planar_segments(net)
+    segs = segs[~far]
+    # a torus keeps a seam road along the near edge, where a line meets it at
+    # a chord end: a hit within routing_graph's snap tolerance of one counts
+    slack = 1e-9 * max(win.diameter, 1.0) if net.config.torus else 0.0
     rng = rng_from_seed(seed)
     cx = 0.5 * (inner.x0 + inner.x1)
     cy = 0.5 * (inner.y0 + inner.y1)
     R = 0.5 * math.hypot(inner.width, inner.height)
 
-    segs = net.segments
     ax, ay = segs[:, 0], segs[:, 1]
     bx, by = segs[:, 2], segs[:, 3]
 
@@ -262,7 +262,7 @@ def intersection_rate(
         ix = ax + u * (bx - ax)
         iy = ay + u * (by - ay)
         t = c * (ix - px) + s * (iy - py)
-        inside = crossing & (t >= t0) & (t <= t1)
+        inside = crossing & (t >= t0 - slack) & (t <= t1 + slack)
         counts[lo:hi] = inside.sum(axis=1)
     total_len = chords.sum()
     if total_len == 0:

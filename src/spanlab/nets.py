@@ -204,22 +204,23 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     return keys[first], segs[first], cone[first]
 
 
+def _cone_graph(config: PointConfig, m: int, criterion: str, kind: str) -> Network:
+    if m < 6 or int(m) != m:
+        raise ValueError("m must be an integer >= 6")
+    _, segs, _ = _cone_edges(config, m, criterion)
+    return Network(config, segs, kind, {"m": int(m)})
+
+
 def theta_graph(config: PointConfig, m: int) -> Network:
     """Theta-graph: per city and per angle-2pi/m cone (boundaries at angles
     2*pi*i/m), one edge to the point whose projection onto the cone bisector
     is nearest; mutual edges stored once."""
-    if m < 6 or int(m) != m:
-        raise ValueError("m must be an integer >= 6")
-    _, segs, _ = _cone_edges(config, m, "projection")
-    return Network(config, segs, "theta", {"m": int(m)})
+    return _cone_graph(config, m, "projection", "theta")
 
 
 def yao_graph(config: PointConfig, m: int) -> Network:
     """Yao graph: same cones as the theta-graph, nearest by Euclidean distance."""
-    if m < 6 or int(m) != m:
-        raise ValueError("m must be an integer >= 6")
-    _, segs, _ = _cone_edges(config, m, "distance")
-    return Network(config, segs, "yao", {"m": int(m)})
+    return _cone_graph(config, m, "distance", "yao")
 
 
 def cone_road_network(config: PointConfig, k: int, directions=None) -> Network:
@@ -307,21 +308,15 @@ def grid_freeway(config: PointConfig, t: float, variant: str = "N1") -> Network:
     m = max(1, round(W / t))
     t = W / m
     m_y = max(1, round(H / t))
-    # on a torus the lines at x1 and y1 are those at x0 and y0
-    lines = 0 if config.torus else 1
-    segs = []
-    for j in range(m + lines):
-        x = win.x0 + j * t
-        segs.append((x, win.y0, x, win.y1))
-    for j in range(m_y + lines):
-        y = win.y0 + j * t
-        segs.append((win.x0, y, win.x1, y))
+    # (cell fraction, extra line) of the skeleton, whose lines at x1 and y1
+    # are on a torus those at x0 and y0, then of the variant's interior roads
     interior = {"N1": (), "N2": (0.5,), "N3": (1.0 / 3.0, 2.0 / 3.0)}[variant]
-    for frac in interior:
-        for j in range(m):
+    segs = []
+    for frac, extra in [(0.0, 0 if config.torus else 1), *((f, 0) for f in interior)]:
+        for j in range(m + extra):
             x = win.x0 + (j + frac) * t
             segs.append((x, win.y0, x, win.y1))
-        for j in range(m_y):
+        for j in range(m_y + extra):
             y = win.y0 + (j + frac) * t
             segs.append((win.x0, y, win.x1, y))
     for cx, cy in config.points:

@@ -180,6 +180,53 @@ class TestLattices:
             hex_config(Window.square(1.0))
 
 
+def _loop_row_lattice(window, row_height, offsets_even, offsets_odd, period):
+    """Reference: the point-by-point loop that configs._row_lattice replaced."""
+    x_anchor = window.x0 + period / 2.0
+    y_anchor = window.y0 + row_height / 2.0
+    rows = []
+    j = 0
+    y = y_anchor
+    while y <= window.y1:
+        offsets = offsets_even if j % 2 == 0 else offsets_odd
+        k_min = math.floor((window.x0 - x_anchor) / period) - 1
+        k_max = math.ceil((window.x1 - x_anchor) / period) + 1
+        for k in range(k_min, k_max + 1):
+            for off in offsets:
+                x = x_anchor + k * period + off
+                if window.x0 <= x <= window.x1:
+                    rows.append((x, y))
+        j += 1
+        y = y_anchor + j * row_height
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
+# (generator, spacing, even-row offsets, odd-row offsets, period), as
+# hex_config and tri_config call _row_lattice
+_ROW_LATTICES = [
+    (hex_config, HEX_SPACING, (0.0, HEX_SPACING), (1.5 * HEX_SPACING, 2.5 * HEX_SPACING),
+     3.0 * HEX_SPACING),
+    (tri_config, TRI_SPACING, (0.0,), (0.5 * TRI_SPACING,), TRI_SPACING),
+]
+
+
+class TestRowLattice:
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(2.7, 30.0),
+           st.floats(2.7, 30.0))
+    @settings(max_examples=200, deadline=None)
+    @example(0.0, 0.0, 10.0, 10.0)
+    @example(-3.5, 7.25, 11.3, 4.9)
+    @example(0.1, -0.3, 2.7, 2.7)
+    def test_matches_loop(self, x0, y0, width, height):
+        window = Window(x0, y0, x0 + width, y0 + height)
+        for make, ell, even, odd, period in _ROW_LATTICES:
+            row_h = math.sqrt(3.0) * ell / 2.0
+            want = _loop_row_lattice(window, row_h, even, odd, period)
+            got = make(window).points
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestSerialization:
     def test_round_trip(self):
         cfg = poisson(Window.square(8), seed=3, torus=True)
@@ -187,6 +234,16 @@ class TestSerialization:
         assert np.array_equal(back.points, cfg.points)
         assert back.torus and back.kind == "poisson"
         assert back.window == cfg.window
+        assert back.seed == 3 and type(back.seed) is int
+
+    def test_replicate_key_seed_round_trip(self):
+        window = Window.square(10)
+        cfg = poisson(window, seed=spawn_keys(0, 1)[0])
+        back = PointConfig.from_json(cfg.to_json())
+        assert back.seed.dtype == np.uint64
+        assert np.array_equal(back.seed, cfg.seed)
+        assert np.array_equal(back.points, cfg.points)
+        assert np.array_equal(poisson(window, seed=back.seed).points, cfg.points)
 
     def test_schema_version_present(self):
         import json

@@ -443,7 +443,7 @@ class TestTopologyFastPaths:
             return
         P, cols = geom._pair_arrays(S, pairs)
         for i, j in P[geom._shares_endpoint(*cols)].tolist():
-            s, t = geom._segment(S, i), geom._segment(S, j)
+            s, t = (Segment(*map(tuple, S[k].reshape(2, 2).tolist())) for k in (i, j))
             hit = segment_intersection(s, t)
             assert not isinstance(hit, Segment) and hit is not None
             assert hit in (s.a, s.b) and hit in (t.a, t.b)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from spanlab import metrics, nets
 from spanlab.configs import (PointConfig, Window, hex_config, poisson, square_grid,
@@ -264,7 +265,62 @@ def _assert_matches_tiles(net, mode, g=None):
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def _loop_local_stretch(net, neighbor_rule, margin_fraction=metrics.DEFAULT_MARGIN):
+    """Reference: the set-and-loop local stretch that the cKDTree array
+    queries of metrics.local_stretch replaced."""
+    pts = net.config.points
+    tree = cKDTree(pts)
+    tol = 1e-9
+    if neighbor_rule == "unit-distance":
+        pairs = {(i, j) for i, j in tree.query_pairs(r=1.0 + tol)
+                 if abs(np.hypot(*(pts[i] - pts[j])) - 1.0) <= tol}
+    else:
+        nn_dist = tree.query(pts, k=2)[0][:, 1]
+        pairs = set()
+        for i in range(len(pts)):
+            for j in tree.query_ball_point(pts[i], nn_dist[i] * (1 + tol)):
+                if j != i and nn_dist[j] * (1 + tol) >= np.hypot(*(pts[i] - pts[j])):
+                    pairs.add((min(i, j), max(i, j)))
+    inner = net.config.window.inner(margin_fraction)
+    mask = inner.contains(pts)
+    g = metrics.routing_graph(net, "steiner")
+    by_src = {}
+    for i, j in pairs:
+        if mask[i] and mask[j]:
+            by_src.setdefault(i, []).append(j)
+    best = -math.inf
+    for i, targets in by_src.items():
+        dist = g.distances_from(i)
+        for j in targets:
+            best = max(best, float(dist[g.city_nodes[j]]) / float(np.hypot(*(pts[i] - pts[j]))))
+    return best
+
+
+_LOCAL_STRETCH_CASES = [
+    ("hex", lambda: nets.lattice_edges(hex_config(Window.square(10))), "mutual-nearest"),
+    ("tri", lambda: nets.lattice_edges(tri_config(Window.square(10))), "mutual-nearest"),
+    ("square", lambda: nets.lattice_edges(square_grid(Window.square(10))), "mutual-nearest"),
+    ("square", lambda: nets.lattice_edges(square_grid(Window.square(10))), "unit-distance"),
+    ("alt_diag", lambda: nets.alternate_diagonals(Window.square(10)), "unit-distance"),
+] + [
+    (f"{name}-{seed}", lambda build=build, seed=seed: build(poisson(Window.square(15), seed=seed)),
+     "mutual-nearest")
+    for seed in range(5)
+    for name, build in (("delaunay", nets.delaunay), ("theta6", lambda c: nets.theta_graph(c, 6)))
+] + [
+    (f"grid_freeway-{seed}", lambda seed=seed: nets.grid_freeway(
+        poisson(Window.square(15), seed=seed), 3.0), "mutual-nearest")
+    for seed in range(2)
+]
+
+
 class TestLocalStretch:
+    @pytest.mark.parametrize("name,build,rule", _LOCAL_STRETCH_CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in _LOCAL_STRETCH_CASES])
+    def test_matches_loop(self, name, build, rule):
+        net = build()
+        assert metrics.local_stretch(net, rule) == _loop_local_stretch(net, rule)
+
     def test_hex_lattice_direct_edges(self):
         net = nets.lattice_edges(hex_config(Window.square(10)))
         ratio = metrics.local_stretch(net, "mutual-nearest")
@@ -281,6 +337,13 @@ class TestLocalStretch:
         net = nets.alternate_diagonals(Window.square(10))
         ratio = metrics.local_stretch(net, "unit-distance")
         assert ratio == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+    def test_coincident_cities_are_not_a_pair(self):
+        # cities 0 and 1 coincide: their pair has no ratio and is skipped,
+        # as stretch skips it; 2 and 3 are the one other mutual pair
+        net = _net([[2, 2], [2, 2], [5, 5], [6, 5], [5, 7]],
+                   [[2, 2, 5, 5], [5, 5, 6, 5], [5, 5, 5, 7]])
+        assert metrics.local_stretch(net, "mutual-nearest", 0.0) == 1.0
 
     def test_bad_rule_rejected(self):
         net = nets.lattice_edges(square_grid(Window.square(6)))
@@ -360,6 +423,15 @@ class TestIntersectionRate:
         net = nets.alternate_diagonals(Window.square(20))
         rate, se = metrics.intersection_rate(net, n_lines=6000, seed=2)
         L = metrics.normalized_length(net, 0.1)
+        assert abs(L - (math.pi / 2.0) * rate) <= 3 * (math.pi / 2.0) * se
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_torus_seam_roads_cross_once(self, seed):
+        # the torus grid_freeway skeleton runs along both seams; a seam road
+        # is met at a chord end and must count once, not once per translate
+        net = nets.grid_freeway(poisson(Window.square(12), seed=seed, torus=True), 3.0)
+        L = metrics.normalized_length(net, 0.0)
+        rate, se = metrics.intersection_rate(net, n_lines=2000, seed=seed, margin_fraction=0.0)
         assert abs(L - (math.pi / 2.0) * rate) <= 3 * (math.pi / 2.0) * se
 
     def test_determinism(self):
