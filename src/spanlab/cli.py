@@ -267,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     for s in (g, b, m, bo, e):
         s.add_argument("--save-run", dest="save_run",
                        help="record this invocation as a replayable run file")
+    for s in (g, b, m, bo, e, r):
         s.set_defaults(usage_error=s.error)  # prints the subcommand's usage
     return p
 
@@ -276,7 +277,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # the top level takes no flag but -h, so anything before the
+            # subcommand is its own
+            report = parser.error if argv.index(args.command) else args.usage_error
+            report(f"unrecognized arguments: {' '.join(extra)}")
         required = {}
         if args.command == "experiment":
             required[args.name] = _EXPERIMENT_FLAGS[args.name]

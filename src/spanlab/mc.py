@@ -6,7 +6,9 @@ that partner numerically.  Replicate i draws its own Philox substream,
 keyed by row i of ``configs.spawn_keys(master_seed, replicates)``: the key
 of the i-th spawned child of ``SeedSequence(master_seed)``, derived for all
 replicates in one vector pass.  So results are reproducible and
-order-independent.
+order-independent.  A crossing replicate reads its n points in one
+``random(2n)`` call, x from the first n doubles and y from the next n:
+the same values as ``uniform(-W/2, W/2, n)`` then ``uniform(-h, h, n)``.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ def _crossing_counts(rep, xs, ys, h: float, L: float, replicates: int) -> np.nda
     can count; the band kept is 1 wider on each side, far above rounding.
     Above-axis points are sorted by the exact complex key rep + i x, which
     numpy orders lexicographically, so each below-axis point finds its
-    partners in its own replicate's 2h x-window.  All friend pairs are
+    partners in its own replicate's 2h x-window, clamped to [-1, L + 1] on
+    the side of [0, L] it lies beyond.  All friend pairs are
     expanded with numpy, in blocks of below-axis points holding at most
     ``_PAIR_BLOCK`` candidate pairs (or one point's candidates, when those
     alone exceed it).
@@ -160,9 +163,14 @@ def _crossing_counts(rep, xs, ys, h: float, L: float, replicates: int) -> np.nda
     order = np.argsort(key)
     key, ya = key[order], ys[above][order]
     xa = key.imag
-    # |dx| < y2 - y1 <= 2h restricts partners to a 2h x-window
-    lo = np.searchsorted(key, rb + 1j * (xb - 2.0 * h))
-    hi = np.searchsorted(key, rb + 1j * (xb + 2.0 * h))
+    # |dx| < y2 - y1 <= 2h restricts partners to a 2h x-window; the crossing
+    # lies between x1 and x2, so x1 < 0 needs x2 >= 0 and x1 > L needs
+    # x2 <= L (clamped with the band's margin of 1)
+    left, right = xb - 2.0 * h, xb + 2.0 * h
+    left = np.where(xb < 0.0, np.maximum(left, -1.0), left)
+    right = np.where(xb > L, np.minimum(right, L + 1.0), right)
+    lo = np.searchsorted(key, rb + 1j * left)
+    hi = np.searchsorted(key, rb + 1j * right)
     sizes = hi - lo
     ends = np.cumsum(sizes)
     starts = ends - sizes  # flat index of each point's first candidate pair
@@ -219,10 +227,14 @@ def crossing_experiment(
             state["state"]["key"] = key
             bitgen.state = state
             n = rng.poisson(W * 2.0 * h)
-            xs.append(rng.uniform(-W / 2.0, W / 2.0, n))
-            ys.append(rng.uniform(-h, h, n))
+            u = rng.random(2 * n)
+            xs.append(u[:n])
+            ys.append(u[n:])
         rep = np.repeat(np.arange(len(xs)), [len(x) for x in xs])
-        counts.append(_crossing_counts(rep, np.concatenate(xs), np.concatenate(ys),
+        # uniform(low, high) is low + (high - low) * the next double, and the
+        # ranges W and 2h are exact: the same bits as two uniform calls
+        counts.append(_crossing_counts(rep, -W / 2.0 + W * np.concatenate(xs),
+                                       -h + 2.0 * h * np.concatenate(ys),
                                        h, L, len(xs)))
     counts = np.concatenate(counts).astype(float)
     params = {"h": h, "L": L, "W": W}

@@ -302,6 +302,25 @@ def test_usage_error_prints_the_subcommand_usage(capsys, argv):
     assert capsys.readouterr().err.startswith(f"usage: spanlab {argv[0]} ")
 
 
+@pytest.mark.parametrize("argv", [("experiment", "empirical_lk", "--k", "2",
+                                   "--directions", "1"),
+                                  ("generate", "poisson", "--bogus"),
+                                  ("bounds", "--lm", "6", "extra"),
+                                  ("repro", "run.json", "--bogus")])
+def test_unrecognized_argument_prints_the_subcommand_usage(capsys, argv):
+    assert run(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: spanlab {argv[0]} ")
+    assert f"spanlab {argv[0]}: error: unrecognized arguments: " in err
+
+
+def test_unrecognized_top_level_flag_prints_the_top_level_usage(capsys):
+    assert run("--bogus", "generate", "poisson") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spanlab [-h] ")
+    assert "spanlab: error: unrecognized arguments: --bogus" in err
+
+
 @pytest.mark.parametrize("argv", [("generate", "poisson", "--window", "5"),
                                   ("measure", "net.json", "--stretch", "steiner"),
                                   ("experiment", "crossing", "--h", "1", "--L", "1")],

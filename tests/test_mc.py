@@ -259,23 +259,29 @@ class TestCrossingKernel:
         assert list(counts) == _loop_counts(rep, xs, ys, 2.0, 0.5, 8)
 
     def test_several_blocks_at_large_h(self):
-        # the band keeps x in [-h - 1, L + h + 1]; its pairs fill 2.5 blocks
-        h, L = 28.0, 1.0
+        # the band keeps x in [-h - 1, L + h + 1] and each point's window is
+        # clamped to [-1, L + 1] beyond [0, L]; its pairs fill 2.3 blocks
+        h, L = 32.0, 1.0
         xs, ys = _strip_sample(h, L, 5)
         band = (xs >= -h - 1.0) & (xs <= L + h + 1.0)
         xa = np.sort(xs[band & (ys >= 0)])
         xb = xs[band & (ys < 0)]
-        pairs = int((np.searchsorted(xa, xb + 2.0 * h)
-                     - np.searchsorted(xa, xb - 2.0 * h)).sum())
+        lo = np.where(xb < 0.0, np.maximum(xb - 2.0 * h, -1.0), xb - 2.0 * h)
+        hi = np.where(xb > L, np.minimum(xb + 2.0 * h, L + 1.0), xb + 2.0 * h)
+        pairs = int((np.searchsorted(xa, hi) - np.searchsorted(xa, lo)).sum())
         assert pairs > 2 * mc._PAIR_BLOCK
         assert _one_replicate(xs, ys, h, L) == _loop_crossing_count(xs, ys, h, L)
 
-    @pytest.mark.parametrize("h,L", ACCEPTANCE_GRID + [(0.05, 1.0)])
+    @pytest.mark.parametrize("h,L", ACCEPTANCE_GRID + [(0.05, 1.0), (0.3, 0.7),
+                                                       (12.0, 1.0)])
     def test_driver_matches_loop(self, h, L):
-        first, second = mc.crossing_experiment(h, L, replicates=50,
+        # the oracle draws x and y with two uniform calls; a large strip
+        # (where windows clamp at -1 and L + 1) runs a few replicates
+        replicates = 50 if h < 10.0 else 3
+        first, second = mc.crossing_experiment(h, L, replicates=replicates,
                                                master_seed=17)
         expected = [float(_loop_crossing_count(*_strip_sample(h, L, s), h, L))
-                    for s in np.random.SeedSequence(17).spawn(50)]
+                    for s in np.random.SeedSequence(17).spawn(replicates)]
         assert first.replicate_values == expected
         assert second.replicate_values == [v * v for v in expected]
 
