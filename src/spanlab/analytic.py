@@ -8,7 +8,6 @@ reference constants.
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import repeat
 
@@ -55,16 +54,9 @@ def theta_mean_length(m: int) -> float:
     drawn horizontal).  Mutual edges are counted half to avoid
     double-counting.  The quadrature runs over the (r, l) strip, with
     Jacobian dz = dl dr / (2 tan), to an absolute tolerance of 1e-6.
-    Each m is integrated once per process and memoised as a Python float,
-    so 6, 6.0 and np.int64(6) return the same object.
     """
     if m < 6 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 6")
-    return _theta_mean_length(int(m))
-
-
-@functools.cache
-def _theta_mean_length(m: int) -> float:
     tan_half = math.tan(math.pi / m)
     alpha = _theta_alpha(m)
     l_max = math.sqrt(math.log(1.0 / _TAIL) / alpha)
@@ -97,16 +89,11 @@ def cone_Lk(k: int) -> float:
 
     Every city is linked to its Euclidean-nearest city in an angle-pi/k cone
     and in the opposite cone; L_k is the resulting mean length per unit area
-    over a rate-1 Poisson process.  Each k is integrated once per process
-    and memoised as a Python float.
+    over a rate-1 Poisson process.
     """
     if k < 2 or int(k) != k:
         raise ValueError("k must be an integer >= 2")
-    return _cone_Lk(int(k))
 
-
-@functools.cache
-def _cone_Lk(k: int) -> float:
     def integrand(omega):
         return _cone_area_factor(omega, k) ** (-1.5)
 

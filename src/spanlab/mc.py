@@ -150,8 +150,7 @@ def _crossing_counts(rep, xs, ys, h: float, L: float, replicates: int) -> np.nda
     can count; the band kept is 1 wider on each side, far above rounding.
     Above-axis points are sorted by the exact complex key rep + i x, which
     numpy orders lexicographically, so each below-axis point finds its
-    partners in its own replicate's 2h x-window, clamped to [-1, L + 1] on
-    the side of [0, L] it lies beyond.  All friend pairs are
+    partners in its own replicate's 2h x-window.  All friend pairs are
     expanded with numpy, in blocks of below-axis points holding at most
     ``_PAIR_BLOCK`` candidate pairs (or one point's candidates, when those
     alone exceed it).
@@ -163,14 +162,9 @@ def _crossing_counts(rep, xs, ys, h: float, L: float, replicates: int) -> np.nda
     order = np.argsort(key)
     key, ya = key[order], ys[above][order]
     xa = key.imag
-    # |dx| < y2 - y1 <= 2h restricts partners to a 2h x-window; the crossing
-    # lies between x1 and x2, so x1 < 0 needs x2 >= 0 and x1 > L needs
-    # x2 <= L (clamped with the band's margin of 1)
-    left, right = xb - 2.0 * h, xb + 2.0 * h
-    left = np.where(xb < 0.0, np.maximum(left, -1.0), left)
-    right = np.where(xb > L, np.minimum(right, L + 1.0), right)
-    lo = np.searchsorted(key, rb + 1j * left)
-    hi = np.searchsorted(key, rb + 1j * right)
+    # |dx| < y2 - y1 <= 2h restricts partners to a 2h x-window
+    lo = np.searchsorted(key, rb + 1j * (xb - 2.0 * h))
+    hi = np.searchsorted(key, rb + 1j * (xb + 2.0 * h))
     sizes = hi - lo
     ends = np.cumsum(sizes)
     starts = ends - sizes  # flat index of each point's first candidate pair

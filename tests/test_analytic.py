@@ -100,34 +100,6 @@ class TestThetaMeanLength:
             analytic.theta_mean_length(4)
 
 
-@pytest.mark.parametrize("name,integrator,arg,bad", [
-    ("theta_mean_length", "dblquad", 8, (4, 7, 6.5, np.int64(5))),
-    ("cone_Lk", "quad", 5, (1, 2.5, np.int64(0))),
-], ids=["theta_mean_length", "cone_Lk"])
-class TestQuadratureMemo:
-    def test_hit_skips_quadrature(self, monkeypatch, name, integrator, arg, bad):
-        getattr(analytic, f"_{name}").cache_clear()
-        calls = []
-        integrate = getattr(analytic, integrator)
-        monkeypatch.setattr(analytic, integrator,
-                            lambda *a, **k: calls.append(a) or integrate(*a, **k))
-        first = getattr(analytic, name)(arg)
-        assert len(calls) == 1
-        assert getattr(analytic, name)(arg) is first
-        assert len(calls) == 1
-
-    def test_integer_like_arguments_agree(self, name, integrator, arg, bad):
-        values = [getattr(analytic, name)(m) for m in (arg, float(arg), np.int64(arg))]
-        assert all(type(v) is float for v in values)
-        assert values[1] == values[0] and values[2] == values[0]
-
-    def test_bad_argument_raises_every_call(self, name, integrator, arg, bad):
-        for m in bad:
-            for _ in range(2):
-                with pytest.raises(ValueError):
-                    getattr(analytic, name)(m)
-
-
 class TestConeLength:
     @pytest.mark.parametrize("k,frozen", [
         (2, 1.4899040893359548),

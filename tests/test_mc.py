@@ -133,7 +133,8 @@ def _loop_crossing_count(xs, ys, h, L):
 
 
 def _strip_sample(h, L, seed):
-    """One replicate's points, drawn as crossing_experiment draws them."""
+    """One replicate's points drawn with two uniform calls, the reference
+    for crossing_experiment's single random(2n) read."""
     W = 40.0 * max(h, L, 1.0)
     rng = rng_from_seed(seed)
     n = rng.poisson(W * 2.0 * h)
@@ -259,16 +260,14 @@ class TestCrossingKernel:
         assert list(counts) == _loop_counts(rep, xs, ys, 2.0, 0.5, 8)
 
     def test_several_blocks_at_large_h(self):
-        # the band keeps x in [-h - 1, L + h + 1] and each point's window is
-        # clamped to [-1, L + 1] beyond [0, L]; its pairs fill 2.3 blocks
-        h, L = 32.0, 1.0
+        # the band keeps x in [-h - 1, L + h + 1]; its pairs fill 2.5 blocks
+        h, L = 28.0, 1.0
         xs, ys = _strip_sample(h, L, 5)
         band = (xs >= -h - 1.0) & (xs <= L + h + 1.0)
         xa = np.sort(xs[band & (ys >= 0)])
         xb = xs[band & (ys < 0)]
-        lo = np.where(xb < 0.0, np.maximum(xb - 2.0 * h, -1.0), xb - 2.0 * h)
-        hi = np.where(xb > L, np.minimum(xb + 2.0 * h, L + 1.0), xb + 2.0 * h)
-        pairs = int((np.searchsorted(xa, hi) - np.searchsorted(xa, lo)).sum())
+        pairs = int((np.searchsorted(xa, xb + 2.0 * h)
+                     - np.searchsorted(xa, xb - 2.0 * h)).sum())
         assert pairs > 2 * mc._PAIR_BLOCK
         assert _one_replicate(xs, ys, h, L) == _loop_crossing_count(xs, ys, h, L)
 
@@ -276,7 +275,7 @@ class TestCrossingKernel:
                                                        (12.0, 1.0)])
     def test_driver_matches_loop(self, h, L):
         # the oracle draws x and y with two uniform calls; a large strip
-        # (where windows clamp at -1 and L + 1) runs a few replicates
+        # runs a few replicates
         replicates = 50 if h < 10.0 else 3
         first, second = mc.crossing_experiment(h, L, replicates=replicates,
                                                master_seed=17)
