@@ -12,13 +12,8 @@ import math
 from itertools import repeat
 
 import numpy as np
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 from scipy.optimize import brentq
-
-# truncate infinite domains where the exponential factor drops below this
-# fraction of its peak; the tail is far below quadrature tolerance
-_TAIL = 1e-14
-
 
 # ---------------------------------------------------------------------------
 # theta-graphs
@@ -52,25 +47,25 @@ def theta_mean_length(m: int) -> float:
     further region of area alpha*(r^2 + (l-r)^2) is also empty, where r and
     l - r are the vertical distances from z to the cone boundaries (bisector
     drawn horizontal).  Mutual edges are counted half to avoid
-    double-counting.  The quadrature runs over the (r, l) strip, with
-    Jacobian dz = dl dr / (2 tan), to an absolute tolerance of 1e-6.
+    double-counting.
+
+    The integral reduces exactly to one dimension.  With r = l*v,
+    u = v - 1/2, a = 1/(2 tan(pi/m)) and q(u) = 3/2 + 2u^2, the integrand
+    in (l, u), Jacobian included, is l^2 sqrt(a^2 + u^2) [exp(-alpha l^2)
+    - exp(-alpha l^2 q(u))/2], and the l-integral is closed form,
+    int_0^inf l^2 exp(-beta l^2) dl = sqrt(pi) / (4 beta^(3/2)).  So
+    L_m = m a sqrt(pi) / (4 alpha^(3/2)) * (I1 - I2/2) over u in
+    [-1/2, 1/2], with I1 = int sqrt(a^2 + u^2) du in closed form and
+    I2 = int sqrt(a^2 + u^2) q(u)^(-3/2) du by one quadrature.
     """
     if m < 6 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 6")
-    tan_half = math.tan(math.pi / m)
+    a = 0.5 / math.tan(math.pi / m)
     alpha = _theta_alpha(m)
-    l_max = math.sqrt(math.log(1.0 / _TAIL) / alpha)
-
-    def integrand(r, l):
-        x = l / (2.0 * tan_half)
-        y = r - l / 2.0
-        weight = math.exp(-alpha * l * l) - 0.5 * math.exp(
-            -alpha * (l * l + r * r + (l - r) ** 2))
-        return math.hypot(x, y) * weight
-
-    val, _err = dblquad(integrand, 0.0, l_max, 0.0, lambda l: l,
-                        epsabs=1e-6 * tan_half / m, epsrel=1e-10)
-    return m * val / (2.0 * tan_half)
+    i1 = 0.5 * math.hypot(a, 0.5) + a * a * math.asinh(0.5 / a)
+    i2, _err = quad(lambda u: math.hypot(a, u) * (1.5 + 2.0 * u * u) ** -1.5,
+                    -0.5, 0.5, epsabs=0.0, epsrel=1e-13)
+    return m * a * math.sqrt(math.pi) / (4.0 * alpha ** 1.5) * (i1 - 0.5 * i2)
 
 
 # ---------------------------------------------------------------------------

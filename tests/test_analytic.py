@@ -2,20 +2,26 @@
 
 Closed-form values are checked against independent oracles: second
 quadrature paths in different coordinates, direct numerical integration,
-and exact special values.
+30-digit mpmath evaluations and exact special values.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import dblquad, quad
+from mpmath import mp
+from scipy.integrate import IntegrationWarning, dblquad, quad
 
 from spanlab import analytic
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+# the dblquad oracles truncate infinite domains where the exponential factor
+# drops below this fraction of its peak; the tail is far below their tolerance
+_TAIL = 1e-14
 
 
 def _theta_mean_length_cartesian(m):
@@ -23,7 +29,7 @@ def _theta_mean_length_cartesian(m):
     the second integration path for :func:`analytic.theta_mean_length`."""
     tan_half = math.tan(math.pi / m)
     alpha = analytic._theta_alpha(m)
-    x_max = math.sqrt(math.log(1.0 / analytic._TAIL) / alpha) / (2.0 * tan_half)
+    x_max = math.sqrt(math.log(1.0 / _TAIL) / alpha) / (2.0 * tan_half)
 
     def integrand(y, x):
         l = 2.0 * x * tan_half
@@ -43,7 +49,7 @@ def _cone_Lk_2d(k):
     r^2 [2 p(r, omega) - p1(r, omega)] over the cone, as a cross-check of
     :func:`analytic.cone_Lk`."""
     a0 = math.pi / (2.0 * k)
-    r_max = math.sqrt(math.log(1.0 / analytic._TAIL) / a0)
+    r_max = math.sqrt(math.log(1.0 / _TAIL) / a0)
 
     def integrand(omega, r):
         p = math.exp(-a0 * r * r)
@@ -53,6 +59,20 @@ def _cone_Lk_2d(k):
     val, _err = dblquad(integrand, 0.0, r_max, 0.0, math.pi / k,
                         epsabs=1e-8, epsrel=1e-10)
     return val
+
+
+def _theta_mean_length_mpmath(m):
+    """L_m at 30 digits: the l-integral in closed form, then the whole
+    u-integrand by mpmath quadrature (no closed-form I1)."""
+    with mp.workdps(30):
+        a = 1 / (2 * mp.tan(mp.pi / m))
+        alpha = mp.cos(mp.pi / m) / (4 * mp.sin(mp.pi / m))
+
+        def integrand(u):
+            q = mp.mpf(3) / 2 + 2 * u * u
+            return mp.sqrt(a * a + u * u) * (alpha ** -1.5 - (alpha * q) ** -1.5 / 2)
+
+        return float(m * a * mp.sqrt(mp.pi) / 4 * mp.quad(integrand, [-0.5, 0, 0.5]))
 
 
 class TestThetaStretch:
@@ -88,6 +108,17 @@ class TestThetaMeanLength:
         a = analytic.theta_mean_length(m)
         b = _theta_mean_length_cartesian(m)
         assert a == pytest.approx(b, rel=1e-8)
+
+    @pytest.mark.parametrize("m", [6, 8, 10, 16, 64, 1000])
+    def test_matches_mpmath(self, m):
+        assert analytic.theta_mean_length(m) == pytest.approx(
+            _theta_mean_length_mpmath(m), rel=1e-13)
+
+    def test_no_integration_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            for m in range(6, 201, 2):
+                analytic.theta_mean_length(m)
 
     def test_growth_band(self):
         # length grows like m^(3/2) with a stable prefactor

@@ -194,7 +194,7 @@ class TestBounds:
          "prop38_lower_bound,0.001,1.6013599315974656,1\n"
          "prop38_best_h,0.001,2.9649939362790545,1\n"
          "prop38_best_L,0.001,0.091251097228687503,1\n"
-         "theta_mean_length,6,5.6420764736767497,1\n"
+         "theta_mean_length,6,5.6420764736772302,1\n"
          "cone_Lk,4,2.1514857208105207,1\n"),
     ], ids=["table", "options"])
     def test_bytes(self, capsys, argv, expected):
