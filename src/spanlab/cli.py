@@ -34,16 +34,15 @@ _GENERATORS = {
     "tri": ((), lambda w, a: tri_config(w)),
 }
 
-# experiment name -> flags it requires (a --net also requires its builder's)
-_EXPERIMENT_FLAGS = {
-    "psi_ave_upper": ("net",),
-    "crossing": ("h", "L"),
-    "empirical_lm": ("m",),
-    "empirical_lk": ("k",),
+# bounds flag -> (its type, rows(value) as (name, value) pairs); bounds
+# needs --table or at least one of these
+_BOUNDS = {
+    "psi-star": (float, lambda s: [("psi_star", analytic.psi_star(s))]),
+    "prop38": (float, lambda c: zip(("prop38_lower_bound", "prop38_best_h", "prop38_best_L"),
+                                    analytic.prop38_lower_bound(c))),
+    "lm": (int, lambda m: [("theta_mean_length", analytic.theta_mean_length(m))]),
+    "lk": (int, lambda k: [("cone_Lk", analytic.cone_Lk(k))]),
 }
-
-# bounds needs --table or at least one of these
-_BOUND_FLAGS = ("psi_star", "prop38", "lm", "lk")
 
 RESULT_CSV_HEADER = ("estimator", "params", "mean", "se", "n", "seed")
 
@@ -146,37 +145,34 @@ def cmd_bounds(args) -> int:
         rows = analytic.reference_constants()
     else:
         header = ("name", "param", "value", "schema_version")
-        rows = []
-        if args.psi_star is not None:
-            rows.append(("psi_star", args.psi_star, analytic.psi_star(args.psi_star)))
-        if args.prop38 is not None:
-            value, h, L = analytic.prop38_lower_bound(args.prop38)
-            rows.append(("prop38_lower_bound", args.prop38, value))
-            rows.append(("prop38_best_h", args.prop38, h))
-            rows.append(("prop38_best_L", args.prop38, L))
-        if args.lm is not None:
-            rows.append(("theta_mean_length", args.lm, analytic.theta_mean_length(args.lm)))
-        if args.lk is not None:
-            rows.append(("cone_Lk", args.lk, analytic.cone_Lk(args.lk)))
+        rows = [(name, param, value) for flag, (_, rows_of) in _BOUNDS.items()
+                if (param := getattr(args, flag.replace("-", "_"))) is not None
+                for name, value in rows_of(param)]
     _write(args.out, csv_text(header, [(*row, SCHEMA_VERSION) for row in rows]))
     return EXIT_OK
+
+
+def _psi_ave_upper(window, args, runs) -> list:
+    result, worst = mc.estimate_psi_ave_upper(args.net, _builder_params(args), window,
+                                              mode=args.mode, **runs)
+    sys.stderr.write(f"max stretch {worst.max_ratio:.17g} over {worst.n_pairs} pairs\n")
+    return [result]
+
+
+# experiment name -> (flags it requires, runner(window, args, runs) -> results);
+# a --net also requires its builder's flags
+_EXPERIMENTS = {
+    "psi_ave_upper": (("net",), _psi_ave_upper),
+    "crossing": (("h", "L"), lambda w, a, runs: list(mc.crossing_experiment(a.h, a.L, **runs))),
+    "empirical_lm": (("m",), lambda w, a, runs: [mc.empirical_Lm(a.m, w, **runs)]),
+    "empirical_lk": (("k",), lambda w, a, runs: [mc.empirical_Lk(a.k, w, **runs)]),
+}
 
 
 def cmd_experiment(args) -> int:
     window = _window_arg(args.window)
     runs = {"replicates": args.replicates, "master_seed": args.seed}
-    if args.name == "psi_ave_upper":
-        result, worst = mc.estimate_psi_ave_upper(args.net, _builder_params(args), window,
-                                                  mode=args.mode, **runs)
-        results = [result]
-        sys.stderr.write(f"max stretch {worst.max_ratio:.17g} over "
-                         f"{worst.n_pairs} pairs\n")
-    elif args.name == "crossing":
-        results = list(mc.crossing_experiment(args.h, args.L, **runs))
-    elif args.name == "empirical_lm":
-        results = [mc.empirical_Lm(args.m, window, **runs)]
-    else:  # empirical_lk
-        results = [mc.empirical_Lk(args.k, window, **runs)]
+    results = _EXPERIMENTS[args.name][1](window, args, runs)
     _write(args.out, csv_text(RESULT_CSV_HEADER,
                               [(r.estimator, r.params, r.mean, r.se, r.n, r.seed)
                                for r in results]))
@@ -208,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int)
     g.add_argument("--seed", type=_non_negative_int, default=0)
     g.add_argument("--torus", action="store_true")
-    g.add_argument("--out", default="-")
     g.set_defaults(func=cmd_generate)
 
     b = sub.add_parser("build", help="build a network over a configuration")
@@ -216,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("net", choices=list(nets.BUILDERS))
     for name, options in _BUILDER_FLAGS.items():
         b.add_argument(f"--{name}", **options)
-    b.add_argument("--out", default="-")
     b.set_defaults(func=cmd_build)
 
     m = sub.add_parser("measure", help="measure a network file")
@@ -229,21 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--lines", type=_non_negative_int, default=0,
                    help="intersection-rate test lines (0 = skip)")
     m.add_argument("--seed", type=_non_negative_int, default=0)
-    m.add_argument("--out", default="-")
     m.set_defaults(func=cmd_measure)
 
     bo = sub.add_parser("bounds", help="evaluate analytic bounds as CSV")
     bo.add_argument("--table", action="store_true",
                     help="emit the reference-constant table")
-    bo.add_argument("--psi-star", dest="psi_star", type=float)
-    bo.add_argument("--prop38", type=float)
-    bo.add_argument("--lm", type=int)
-    bo.add_argument("--lk", type=int)
-    bo.add_argument("--out", default="-")
+    for flag, (kind, _) in _BOUNDS.items():
+        bo.add_argument(f"--{flag}", type=kind)
     bo.set_defaults(func=cmd_bounds)
 
     e = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    e.add_argument("name", choices=list(_EXPERIMENT_FLAGS))
+    e.add_argument("name", choices=list(_EXPERIMENTS))
     e.add_argument("--net", choices=[kind for kind in nets.BUILDERS
                                      if kind not in ("alt_diag", "lattice")])
     for name, options in _BUILDER_FLAGS.items():
@@ -257,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "strip of width 40*max(h, L, 1)")
     e.add_argument("--replicates", type=_positive_int, default=20)
     e.add_argument("--seed", type=_non_negative_int, default=0)
-    e.add_argument("--out", default="-")
     e.set_defaults(func=cmd_experiment)
 
     r = sub.add_parser("repro", help="replay a stored run")
@@ -265,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_repro)
 
     for s in (g, b, m, bo, e):
+        s.add_argument("--out", default="-")
         s.add_argument("--save-run", dest="save_run",
                        help="record this invocation as a replayable run file")
     for s in (g, b, m, bo, e, r):
@@ -285,12 +275,12 @@ def main(argv=None) -> int:
             report(f"unrecognized arguments: {' '.join(extra)}")
         required = {}
         if args.command == "experiment":
-            required[args.name] = _EXPERIMENT_FLAGS[args.name]
+            required[args.name] = _EXPERIMENTS[args.name][0]
         elif args.command == "generate":
             required[args.kind] = _GENERATORS[args.kind][0]
         elif args.command == "bounds" and not args.table and all(
-                getattr(args, name) is None for name in _BOUND_FLAGS):
-            args.usage_error("pick one of --table/--psi-star/--prop38/--lm/--lk")
+                getattr(args, flag.replace("-", "_")) is None for flag in _BOUNDS):
+            args.usage_error("pick one of " + "/".join(map("--{}".format, ["table", *_BOUNDS])))
         net = getattr(args, "net", None)
         if net is not None:
             required[f"network {net}"] = nets.BUILDERS[net][0]

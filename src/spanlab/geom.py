@@ -460,12 +460,6 @@ def _snap_pick(p, P: dict, grid: dict, eps: float) -> int:
     return best
 
 
-def _file_nodes(grid: dict, P: dict, rows, eps: float) -> None:
-    """File the node rows of P in grid, in the order given."""
-    for row in rows:
-        grid.setdefault(_eps_cell(P[row], eps), []).append(row)
-
-
 def _snap_nodes(X: np.ndarray, eps: float):
     """Nodes of the points of X inserted in order, merging within eps.
 
@@ -497,7 +491,7 @@ def _snap_nodes(X: np.ndarray, eps: float):
         picks.append(_snap_pick(p, P, grid, eps))
         if picks[-1] < 0:
             picks[-1] = row
-            _file_nodes(grid, P, [row], eps)
+            grid.setdefault(_eps_cell(p, eps), []).append(row)
     maker[rows] = picks
     makes = maker == np.arange(n)
     node = (np.cumsum(makes) - 1)[maker]
@@ -591,15 +585,14 @@ def build_arrangement(
     for k in np.flatnonzero(~attached).tolist() if m else ():
         # a city may still share its node with an endpoint of a segment in
         # its cell, as the nodes near those endpoints stood right after the
-        # city's insertion
+        # city's insertion; each end's own node is among them, so no end
+        # makes a node
         made = makers[makers <= 2 * m + len(hits) + k]
         ends = S[on[city == k]].reshape(-1, 2)
         gap = np.floor(X[made, None] / snap_eps) - np.floor(ends / snap_eps)
-        made = made[(np.abs(gap) <= 1).all(2).any(1)].tolist()
-        P, grid = dict(zip(made, X[made].tolist())), {}
-        _file_nodes(grid, P, made, snap_eps)
-        if not any(_snap_pick(p, P, grid, snap_eps) == makers[city_nodes[k]]
-                   for p in ends.tolist()):
+        made = made[(np.abs(gap) <= 1).all(2).any(1)]
+        joins = _snap_nodes(np.concatenate([X[made], ends]), snap_eps)[0][len(made):]
+        if makers[city_nodes[k]] not in made[joins]:
             raise DisconnectedCityError(
                 f"disconnected city: city {k} at {tuple(cities[k].tolist())} lies "
                 f"farther than {snap_eps:g} from every segment"

@@ -76,7 +76,7 @@ def _torus_lengths(estimator, kind, params, window, replicates, master_seed,
 def estimate_psi_ave_upper(
     kind: str,
     params: dict | None = None,
-    window: Window | None = None,
+    window: Window = Window.square(40.0),
     replicates: int = 20,
     master_seed: int = 0,
     mode: str = "steiner",
@@ -90,7 +90,6 @@ def estimate_psi_ave_upper(
     length at that stretch.
     """
     params = dict(params or {})
-    window = window or Window.square(40.0)
     if window.area < 100:
         raise ValueError("window area must be at least 100")
     reports = []
@@ -102,21 +101,20 @@ def estimate_psi_ave_upper(
 
 def empirical_Lm(
     m: int,
-    window: Window | None = None,
+    window: Window = Window.square(40.0),
     replicates: int = 20,
     master_seed: int = 0,
 ) -> ExperimentResult:
     """Mean normalized length of the theta-graph on toroidal Poisson cities."""
     if m < 6 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 6")
-    window = window or Window.square(40.0)
     return _torus_lengths("empirical_Lm", "theta", {"m": m}, window, replicates,
                           master_seed, {"m": m})
 
 
 def empirical_Lk(
     k: int,
-    window: Window | None = None,
+    window: Window = Window.square(40.0),
     replicates: int = 20,
     master_seed: int = 0,
 ) -> ExperimentResult:
@@ -124,7 +122,6 @@ def empirical_Lk(
     toroidal Poisson cities."""
     if k < 2:
         raise ValueError("k must be an integer >= 2")
-    window = window or Window.square(40.0)
     return _torus_lengths("empirical_Lk", "cone", {"k": k, "directions": [0]}, window,
                           replicates, master_seed, {"k": k, "direction": 0})
 

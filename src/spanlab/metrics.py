@@ -140,8 +140,11 @@ def local_stretch(
     neighbor_rule "unit-distance" pairs cities at Euclidean distance 1;
     "mutual-nearest" pairs each city with its nearest neighbor when the
     relation is symmetric.  Only pairs of distinct positions with both
-    cities in the inner window are scored.
+    cities in the inner window are scored.  Planar only: plane distances
+    would miss the neighbor pairs across a torus seam.
     """
+    if net.config.torus:
+        raise ValueError("local_stretch has no torus form")
     pts = net.config.points
     tree = cKDTree(pts)
     tol = 1e-9

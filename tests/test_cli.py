@@ -330,6 +330,25 @@ def test_negative_seed_usage_error(capsys, argv):
     assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,lines,digest", [
+    ((), 15, "8ea5870bd50812a668fbe40c11d9ce196c60f34213c729576cac934c815fa073"),
+    (("generate",), 17, "4a9e17a4e758afbd327280f1a75c54fbe0b79419ca8d9ec716a1f346a0afd819"),
+    (("build",), 20, "bc88e3c07eacf1b9c4b8be8af76b73720d9c18d35541feb016077fe6065e6973"),
+    (("measure",), 18, "172bd0f578171776dab2600b04350333190e9284c975bd0906193c5aa14529f2"),
+    (("bounds",), 12, "a88f7d40ff760fe6147300853ed712fcfd30dea6eeddc70933348dab9b3a0b5f"),
+    (("experiment",), 26, "0b6af93aef0574fa110bfa71e848f12a74bea81abac4067c7786f4d1909cba53"),
+    (("repro",), 7, "91a1ad79c1c66951bc20b2e506ed7c755994c538530dcb49495640632cd1fee4"),
+], ids=["top", "generate", "build", "measure", "bounds", "experiment", "repro"])
+def test_help_text_is_pinned(capsys, monkeypatch, argv, lines, digest):
+    # argparse wraps to $COLUMNS; the digests are of Python 3.11's argparse
+    # output at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(*argv, "--help") == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestRepro:
     def test_replays_identical_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -232,6 +232,21 @@ class TestTorusStretch:
         g = metrics.routing_graph(net, "steiner")
         assert g.distances_from(0)[g.city_nodes[1]] == 3.0
 
+    def test_seam_gluing_is_transitive(self):
+        # the three seam ends sit 0.9 snap_eps apart in a chain: (0, 5) and
+        # (0, 5 + 1.8 eps) are farther apart than snap_eps, yet both glue to
+        # the image of (10, 5 + 0.9 eps), so city 2 routes via city 0's road
+        eps = 1e-9 * Window.square(10).diameter
+        segs = np.array([[2, 5, 0, 5], [8, 5 + 0.9 * eps, 10, 5 + 0.9 * eps],
+                         [2, 7, 0, 5 + 1.8 * eps]])
+        net = nets.Network(PointConfig(segs[:, :2], Window.square(10), torus=True), segs,
+                           "custom")
+        g = metrics.routing_graph(net, "steiner")
+        assert g.stats["glued"] == 2
+        # the unrolled plane routes within snap_eps of the torus route
+        for h in (g, _unrolled_graph(net, "steiner")):
+            assert h.distances_from(0)[h.city_nodes[2]] == pytest.approx(2 + 2 * math.sqrt(2))
+
     @pytest.mark.parametrize("mode", ["steiner", "graph"])
     def test_grid_freeway_matches_unrolled(self, mode):
         # the skeleton roads run one side long along x = 0 and y = 0, the
@@ -349,6 +364,17 @@ class TestLocalStretch:
         net = nets.lattice_edges(square_grid(Window.square(6)))
         with pytest.raises(ValueError):
             metrics.local_stretch(net, "adjacent")
+
+    def test_torus_rejected(self):
+        # cities 0 and 1 are mutual nearest neighbors 0.3 apart across the
+        # seam, with a route of 9.7; plane distances miss that pair
+        cfg = PointConfig(np.array([[0.2, 5.0], [9.9, 5.0], [5.0, 5.0]]),
+                          Window.square(10), torus=True)
+        net = nets.Network(cfg, np.array([[0.2, 5.0, 5.0, 5.0], [5.0, 5.0, 9.9, 5.0]]),
+                           "custom")
+        assert metrics.stretch(net, pair_filter="all").argmax_pair == (0, 1)
+        with pytest.raises(ValueError, match="no torus form"):
+            metrics.local_stretch(net, "mutual-nearest", margin_fraction=0.0)
 
 
 class TestNormalizedLength:
