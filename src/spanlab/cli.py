@@ -152,27 +152,29 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _psi_ave_upper(window, args, runs) -> list:
-    result, worst = mc.estimate_psi_ave_upper(args.net, _builder_params(args), window,
-                                              mode=args.mode, **runs)
+def _psi_ave_upper(args, runs) -> list:
+    result, worst = mc.estimate_psi_ave_upper(args.net, _builder_params(args),
+                                              _window_arg(args.window), mode=args.mode, **runs)
     sys.stderr.write(f"max stretch {worst.max_ratio:.17g} over {worst.n_pairs} pairs\n")
     return [result]
 
 
-# experiment name -> (flags it requires, runner(window, args, runs) -> results);
-# a --net also requires its builder's flags
+# experiment name -> (flags it requires, runner(args, runs) -> results); a
+# --net also requires its builder's flags, and a runner that takes a window
+# parses --window itself, so one that ignores it never rejects it
 _EXPERIMENTS = {
     "psi_ave_upper": (("net",), _psi_ave_upper),
-    "crossing": (("h", "L"), lambda w, a, runs: list(mc.crossing_experiment(a.h, a.L, **runs))),
-    "empirical_lm": (("m",), lambda w, a, runs: [mc.empirical_Lm(a.m, w, **runs)]),
-    "empirical_lk": (("k",), lambda w, a, runs: [mc.empirical_Lk(a.k, w, **runs)]),
+    "crossing": (("h", "L"), lambda a, runs: list(mc.crossing_experiment(a.h, a.L, **runs))),
+    "empirical_lm": (("m",), lambda a, runs: [mc.empirical_Lm(a.m, _window_arg(a.window),
+                                                              **runs)]),
+    "empirical_lk": (("k",), lambda a, runs: [mc.empirical_Lk(a.k, _window_arg(a.window),
+                                                              **runs)]),
 }
 
 
 def cmd_experiment(args) -> int:
-    window = _window_arg(args.window)
     runs = {"replicates": args.replicates, "master_seed": args.seed}
-    results = _EXPERIMENTS[args.name][1](window, args, runs)
+    results = _EXPERIMENTS[args.name][1](args, runs)
     _write(args.out, csv_text(RESULT_CSV_HEADER,
                               [(r.estimator, r.params, r.mean, r.se, r.n, r.seed)
                                for r in results]))

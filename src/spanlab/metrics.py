@@ -176,37 +176,22 @@ def local_stretch(
                for src, js, ds in zip(sources, np.split(j, start[1:]), np.split(d, start[1:])))
 
 
-def _planar_segments(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """A network's segments in the plane, and a mask of those that count
-    nothing.  A torus gives the translates of its roads that meet the
-    closed window; its far edges x1 and y1 are its near edges x0 and y0, so
-    a translate lying along a far edge repeats the one along the near edge.
-    """
-    if not net.config.torus:
-        return net.segments, np.zeros(len(net.segments), dtype=bool)
-    win, segs = net.config.window, unwrap(net, 0.0).segments
-    return segs, (((segs[:, 0] == win.x1) & (segs[:, 2] == win.x1))
-                  | ((segs[:, 1] == win.y1) & (segs[:, 3] == win.y1)))
-
-
 def normalized_length(net: Network, margin_fraction: float = DEFAULT_MARGIN) -> float:
     """Total network length inside the inner window, per unit inner area.
 
-    Segments are clipped exactly; toroidal networks are unrolled first so
-    wrapped road pieces land back inside the window, and a road along a
-    seam counts once (see ``_planar_segments``).
+    Segments are clipped exactly.  A toroidal network is measured on its
+    seam pieces (``nets.unwrap``), which hold every road once inside the
+    window.
     """
     if not 0 <= margin_fraction < 0.5:
         raise ValueError("margin_fraction must be in [0, 0.5)")
     inner = net.config.window.inner(margin_fraction)
     if inner.area <= 0:
         raise ValueError("empty inner window")
-    segs, far = _planar_segments(net)
+    segs = unwrap(net).segments
     dx, dy = segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]
     t0, t1 = inner.clip(segs[:, 0], segs[:, 1], dx, dy, 0.0, 1.0)
-    clipped = np.clip(t1 - t0, 0.0, 1.0) * np.hypot(dx, dy)
-    clipped[far] = 0.0  # zeroed in place, so the other terms sum as before
-    return float(clipped.sum()) / inner.area
+    return float((np.clip(t1 - t0, 0.0, 1.0) * np.hypot(dx, dy)).sum()) / inner.area
 
 
 def intersection_rate(
@@ -228,8 +213,7 @@ def intersection_rate(
         raise ValueError("n_lines must be >= 1")
     win = net.config.window
     inner = win.inner(margin_fraction)
-    segs, far = _planar_segments(net)
-    segs = segs[~far]
+    segs = unwrap(net).segments
     # a torus keeps a seam road along the near edge, where a line meets it at
     # a chord end: a hit within routing_graph's snap tolerance of one counts
     slack = 1e-9 * max(win.diameter, 1.0) if net.config.torus else 0.0

@@ -19,6 +19,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial import QhullError
 
 from spanlab.configs import SCHEMA_VERSION, PointConfig, Window, square_grid
+from spanlab.geom import _seam_pieces
 
 
 @dataclass
@@ -411,26 +412,16 @@ def build(kind: str, config: PointConfig, params: dict) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def unwrap(net: Network, buffer: float) -> Network:
-    """Planar view of a toroidal network: the translates of every segment
-    by whole sides that lie within ``buffer`` of the window.  The tiles
-    tried are those of the 3x3 block around the window, widened to hold
-    every translate that meets the closed window, so a lift longer than
-    the side keeps all of its length.  Cities stay those of the center
-    copy."""
+def unwrap(net: Network) -> Network:
+    """Planar view of a toroidal network: its seam pieces (geom._seam_pieces,
+    as routing cuts them), each lift cut at the seams and every piece moved
+    into the closed window.  Each road is there once: a piece along a far
+    edge x1 or y1 lies on its near edge x0 or y0.  Cities stay those of the
+    window; a planar network is returned as it is."""
     if not net.config.torus:
         return net
-    win, base = net.config.window, net.segments
-    side = win.width
-    lo, hi = np.minimum(base[:, :2], base[:, 2:]), np.maximum(base[:, :2], base[:, 2:])
-    win_lo, win_hi = np.array([win.x0, win.y0]), np.array([win.x1, win.y1])
-    k_lo = np.ceil((win_lo - hi) / side).min(axis=0, initial=-1).astype(int)
-    k_hi = np.floor((win_hi - lo) / side).max(axis=0, initial=1).astype(int)
-    segs = []
-    for ix in range(k_lo[0], k_hi[0] + 1):
-        for iy in range(k_lo[1], k_hi[1] + 1):
-            off = np.array([ix * side, iy * side])
-            keep = ((hi + off >= win_lo - buffer) & (lo + off <= win_hi + buffer)).all(axis=1)
-            segs.append(base[keep] + np.tile(off, 2))
+    win = net.config.window
+    lo = np.array([win.x0, win.y0], dtype=float)
+    pieces, _ = _seam_pieces(net.segments, lo, np.array([win.x1, win.y1], dtype=float) - lo)
     return Network(replace(net.config, points=net.config.points.copy(), torus=False),
-                   np.vstack(segs), net.kind, {**net.params, "unwrapped": True})
+                   pieces, net.kind, {**net.params, "unwrapped": True})

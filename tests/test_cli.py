@@ -222,7 +222,7 @@ class TestExperiment:
         (("empirical_lk", "--k", "4", "--window", "10", "--replicates", "2"),
          "estimator,params,mean,se,n,seed\n"
          "empirical_Lk,\"{'direction': 0, 'k': 4, 'window': 100.0}\","
-         "2.2133772879341373,0.066825728178379062,2,0\n"),
+         "2.2133772879341373,0.066825728178378827,2,0\n"),
     ], ids=["crossing", "empirical_lk"])
     def test_bytes(self, capsys, argv, expected):
         assert run("experiment", *argv) == EXIT_OK
@@ -247,6 +247,16 @@ class TestExperiment:
         assert run("experiment", "crossing", *flags) == EXIT_DOMAIN
         assert "positive and finite" in capsys.readouterr().err
 
+    def test_crossing_ignores_window(self, capsys):
+        # crossing uses its own strip, so a window it could not parse is no error
+        flags = ("crossing", "--h", "1", "--L", "1", "--replicates", "50")
+        assert run("experiment", *flags) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert run("experiment", *flags, "--window", "1,2") == EXIT_OK
+        assert capsys.readouterr().out == plain
+        assert run("experiment", "empirical_lm", "--m", "6", "--window", "1,2") == EXIT_DOMAIN
+        assert "window must be SIDE or X0,Y0,X1,Y1" in capsys.readouterr().err
+
     def test_psi_ave_upper_bytes(self, capsys):
         assert run("experiment", "psi_ave_upper", "--net", "theta", "--m", "6",
                    "--window", "10", "--replicates", "1") == EXIT_OK
@@ -254,7 +264,7 @@ class TestExperiment:
         _assert_pinned_csv(captured.out, (
             "estimator,params,mean,se,n,seed\n"
             "psi_ave_upper[theta],\"{'m': 6, 'mode': 'steiner', 'window': 100.0}\","
-            "5.8124881486062563,nan,1,0\n"))
+            "5.8124881486062554,nan,1,0\n"))
         assert captured.err == "max stretch 1.41746559445701 over 5671 pairs\n"
 
     def test_single_replicate_se_is_nan(self, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.spatial import cKDTree
 
 from spanlab import metrics, nets
@@ -108,15 +109,49 @@ _TORUS_BUILDERS = {"delaunay": nets.delaunay,
                    "cone4": lambda c: nets.cone_road_network(c, 4)}
 
 
+def _translates(net, buffer):
+    """Oracle: a toroidal network unrolled into the plane, as the
+    translates of every segment by whole sides that lie within ``buffer``
+    of the window.  The tiles tried are those of the 3x3 block around the
+    window, widened to hold every translate that meets the closed window,
+    so a lift longer than the side keeps all of its length."""
+    win, base = net.config.window, net.segments
+    side = win.width
+    lo, hi = np.minimum(base[:, :2], base[:, 2:]), np.maximum(base[:, :2], base[:, 2:])
+    win_lo, win_hi = np.array([win.x0, win.y0]), np.array([win.x1, win.y1])
+    k_lo = np.ceil((win_lo - hi) / side).min(axis=0, initial=-1).astype(int)
+    k_hi = np.floor((win_hi - lo) / side).max(axis=0, initial=1).astype(int)
+    segs = []
+    for ix in range(k_lo[0], k_hi[0] + 1):
+        for iy in range(k_lo[1], k_hi[1] + 1):
+            off = np.array([ix * side, iy * side])
+            keep = ((hi + off >= win_lo - buffer) & (lo + off <= win_hi + buffer)).all(axis=1)
+            segs.append(base[keep] + np.tile(off, 2))
+    return np.vstack(segs)
+
+
 def _unrolled_graph(net, mode, cities=None, buffer=0.2):
     """Oracle: the arrangement of a toroidal network unrolled into the
-    plane (nets.unwrap) with a buffer of that fraction of the side; cities:
+    plane (_translates) with a buffer of that fraction of the side; cities:
     those of the network by default."""
-    planar = nets.unwrap(net, buffer * net.config.window.width)
     snap = 1e-9 * max(net.config.window.diameter, 1.0)
-    return build_arrangement(planar.segments,
+    return build_arrangement(_translates(net, buffer * net.config.window.width),
                              net.config.points if cities is None else cities,
                              snap_eps=snap, junctions=mode == "steiner")
+
+
+class TestTranslates:
+    """The translate oracle behind _unrolled_graph."""
+
+    def test_full_buffer_gives_nine_tiles(self):
+        cfg = uniform_n(15, Window.square(5), seed=6, torus=True)
+        net = nets.theta_graph(cfg, 6)
+        assert len(_translates(net, 10.0)) == 9 * len(net.segments)
+
+    def test_zero_buffer_keeps_window_overlaps(self):
+        cfg = uniform_n(15, Window.square(5), seed=6, torus=True)
+        net = nets.theta_graph(cfg, 6)
+        assert len(net.segments) <= len(_translates(net, 0.0)) <= 9 * len(net.segments)
 
 
 def _recentred(net, center):
@@ -429,6 +464,19 @@ class TestNormalizedLength:
         net = nets.grid_freeway(uniform_n(5, Window.square(10), seed=0, torus=True), 3.0)
         assert metrics.normalized_length(net, 0.0) == pytest.approx(
             (60.0 + 5 * 2 * 10.0 / 3.0) / 100.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["delaunay", "theta6", "cone4"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_torus_length_matches_exact_lift_sum(self, seed, kind):
+        # at margin 0 the torus length is the total lift length per unit
+        # area, here summed at 40 digits from the float lift ends
+        net = _TORUS_BUILDERS[kind](poisson(Window.square(20), seed=seed, torus=True))
+        with mp.workdps(40):
+            exact = mp.fsum(mp.hypot(mp.mpf(float(x2)) - mp.mpf(float(x1)),
+                                     mp.mpf(float(y2)) - mp.mpf(float(y1)))
+                            for x1, y1, x2, y2 in net.segments) / 400
+            got = metrics.normalized_length(net, 0.0)
+            assert abs((got - exact) / exact) <= 1e-15
 
     def test_clipping_is_exact(self):
         net = _net([[4, 4], [6, 6]], [[-10.0, 5.0, 20.0, 5.0]])

@@ -432,17 +432,23 @@ class TestLatticeEdges:
 class TestUnwrap:
     def test_planar_passthrough(self):
         net = nets.delaunay(_config([[0, 0], [4, 0], [0, 3]]))
-        assert nets.unwrap(net, 1.0) is net
+        assert nets.unwrap(net) is net
 
-    def test_full_buffer_gives_nine_tiles(self):
-        cfg = uniform_n(15, Window.square(5), seed=6, torus=True)
-        net = nets.theta_graph(cfg, 6)
-        big = nets.unwrap(net, 10.0)
-        assert len(big.segments) == 9 * len(net.segments)
-        assert not big.config.torus
+    @pytest.mark.parametrize("build", [nets.delaunay, lambda c: nets.theta_graph(c, 6),
+                                       lambda c: nets.cone_road_network(c, 4),
+                                       lambda c: nets.grid_freeway(c, 3.0)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pieces_tile_the_window_with_every_lift(self, seed, build):
+        net = build(poisson(Window.square(12), seed=seed, torus=True))
+        planar = nets.unwrap(net)
+        assert not planar.config.torus
+        segs = planar.segments
+        assert ((segs >= 0.0) & (segs <= 12.0)).all()
+        assert planar.total_length == pytest.approx(net.total_length, rel=1e-12)
 
-    def test_zero_buffer_keeps_window_overlaps(self):
-        cfg = uniform_n(15, Window.square(5), seed=6, torus=True)
-        net = nets.theta_graph(cfg, 6)
-        small = nets.unwrap(net, 0.0)
-        assert len(net.segments) <= len(small.segments) <= 9 * len(net.segments)
+    def test_lift_along_a_far_edge_lands_on_the_near_edge(self):
+        cfg = _config([[1.0, 1.0]], torus=True)
+        net = nets.Network(cfg, np.array([[10.0, 2.0, 10.0, 7.0], [2.0, 10.0, 9.0, 10.0]]),
+                           "custom")
+        np.testing.assert_array_equal(nets.unwrap(net).segments,
+                                      [[0.0, 2.0, 0.0, 7.0], [2.0, 0.0, 9.0, 0.0]])
