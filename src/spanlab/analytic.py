@@ -173,30 +173,40 @@ def area_A(x0: float, y0: float, h: float, L: float) -> float:
     return 0.5 * (1.0 + x0 / y0) * base  # left case, mirror x0 -> L - x0
 
 
-def second_moment_upper(h: float, L: float) -> float:
-    """Closed-form upper bound on the second moment of the virtual-crossing
-    count N(h, L), valid for h > L/2.
+def _crossing_moments(hs, ls):
+    """((E N)^2, the upper bound on E N^2) of the virtual-crossing count
+    N(h, L) at every (h, L) of the grid hs x ls, valid for h > L/2.
 
     E N^2 splits into the diagonal (E N), ordered pairs of crossings with
     four distinct endpoints ((E N)^2, exact by the Mecke formula), and
     ordered pairs of crossings sharing an endpoint.  The shared-endpoint
     term is bounded by replacing the friend-region area at depth y0 with
     its maximum over horizontal position, ((h+y0)^2 - y0^2) min(1, L/2y0);
-    the two closed forms below are that integral split at y0 = L/2, and the
+    near and far below are that integral split at y0 = L/2, and the
     leading factor 2 counts the two orders of each shared pair (verified
-    against a direct Monte Carlo oracle).
+    against a direct Monte Carlo oracle).  Numpy arithmetic in the scalar
+    formula's order, but scalar powers and logs (numpy's SIMD ones may differ).
     """
-    if h <= L / 2.0:
-        raise ValueError("second_moment_upper requires h > L/2")
-    mean = expected_crossings(h, L)
-    near = 0.75 * h**4 * L**2 + (5.0 / 6.0) * h**3 * L**3 + (7.0 / 24.0) * h**2 * L**4
-    far = (
-        3.5 * h**4 * L**2
-        - 0.25 * h**3 * L**3
-        - 0.75 * h**2 * L**4
-        + (0.5 * L**2 * h**4 + L**3 * h**3) * math.log(2.0 * h / L)
-    )
-    return mean + mean ** 2 + 2.0 * (near + far)
+    def each(f, a, *rest):
+        return np.fromiter(map(f, a.ravel().tolist(), *rest), float,
+                           a.size).reshape(a.shape)
+
+    h, L = np.asarray(hs)[:, None], np.asarray(ls)[None, :]
+    h2, h3, h4 = (np.array([v ** k for v in hs])[:, None] for k in (2, 3, 4))
+    L2, L3, L4 = (np.array([v ** k for v in ls])[None, :] for k in (2, 3, 4))
+    mean = 2.0 * h3 * L  # expected_crossings
+    square = each(pow, mean, repeat(2))
+    near = 0.75 * h4 * L2 + (5.0 / 6.0) * h3 * L3 + (7.0 / 24.0) * h2 * L4
+    far = (3.5 * h4 * L2 - 0.25 * h3 * L3 - 0.75 * h2 * L4
+           + (0.5 * L2 * h4 + L3 * h3) * each(math.log, 2.0 * h / L))
+    return square, mean + square + 2.0 * (near + far)
+
+
+def second_moment_upper(h: float, L: float) -> float:
+    """Closed-form upper bound on E N(h, L)^2 for 0 < L < 2h (``_crossing_moments``)."""
+    if not 0.0 < L < 2.0 * h:
+        raise ValueError("second_moment_upper requires 0 < L < 2h")
+    return float(_crossing_moments([h], [L])[1][0, 0])
 
 
 def prop38_lower_bound(s: float):
@@ -213,22 +223,9 @@ def prop38_lower_bound(s: float):
     ginv = g_inverse(s)
 
     def objective(hs, ls):
-        # at every (h, L) of hs x ls: numpy arithmetic in the scalar formula's
-        # order, but scalar powers and logs (numpy's SIMD ones may differ)
-        def each(f, a, *rest):
-            return np.fromiter(map(f, a.ravel().tolist(), *rest), float,
-                               a.size).reshape(a.shape)
-
+        square, bound = _crossing_moments(hs, ls)
         h, L = np.asarray(hs)[:, None], np.asarray(ls)[None, :]
-        h2, h3, h4 = (np.array([v ** k for v in hs])[:, None] for k in (2, 3, 4))
-        L2, L3, L4 = (np.array([v ** k for v in ls])[None, :] for k in (2, 3, 4))
-        mean = 2.0 * h3 * L
-        square = each(pow, mean, repeat(2))
-        near = 0.75 * h4 * L2 + (5.0 / 6.0) * h3 * L3 + (7.0 / 24.0) * h2 * L4
-        far = (3.5 * h4 * L2 - 0.25 * h3 * L3 - 0.75 * h2 * L4
-               + (0.5 * L2 * h4 + L3 * h3) * each(math.log, 2.0 * h / L))
-        prob = square / (mean + square + 2.0 * (near + far))
-        return np.where(h <= L / 2.0, -math.inf, prob / (L + 2.0 * h * ginv))
+        return np.where(h <= L / 2.0, -math.inf, square / bound / (L + 2.0 * h * ginv))
 
     hs = np.geomspace(s ** (-1.0 / 16.0), s ** (-0.25), 64)
     ls = np.geomspace(math.sqrt(s), s ** 0.25, 64)

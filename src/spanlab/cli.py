@@ -67,11 +67,9 @@ def _load(path: str) -> str:
 
 def _window_arg(spec: str) -> Window:
     parts = [float(v) for v in spec.split(",")]
-    if len(parts) == 1:
-        return Window.square(parts[0])
-    if len(parts) == 4:
-        return Window(*parts)
-    raise ValueError("window must be SIDE or X0,Y0,X1,Y1")
+    if len(parts) not in (1, 4):
+        raise ValueError("window must be SIDE or X0,Y0,X1,Y1")
+    return (Window.square(parts[0]) if len(parts) == 1 else Window(*parts))._checked()
 
 
 def _positive_int(text: str) -> int:

@@ -104,6 +104,12 @@ class Window:
     def square(side: float) -> "Window":
         return Window(0.0, 0.0, float(side), float(side))
 
+    def _checked(self) -> "Window":
+        """This window, once its bounds are finite with x0 < x1 and y0 < y1."""
+        if not (self.x0 < self.x1 and self.y0 < self.y1 and math.isfinite(self.area)):
+            raise ValueError("window must be finite, with x0 < x1 and y0 < y1")
+        return self
+
 
 @dataclass
 class PointConfig:
@@ -151,7 +157,7 @@ class PointConfig:
             seed = np.array(seed, dtype=np.uint64)
         return PointConfig(
             points=np.array(doc["points"], dtype=float).reshape(-1, 2),
-            window=Window(*doc["window"]),
+            window=Window(*doc["window"])._checked(),
             torus=bool(doc["torus"]),
             kind=doc.get("kind", "custom"),
             params=doc.get("params", {}),

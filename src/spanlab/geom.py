@@ -372,23 +372,17 @@ def _near_collinear_pairs(S: np.ndarray, pairs) -> np.ndarray:
 def _merge_overlaps(S: np.ndarray, cell: float, pad: float):
     """Union collinear overlapping segments so shared geometry counts once.
 
-    Overlaps are sought among the pairs sharing a cell grown by 1e-9 * cell.
-    Returns the merged (m', 4) array, the number of rounds taken and the
-    candidate pairs of the merged segments in cells grown by ``pad`` (at
-    least 1e-9 * cell; a segment's cells only grow with the pad, so those
-    pairs hold the ones sought).
+    Overlaps are sought among the near-collinear candidate pairs, those
+    sharing a cell grown by ``pad``: two segments that overlap with positive
+    length share every cell the overlap crosses.  Returns the merged
+    (m', 4) array, the number of rounds taken and the candidate pairs of
+    the merged segments.
     """
     S = S.copy()
     for rounds in range(1, 33):
         pairs = _candidate_pairs(*_segment_cells(S, cell, pad))
-        near = _near_collinear_pairs(S, pairs)
-        if len(near):
-            ids = np.unique(near)
-            close = ids[_candidate_pairs(*_segment_cells(S[ids], cell, 1e-9 * cell))]
-            near = near[np.isin(near[:, 0] * 2**32 + near[:, 1],
-                                close[:, 0] * 2**32 + close[:, 1])]
         merged_away: set[int] = set()
-        for i, j in near.tolist():
+        for i, j in _near_collinear_pairs(S, pairs).tolist():
             if i in merged_away or j in merged_away:
                 continue
             si, sj = (Segment(*map(tuple, S[k].reshape(2, 2).tolist())) for k in (i, j))

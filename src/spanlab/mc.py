@@ -120,8 +120,6 @@ def empirical_Lk(
 ) -> ExperimentResult:
     """Mean normalized length of direction class 0 of the cone network on
     toroidal Poisson cities."""
-    if k < 2:
-        raise ValueError("k must be an integer >= 2")
     return _torus_lengths("empirical_Lk", "cone", {"k": k, "directions": [0]}, window,
                           replicates, master_seed, {"k": k, "direction": 0})
 

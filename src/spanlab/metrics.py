@@ -69,7 +69,8 @@ def stretch(
     Exact over all filtered pairs when the pair budget SAMPLED_PAIRS // n
     covers all n filtered cities as sources (n <= 447); otherwise that many
     seeded random source cities are used and the sampled pair count is
-    reported.  A disconnected pair reports +inf.
+    reported.  The percentiles are taken over the finite ratios (+inf when
+    none is), so a disconnected pair shows only as max_ratio = +inf.
     A torus has no boundary, so there every city is scored (the report
     reads pair_filter "all"; pair_filter and margin_fraction are not used)
     and distances are minimal-image ones.
@@ -89,40 +90,31 @@ def stretch(
 
     n = len(cities)
     exact = SAMPLED_PAIRS // n >= n
-    if exact:
-        sources = cities
-    else:
-        rng = rng_from_seed(seed)
-        sources = rng.choice(cities, size=max(2, SAMPLED_PAIRS // n), replace=False)
+    sources = cities if exact else rng_from_seed(seed).choice(
+        cities, size=max(2, SAMPLED_PAIRS // n), replace=False)
 
+    # one (sources, cities) block, at most SAMPLED_PAIRS entries; a city's
+    # displacement from itself is exactly 0, so eucl > 0 drops the self-pair
+    d = pts[cities][None, :, :] - pts[sources][:, None, :]
+    if side is not None:
+        d -= side * np.round(d / side)
+    eucl = np.hypot(d[..., 0], d[..., 1])
+    route = np.stack([g.distances_from(int(src))[g.city_nodes[cities]] for src in sources])
+    ok = eucl > 0
+    ratios = route[ok] / eucl[ok]
     best = (-math.inf, (-1, -1))
-    ratios = []
-    for src in sources:
-        dist = g.distances_from(int(src))
-        route = dist[g.city_nodes[cities]]
-        d = pts[cities] - pts[src]
-        if side is not None:
-            d -= side * np.round(d / side)
-        eucl = np.hypot(d[:, 0], d[:, 1])
-        ok = (cities != src) & (eucl > 0)
-        r = route[ok] / eucl[ok]
-        ratios.append(r)
-        if len(r):
-            imax = int(np.argmax(r))
-            if r[imax] > best[0]:
-                best = (float(r[imax]), (int(src), int(cities[ok][imax])))
-    ratios = np.concatenate(ratios) if ratios else np.empty(0)
+    if len(ratios):
+        k = int(np.argmax(ratios))  # the first maximum in (source, city) order
+        i, j = (int(v[k]) for v in np.nonzero(ok))
+        best = (float(ratios[k]), (int(sources[i]), int(cities[j])))
     n_pairs = len(ratios) // 2 if exact else len(ratios)
     finite = ratios[np.isfinite(ratios)]
-    if len(finite) == 0:
-        pct = {"p50": math.inf, "p90": math.inf, "p99": math.inf}
-    else:
-        pct = {f"p{q}": float(np.percentile(finite, q)) for q in (50, 90, 99)}
+    pct = [math.inf] * 3 if len(finite) == 0 else np.percentile(finite, [50, 90, 99]).tolist()
     return StretchReport(
         mode=mode,
         max_ratio=best[0],
         argmax_pair=best[1],
-        percentiles=pct,
+        percentiles=dict(zip(("p50", "p90", "p99"), pct)),
         pair_filter=pair_filter,
         n_cities=n,
         n_pairs=int(n_pairs),

@@ -232,10 +232,33 @@ class TestAreaA:
             analytic.area_A(5.0, 11.0, 10.0, 10.0)
 
 
+def _scalar_second_moment(h, L):
+    """Reference: the scalar closed form of second_moment_upper, as written
+    before the bound and the prop38 objective shared one evaluation."""
+    mean = analytic.expected_crossings(h, L)
+    near = 0.75 * h**4 * L**2 + (5.0 / 6.0) * h**3 * L**3 + (7.0 / 24.0) * h**2 * L**4
+    far = (
+        3.5 * h**4 * L**2
+        - 0.25 * h**3 * L**3
+        - 0.75 * h**2 * L**4
+        + (0.5 * L**2 * h**4 + L**3 * h**3) * math.log(2.0 * h / L)
+    )
+    return mean + mean ** 2 + 2.0 * (near + far)
+
+
 class TestSecondMoment:
     def test_domain(self):
-        with pytest.raises(ValueError):
-            analytic.second_moment_upper(0.5, 1.0)
+        # h <= L/2, L = 0 (a division by zero in the scalar form) and L < 0
+        for h, L in [(0.5, 1.0), (1.0, 0.0), (-1.0, -4.0)]:
+            with pytest.raises(ValueError):
+                analytic.second_moment_upper(h, L)
+
+    def test_matches_scalar_form_bit_for_bit(self):
+        hs = np.geomspace(1e-3, 1e5, 41).tolist()
+        for h in hs + [1.0, 2.0, 5.0, 1e5]:
+            for L in [*np.geomspace(1e-12, 2.0 * h, 40)[:-1].tolist(), h, 0.2, 0.5, 1.0]:
+                if h > L / 2.0:
+                    assert analytic.second_moment_upper(h, L) == _scalar_second_moment(h, L)
 
     @pytest.mark.parametrize("h,L,frozen", [
         (1.0, 1.0, 16.829441541679834),
@@ -286,7 +309,7 @@ def _loop_prop38(s):
         if h <= L / 2.0:
             return -math.inf
         mean = analytic.expected_crossings(h, L)
-        prob = mean ** 2 / analytic.second_moment_upper(h, L)
+        prob = mean ** 2 / _scalar_second_moment(h, L)
         return prob / (L + 2.0 * h * ginv)
 
     hs = np.geomspace(s ** (-1.0 / 16.0), s ** (-0.25), 64)
@@ -316,6 +339,15 @@ class TestProp38:
         got, expected = analytic.prop38_lower_bound(s), _loop_prop38(s)
         assert got == expected
         assert [type(v) for v in got] == [type(v) for v in expected]
+
+    @pytest.mark.parametrize("s,frozen", [
+        (1e-4, (4.205150885060053, 3.6135702986915503, 0.0430809939152815)),
+        (1e-3, (1.6013599315974656, 2.9649939362790545, 0.0912510972286875)),
+        (1e-2, (0.5928067720104205, 2.51188643150958, 0.18563112370500837)),
+        (0.05, (0.29434198857708366, 2.154326353494924, 0.3030748314876765)),
+    ])
+    def test_frozen_triples(self, s, frozen):
+        assert analytic.prop38_lower_bound(s) == frozen
 
     def test_domain(self):
         for s in (0.0, 0.5):

@@ -146,6 +146,41 @@ class TestBuildMeasure:
                        "--out", str(tmp_path / "n.json")) == EXIT_OK
 
 
+class TestBadWindow:
+    """A window whose bounds are not finite or not x0 < x1, y0 < y1 is a
+    domain error wherever it enters: a --window flag, a configuration file
+    or a network file."""
+
+    MESSAGE = "window must be finite, with x0 < x1 and y0 < y1"
+    BOUNDS = [[0, 0, 10, float("nan")], [10, 10, 0, 0], [0, 0, 0, 10],
+              [0, 0, float("inf"), 10], [float("-inf"), 0, 10, 10]]
+
+    @pytest.mark.parametrize("spec", ["5,0,0,5", "0,0,5,nan", "0,0,inf,5", "nan", "inf",
+                                      "0", "-3"])
+    @pytest.mark.parametrize("argv", [("generate", "poisson"), ("generate", "square"),
+                                      ("experiment", "empirical_lm", "--m", "6")])
+    def test_window_flag(self, capsys, argv, spec):
+        assert run(*argv, f"--window={spec}") == EXIT_DOMAIN
+        assert self.MESSAGE in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", BOUNDS)
+    @pytest.mark.parametrize("flags", [(), ("--lines", "200"), ("--stretch", "steiner")])
+    def test_network_file(self, tmp_path, capsys, bounds, flags):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"window": bounds, "cities": [[1, 1], [2, 2], [3, 1]],
+                                   "segments": [[1, 1, 2, 2], [2, 2, 3, 1]]}))
+        assert run("measure", str(net), *flags) == EXIT_DOMAIN
+        assert self.MESSAGE in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", BOUNDS)
+    def test_config_file(self, tmp_path, capsys, bounds):
+        cfg = tmp_path / "cfg.json"
+        assert run("generate", "poisson", "--window", "10", "--out", str(cfg)) == EXIT_OK
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "window": bounds}))
+        assert run("build", str(cfg), "delaunay") == EXIT_DOMAIN
+        assert self.MESSAGE in capsys.readouterr().err
+
+
 class TestBounds:
     def test_table_contains_reference_value(self, capsys):
         assert run("bounds", "--table") == EXIT_OK

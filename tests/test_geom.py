@@ -670,6 +670,38 @@ class TestArrangementOracle:
         assert g.stats == {"segments_in": 4, "overlap_rounds": 2, "candidate_pairs": 1,
                            "exact_pairs": 0, "snapped": 1, "nodes": 5, "edges": 4}
 
+    # Collinear roads on y = 0.5 with gaps of 2d around the cell boundaries
+    # x = 1 and 2 (the cell, their mean length, is 1 exactly): d is above
+    # 1e-9 * cell and below the pad, so these pairs share pad-grown cells
+    # only.  The chain merges A with B, and then A u B with C; the gap
+    # keeps A and C apart.
+    _D = 2.0 ** -20
+    _GAPS = [((0, .5), (1 - _D, .5)), ((1 + _D, .5), (2 - _D, .5)), ((2 + _D, .5), (3, .5)),
+             ((10, 0), (10, 1 + 4 * _D))]
+    _CHAIN = [((0, .5), (1 - _D, .5)), ((.5, .5), (1.5, .5)), ((1 + _D, .5), (2, .5)),
+              ((10, 0), (10, 1 + 2 * _D))]
+
+    @pytest.mark.parametrize("segs,snap,stats", [
+        # the gap ends snap together (2d <= snap) or stay apart (2d > snap)
+        (_GAPS, 4e-6, {"overlap_rounds": 1, "candidate_pairs": 3, "exact_pairs": 3,
+                       "snapped": 2, "nodes": 6, "edges": 4}),
+        (_GAPS, 1.5 * _D, {"overlap_rounds": 1, "candidate_pairs": 3, "exact_pairs": 3,
+                           "snapped": 0, "nodes": 8, "edges": 4}),
+        # A u B meets C in the round that made it: 2 rounds; seeking
+        # overlaps only in cells grown by 1e-9 * cell, as _build_reference
+        # does, takes 3 to the same graph
+        (_CHAIN, 4e-6, {"overlap_rounds": 2, "candidate_pairs": 0, "exact_pairs": 0,
+                        "snapped": 0, "nodes": 5, "edges": 3}),
+        (_CHAIN, 1.5 * _D, {"overlap_rounds": 2, "candidate_pairs": 0, "exact_pairs": 0,
+                            "snapped": 0, "nodes": 5, "edges": 3}),
+    ], ids=["gaps-snapped", "gaps-apart", "chain", "chain-small-snap"])
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_collinear_gaps_inside_the_pad(self, segs, snap, stats, vertical):
+        if vertical:
+            segs = [tuple(p[::-1] for p in s) for s in segs]
+        g = _assert_same_as_reference(segs, [segs[0][0], segs[1][1], segs[2][1]], snap)
+        assert g.stats == {"segments_in": 4, **stats}
+
     def test_tiny_segment_far_from_origin(self):
         # cell indices near 3e76 overflow int64
         segs = [Segment((1.0, 3.0709007730672982e-77), (1.0, 0.0))] * 2

@@ -9,8 +9,8 @@ from mpmath import mp
 from scipy.spatial import cKDTree
 
 from spanlab import metrics, nets
-from spanlab.configs import (PointConfig, Window, hex_config, poisson, square_grid,
-                             tri_config, uniform_n)
+from spanlab.configs import (PointConfig, Window, hex_config, poisson, rng_from_seed,
+                             square_grid, tri_config, uniform_n)
 from spanlab.geom import build_arrangement
 
 
@@ -313,6 +313,87 @@ def _assert_matches_tiles(net, mode, g=None):
         want = u.distances_from(4 * n + src)[u.city_nodes].reshape(9, n).min(axis=0)
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _loop_stretch(net, mode="steiner", pair_filter="interior",
+                  margin_fraction=metrics.DEFAULT_MARGIN, seed=0):
+    """Reference: the per-source loop that the (sources, cities) block of
+    metrics.stretch replaced, as (max_ratio, argmax_pair, percentiles,
+    n_pairs, exact)."""
+    side = net.config.window.width if net.config.torus else None
+    if side is not None:
+        pair_filter = "all"
+    mask = (net.config.window.inner(margin_fraction).contains(net.config.points)
+            if pair_filter == "interior" else np.ones(net.config.n, dtype=bool))
+    cities = np.flatnonzero(mask)
+    g = metrics.routing_graph(net, mode)
+    pts = net.config.points
+    n = len(cities)
+    exact = metrics.SAMPLED_PAIRS // n >= n
+    if exact:
+        sources = cities
+    else:
+        rng = rng_from_seed(seed)
+        sources = rng.choice(cities, size=max(2, metrics.SAMPLED_PAIRS // n), replace=False)
+    best = (-math.inf, (-1, -1))
+    ratios = []
+    for src in sources:
+        route = g.distances_from(int(src))[g.city_nodes[cities]]
+        d = pts[cities] - pts[src]
+        if side is not None:
+            d -= side * np.round(d / side)
+        eucl = np.hypot(d[:, 0], d[:, 1])
+        ok = (cities != src) & (eucl > 0)
+        r = route[ok] / eucl[ok]
+        ratios.append(r)
+        if len(r):
+            imax = int(np.argmax(r))
+            if r[imax] > best[0]:
+                best = (float(r[imax]), (int(src), int(cities[ok][imax])))
+    ratios = np.concatenate(ratios)
+    finite = ratios[np.isfinite(ratios)]
+    if len(finite) == 0:
+        pct = {"p50": math.inf, "p90": math.inf, "p99": math.inf}
+    else:
+        pct = {f"p{q}": float(np.percentile(finite, q)) for q in (50, 90, 99)}
+    return best[0], best[1], pct, len(ratios) // 2 if exact else len(ratios), exact
+
+
+# name -> (network, pair filter)
+_STRETCH_CASES = {
+    # about 256 interior cities: every one a source
+    "planar-exact": (lambda: nets.delaunay(poisson(Window.square(20), seed=0)), "interior"),
+    # about 576 interior cities: about 347 sampled sources
+    "planar-sampled": (lambda: nets.theta_graph(poisson(Window.square(30), seed=1), 6),
+                       "interior"),
+    "torus-exact": (lambda: nets.delaunay(poisson(Window.square(15), seed=2, torus=True)),
+                    "all"),
+    "torus-sampled": (lambda: nets.cone_road_network(
+        poisson(Window.square(25), seed=3, torus=True), 4), "all"),
+    # two components: four finite pairs, six at +inf
+    "disconnected": (lambda: _net([[1, 1], [2, 2], [3, 1], [8, 8], [9, 9]],
+                                  [[1, 1, 2, 2], [2, 2, 3, 1], [8, 8, 9, 9]]), "all"),
+    "coincident": (lambda: _net([[2, 2], [2, 2], [5, 5], [6, 5], [5, 7], [5, 7]],
+                                [[2, 2, 5, 5], [5, 5, 6, 5], [5, 5, 5, 7]]), "all"),
+    # every pair coincides: no ratio at all
+    "all-coincident": (lambda: _net([[3, 3], [3, 3]], [[1, 1, 5, 5]]), "all"),
+}
+
+
+class TestStretchMatchesLoop:
+    @pytest.mark.parametrize("mode", ["steiner", "graph"])
+    @pytest.mark.parametrize("case", list(_STRETCH_CASES))
+    def test_matches_loop(self, case, mode):
+        build, pair_filter = _STRETCH_CASES[case]
+        net = build()
+        rep = metrics.stretch(net, mode, pair_filter, seed=7)
+        want = _loop_stretch(net, mode, pair_filter, seed=7)
+        assert (rep.max_ratio, rep.argmax_pair, rep.percentiles, rep.n_pairs, rep.exact) == want
+        assert rep.exact == ("sampled" not in case)
+        if case == "disconnected":
+            assert rep.max_ratio == math.inf and rep.percentiles["p99"] < math.inf
+        if case == "all-coincident":
+            assert (rep.max_ratio, rep.argmax_pair, rep.n_pairs) == (-math.inf, (-1, -1), 0)
 
 
 def _loop_local_stretch(net, neighbor_rule, margin_fraction=metrics.DEFAULT_MARGIN):
