@@ -69,7 +69,7 @@ def _window_arg(spec: str) -> Window:
     parts = [float(v) for v in spec.split(",")]
     if len(parts) not in (1, 4):
         raise ValueError("window must be SIDE or X0,Y0,X1,Y1")
-    return (Window.square(parts[0]) if len(parts) == 1 else Window(*parts))._checked()
+    return Window.from_bounds([0.0, 0.0, parts[0], parts[0]] if len(parts) == 1 else parts)
 
 
 def _positive_int(text: str) -> int:

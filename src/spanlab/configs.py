@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -104,11 +105,19 @@ class Window:
     def square(side: float) -> "Window":
         return Window(0.0, 0.0, float(side), float(side))
 
-    def _checked(self) -> "Window":
-        """This window, once its bounds are finite with x0 < x1 and y0 < y1."""
-        if not (self.x0 < self.x1 and self.y0 < self.y1 and math.isfinite(self.area)):
+    @staticmethod
+    def from_bounds(bounds) -> "Window":
+        """The window of the bounds x0, y0, x1, y1, as a flag or a file gives
+        them: ValueError unless they are four finite numbers with x0 < x1
+        and y0 < y1."""
+        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 4 and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in bounds)):
+            raise ValueError("window must be four numbers x0, y0, x1, y1")
+        window = Window(*bounds)
+        if not (window.x0 < window.x1 and window.y0 < window.y1
+                and math.isfinite(window.area)):
             raise ValueError("window must be finite, with x0 < x1 and y0 < y1")
-        return self
+        return window
 
 
 @dataclass
@@ -157,7 +166,7 @@ class PointConfig:
             seed = np.array(seed, dtype=np.uint64)
         return PointConfig(
             points=np.array(doc["points"], dtype=float).reshape(-1, 2),
-            window=Window(*doc["window"])._checked(),
+            window=Window.from_bounds(doc["window"]),
             torus=bool(doc["torus"]),
             kind=doc.get("kind", "custom"),
             params=doc.get("params", {}),

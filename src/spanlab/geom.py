@@ -22,6 +22,11 @@ Point = tuple[float, float]
 # float64 machine epsilon based filter bound for the 2x2 determinant
 _ORIENT_ERRBOUND = 4.0 * np.finfo(float).eps
 
+# Most segment pairs a pair stage of build_arrangement holds at once.  At
+# about 170 bytes a pair a block peaks near 11 MiB, so the arrangement's
+# transient memory follows the block and the node count, not the pair count.
+_PAIR_BLOCK = 1 << 16
+
 
 class Segment(NamedTuple):
     a: Point
@@ -143,9 +148,10 @@ class RoutingGraph:
     Euclidean sub-segment lengths; city_nodes: node index per input city.
     stats: counts from build_arrangement's stages: segments_in (input
     rows), overlap_rounds, candidate_pairs (segment pairs sharing a grid
-    cell), exact_pairs (those sent to segment_intersection), snapped (points
-    merged into a node at nonzero distance), nodes and edges; on a torus
-    also seam_points and glued (see build_torus_arrangement).
+    cell whose bounding boxes meet), exact_pairs (those sent to
+    segment_intersection), snapped (points merged into a node at nonzero
+    distance), nodes and edges; on a torus also seam_points and glued (see
+    build_torus_arrangement).
     Immutable after construction; the sparse matrix is built once and
     each per-source search runs afresh.
     """
@@ -195,8 +201,13 @@ class RoutingGraph:
 
 
 def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """math.hypot of each (dx, dy) pair."""
-    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
+    """math.hypot of each (dx, dy) pair of two 1-D float arrays.
+
+    A memoryview yields the elements as Python floats one at a time, so no
+    list of them is built.
+    """
+    return np.fromiter(map(math.hypot, memoryview(dx), memoryview(dy)), dtype=float,
+                       count=len(dx))
 
 
 def _lengths(S: np.ndarray) -> np.ndarray:
@@ -260,23 +271,59 @@ def _cell_codes(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return rx * (ry.max(initial=0) + 1) + ry
 
 
+def _blocks(pairs) -> list[np.ndarray]:
+    """Consecutive blocks of at most _PAIR_BLOCK rows of the (k, 2) index
+    pairs, at least one."""
+    P = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return [P[b:b + _PAIR_BLOCK] for b in range(0, max(len(P), 1), _PAIR_BLOCK)]
+
+
 def _candidate_pairs(seg: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """Sorted unique (k, 2) array of the segment pairs i < j sharing a cell,
-    from the (segment, cell x, cell y) rows of _segment_cells."""
+    from the (segment, cell x, cell y) rows of _segment_cells.
+
+    The pairs are listed in blocks of rows making at most _PAIR_BLOCK pairs
+    (or one row's pairs, when those alone exceed it), each block sorted and
+    deduplicated, and the sorted runs merged.
+    """
     order = np.lexsort((seg, cy, cx))
     seg, cx, cy = seg[order], cx[order], cy[order]
     start = np.ones(len(seg), dtype=bool)
     start[1:] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
     bounds = np.append(np.flatnonzero(start), len(seg))
-    end = np.repeat(bounds[1:], np.diff(bounds))
-    first, off = _expand(end - np.arange(len(seg)) - 1)
-    # a segment is listed once per cell and ascending within it, so i < j
-    codes = seg[first] * 2**32 + seg[first + 1 + off]
-    # sort and diff: np.unique hashes integers in numpy 2.x, about 10x
-    # slower on these codes
-    codes = np.sort(codes)
-    codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are >= 0
-    return np.stack([codes >> 32, codes & (2**32 - 1)], axis=1)
+    # row r pairs with the rows after it in its cell
+    counts = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(len(seg)) - 1
+    ends = np.cumsum(counts)
+    codes, i = [np.empty(0, dtype=np.int64)], 0
+    while i < len(seg):
+        j = max(int(np.searchsorted(ends, ends[i] - counts[i] + _PAIR_BLOCK, "right")), i + 1)
+        first, off = _expand(counts[i:j])
+        first += i
+        # a segment is listed once per cell and ascending within it, so i < j
+        block = np.sort(seg[first] * 2**32 + seg[first + 1 + off])
+        codes.append(block[np.diff(block, prepend=-1) != 0])  # codes are >= 0
+        i = j
+    # a stable sort merges the sorted runs; np.unique hashes integers in
+    # numpy 2.x, about 10x slower on these codes
+    codes = np.sort(np.concatenate(codes), kind="stable")
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    P = np.empty((len(codes), 2), dtype=np.int64)
+    np.right_shift(codes, 32, out=P[:, 0])
+    np.bitwise_and(codes, 2**32 - 1, out=P[:, 1])
+    return P
+
+
+def _boxes_meet(S: np.ndarray, pairs) -> np.ndarray:
+    """The (k, 2) pairs, in order, whose segments' closed bounding boxes
+    meet: segments with disjoint boxes neither cross, touch nor overlap."""
+    x0, y0 = np.minimum(S[:, 0], S[:, 2]), np.minimum(S[:, 1], S[:, 3])
+    x1, y1 = np.maximum(S[:, 0], S[:, 2]), np.maximum(S[:, 1], S[:, 3])
+    meet = []
+    for P in _blocks(pairs):
+        i, j = P[:, 0].copy(), P[:, 1].copy()
+        meet.append(P[(x0[i] <= x1[j]) & (x0[j] <= x1[i])
+                      & (y0[i] <= y1[j]) & (y0[j] <= y1[i])])
+    return np.concatenate(meet)
 
 
 def _pair_arrays(S: np.ndarray, pairs):
@@ -309,7 +356,14 @@ def _shares_endpoint(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
 def _intersection_events(S: np.ndarray, pairs):
     """Candidate pairs meeting in a single point: their (k, 2) rows of
     ``pairs``, in order, the (k, 2) meeting points, and the number of pairs
-    sent to the exact predicates.
+    sent to the exact predicates.  The pairs go in blocks of _PAIR_BLOCK.
+    """
+    ev, hits, exact = zip(*(_block_events(S, B) for B in _blocks(pairs)))
+    return np.concatenate(ev), np.concatenate(hits), sum(exact)
+
+
+def _block_events(S: np.ndarray, pairs):
+    """_intersection_events on one block of pairs.
 
     A vectorized orientation filter settles the bulk of the pairs: pairs
     whose four orientations are all decisively nonzero either cross
@@ -354,19 +408,22 @@ def _intersection_events(S: np.ndarray, pairs):
 
 
 def _near_collinear_pairs(S: np.ndarray, pairs) -> np.ndarray:
-    """Rows of the candidate pairs that could be collinear.
+    """Rows of the candidate pairs that could be collinear, in order, taken
+    in blocks of _PAIR_BLOCK.
 
     Keeps a pair whenever the directions are not decisively non-parallel
     and one endpoint is not decisively off the other's line; exactly
     collinear pairs always survive because their true determinants are
     zero and thus inside the filter's error band.
     """
-    P = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     rx, ry = S[:, 2] - S[:, 0], S[:, 3] - S[:, 1]
-    i, j = P[:, 0].copy(), P[:, 1].copy()
-    P = P[~_filtered_cross(rx[i], ry[i], rx[j], ry[j])[1]]
-    ax, ay, bx, by, cx, cy, _, _ = _pair_arrays(S, P)[1]
-    return P[~_filtered_cross(bx - ax, by - ay, cx - ax, cy - ay)[1]]
+    near = []
+    for P in _blocks(pairs):
+        i, j = P[:, 0].copy(), P[:, 1].copy()
+        P = P[~_filtered_cross(rx[i], ry[i], rx[j], ry[j])[1]]
+        ax, ay, bx, by, cx, cy, _, _ = _pair_arrays(S, P)[1]
+        near.append(P[~_filtered_cross(bx - ax, by - ay, cx - ax, cy - ay)[1]])
+    return np.concatenate(near)
 
 
 def _merge_overlaps(S: np.ndarray, cell: float, pad: float):
@@ -543,9 +600,12 @@ def build_arrangement(
     length = _lengths(S)
 
     # pairwise intersections and endpoint touches; a proper crossing
-    # carries no node in graph mode
+    # carries no node in graph mode.  The box cut waits until the overlaps
+    # are merged: a merge grows a segment past the box its pairs came from.
+    pairs = _boxes_meet(S, pairs)
     ev, hits, stats["exact_pairs"] = _intersection_events(S, pairs)
     stats["candidate_pairs"] = len(pairs)
+    del pairs  # the largest array here, and no stage below reads it
     t_i = _project(hits[:, 0], hits[:, 1], S[ev[:, 0]])[0]
     t_j = _project(hits[:, 0], hits[:, 1], S[ev[:, 1]])[0]
     in_i = _interior(t_i, length[ev[:, 0]], snap_eps)

@@ -73,7 +73,8 @@ def stretch(
     none is), so a disconnected pair shows only as max_ratio = +inf.
     A torus has no boundary, so there every city is scored (the report
     reads pair_filter "all"; pair_filter and margin_fraction are not used)
-    and distances are minimal-image ones.
+    and distances are minimal-image ones.  Fewer than two filtered cities,
+    or no two of them at distinct positions, is a ValueError.
     """
     if pair_filter not in ("interior", "all"):
         raise ValueError(f"unknown pair_filter {pair_filter!r}")
@@ -99,21 +100,20 @@ def stretch(
     if side is not None:
         d -= side * np.round(d / side)
     eucl = np.hypot(d[..., 0], d[..., 1])
-    route = np.stack([g.distances_from(int(src))[g.city_nodes[cities]] for src in sources])
     ok = eucl > 0
+    if not ok.any():  # the sources are filtered cities: all of them coincide
+        raise ValueError("need two filtered cities at distinct positions")
+    route = np.stack([g.distances_from(int(src))[g.city_nodes[cities]] for src in sources])
     ratios = route[ok] / eucl[ok]
-    best = (-math.inf, (-1, -1))
-    if len(ratios):
-        k = int(np.argmax(ratios))  # the first maximum in (source, city) order
-        i, j = (int(v[k]) for v in np.nonzero(ok))
-        best = (float(ratios[k]), (int(sources[i]), int(cities[j])))
+    k = int(np.argmax(ratios))  # the first maximum in (source, city) order
+    i, j = (int(v[k]) for v in np.nonzero(ok))
     n_pairs = len(ratios) // 2 if exact else len(ratios)
     finite = ratios[np.isfinite(ratios)]
     pct = [math.inf] * 3 if len(finite) == 0 else np.percentile(finite, [50, 90, 99]).tolist()
     return StretchReport(
         mode=mode,
-        max_ratio=best[0],
-        argmax_pair=best[1],
+        max_ratio=float(ratios[k]),
+        argmax_pair=(int(sources[i]), int(cities[j])),
         percentiles=dict(zip(("p50", "p90", "p99"), pct)),
         pair_filter=pair_filter,
         n_cities=n,

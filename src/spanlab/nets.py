@@ -61,7 +61,7 @@ class Network:
         doc = json.loads(text)
         config = PointConfig(
             points=np.array(doc["cities"], dtype=float).reshape(-1, 2),
-            window=Window(*doc["window"])._checked(),
+            window=Window.from_bounds(doc["window"]),
             torus=bool(doc.get("torus", False)),
             kind="custom",
         )

@@ -117,6 +117,13 @@ class TestBuildMeasure:
         assert run("measure", str(bad)) == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
 
+    def test_stretch_of_coincident_cities_is_domain_error(self, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"window": [0, 0, 10, 10], "cities": [[3, 3], [3, 3]],
+                                   "segments": [[1, 1, 5, 5]]}))
+        assert run("measure", str(net), "--stretch", "steiner") == EXIT_DOMAIN
+        assert "distinct positions" in capsys.readouterr().err
+
     @pytest.mark.parametrize("net,flag", [("theta", "--m"),
                                           ("grid_freeway", "--t")])
     def test_missing_builder_flag_is_usage_error(self, tmp_path, capsys, net, flag):
@@ -147,13 +154,15 @@ class TestBuildMeasure:
 
 
 class TestBadWindow:
-    """A window whose bounds are not finite or not x0 < x1, y0 < y1 is a
-    domain error wherever it enters: a --window flag, a configuration file
-    or a network file."""
+    """A window that is not four numbers, or whose bounds are not finite or
+    not x0 < x1, y0 < y1, is a domain error wherever it enters: a --window
+    flag, a configuration file or a network file."""
 
     MESSAGE = "window must be finite, with x0 < x1 and y0 < y1"
     BOUNDS = [[0, 0, 10, float("nan")], [10, 10, 0, 0], [0, 0, 0, 10],
               [0, 0, float("inf"), 10], [float("-inf"), 0, 10, 10]]
+    NOT_FOUR = "window must be four numbers x0, y0, x1, y1"
+    MALFORMED = [[0, 0, 10], [0, 0, "10", 10], [0, 0, 10, True], 10]
 
     @pytest.mark.parametrize("spec", ["5,0,0,5", "0,0,5,nan", "0,0,inf,5", "nan", "inf",
                                       "0", "-3"])
@@ -179,6 +188,18 @@ class TestBadWindow:
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "window": bounds}))
         assert run("build", str(cfg), "delaunay") == EXIT_DOMAIN
         assert self.MESSAGE in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", MALFORMED, ids=["three", "string", "bool", "scalar"])
+    def test_malformed_window_in_files(self, tmp_path, capsys, bounds):
+        net, cfg = tmp_path / "net.json", tmp_path / "cfg.json"
+        net.write_text(json.dumps({"window": bounds, "cities": [[1, 1], [2, 2], [3, 1]],
+                                   "segments": [[1, 1, 2, 2], [2, 2, 3, 1]]}))
+        assert run("generate", "poisson", "--window", "10", "--out", str(cfg)) == EXIT_OK
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "window": bounds}))
+        for argv in (("measure", str(net), "--stretch", "steiner"),
+                     ("build", str(cfg), "delaunay")):
+            assert run(*argv) == EXIT_DOMAIN
+            assert self.NOT_FOUR in capsys.readouterr().err
 
 
 class TestBounds:

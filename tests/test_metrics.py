@@ -375,7 +375,7 @@ _STRETCH_CASES = {
                                   [[1, 1, 2, 2], [2, 2, 3, 1], [8, 8, 9, 9]]), "all"),
     "coincident": (lambda: _net([[2, 2], [2, 2], [5, 5], [6, 5], [5, 7], [5, 7]],
                                 [[2, 2, 5, 5], [5, 5, 6, 5], [5, 5, 5, 7]]), "all"),
-    # every pair coincides: no ratio at all
+    # every pair coincides: no ratio at all, refused
     "all-coincident": (lambda: _net([[3, 3], [3, 3]], [[1, 1, 5, 5]]), "all"),
 }
 
@@ -386,14 +386,16 @@ class TestStretchMatchesLoop:
     def test_matches_loop(self, case, mode):
         build, pair_filter = _STRETCH_CASES[case]
         net = build()
+        if case == "all-coincident":
+            with pytest.raises(ValueError, match="distinct positions"):
+                metrics.stretch(net, mode, pair_filter, seed=7)
+            return
         rep = metrics.stretch(net, mode, pair_filter, seed=7)
         want = _loop_stretch(net, mode, pair_filter, seed=7)
         assert (rep.max_ratio, rep.argmax_pair, rep.percentiles, rep.n_pairs, rep.exact) == want
         assert rep.exact == ("sampled" not in case)
         if case == "disconnected":
             assert rep.max_ratio == math.inf and rep.percentiles["p99"] < math.inf
-        if case == "all-coincident":
-            assert (rep.max_ratio, rep.argmax_pair, rep.n_pairs) == (-math.inf, (-1, -1), 0)
 
 
 def _loop_local_stretch(net, neighbor_rule, margin_fraction=metrics.DEFAULT_MARGIN):
