@@ -87,6 +87,14 @@ def _on_segment_collinear(p: Point, q: Point, r: Point) -> bool:
     )
 
 
+def _along(points):
+    """Sort key ordering collinear points along their line: by x where the
+    points spread at least as far in x as in y, else by y."""
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    axis = 0 if max(xs) - min(xs) >= max(ys) - min(ys) else 1
+    return lambda p: p[axis]
+
+
 def segment_intersection(s1: Segment, s2: Segment):
     """Intersection of two segments.
 
@@ -101,15 +109,14 @@ def segment_intersection(s1: Segment, s2: Segment):
     d4 = orient(c, d, b)
 
     if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-        # collinear: overlap along the dominant axis
-        axis = 0 if abs(b[0] - a[0]) >= abs(b[1] - a[1]) else 1
-        lo1, hi1 = sorted((a, b), key=lambda p: p[axis])
-        lo2, hi2 = sorted((c, d), key=lambda p: p[axis])
-        lo = max(lo1, lo2, key=lambda p: p[axis])
-        hi = min(hi1, hi2, key=lambda p: p[axis])
-        if lo[axis] > hi[axis]:
+        # collinear: overlap along the line
+        along = _along((a, b, c, d))
+        lo1, hi1 = sorted((a, b), key=along)
+        lo2, hi2 = sorted((c, d), key=along)
+        lo, hi = max(lo1, lo2, key=along), min(hi1, hi2, key=along)
+        if along(lo) > along(hi):
             return None
-        if lo[axis] == hi[axis]:
+        if along(lo) == along(hi):
             return lo
         return Segment(lo, hi)
 
@@ -147,8 +154,9 @@ class RoutingGraph:
     nodes: (n, 2) coordinates; edges: (m, 2) node indices; weights:
     Euclidean sub-segment lengths; city_nodes: node index per input city.
     stats: counts from build_arrangement's stages: segments_in (input
-    rows), overlap_rounds, candidate_pairs (segment pairs sharing a grid
-    cell whose bounding boxes meet), exact_pairs (those sent to
+    rows), overlap_rounds (passes over the candidate pairs, the last one
+    merging nothing), candidate_pairs (pairs of the merged segments sharing
+    a grid cell whose bounding boxes meet), exact_pairs (those sent to
     segment_intersection), snapped (points merged into a node at nonzero
     distance), nodes and edges; on a torus also seam_points and glued (see
     build_torus_arrangement).
@@ -271,68 +279,57 @@ def _cell_codes(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return rx * (ry.max(initial=0) + 1) + ry
 
 
-def _blocks(pairs) -> list[np.ndarray]:
-    """Consecutive blocks of at most _PAIR_BLOCK rows of the (k, 2) index
-    pairs, at least one."""
-    P = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return [P[b:b + _PAIR_BLOCK] for b in range(0, max(len(P), 1), _PAIR_BLOCK)]
+def _pair_blocks(seg: np.ndarray, cx: np.ndarray, cy: np.ndarray):
+    """The segment pairs i < j sharing a cell, from the (segment, cell x,
+    cell y) rows of _segment_cells, as sorted unique (k, 2) blocks.
 
-
-def _candidate_pairs(seg: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Sorted unique (k, 2) array of the segment pairs i < j sharing a cell,
-    from the (segment, cell x, cell y) rows of _segment_cells.
-
-    The pairs are listed in blocks of rows making at most _PAIR_BLOCK pairs
-    (or one row's pairs, when those alone exceed it), each block sorted and
-    deduplicated, and the sorted runs merged.
+    A block holds every pair of a run of lower segments i, so the blocks
+    come in sorted order and a pair sharing several cells is in one block.
+    A block comes from at most _PAIR_BLOCK listings (one per pair and shared
+    cell), or from one segment's listings when those alone exceed that.
     """
     order = np.lexsort((seg, cy, cx))
     seg, cx, cy = seg[order], cx[order], cy[order]
-    start = np.ones(len(seg), dtype=bool)
-    start[1:] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
-    bounds = np.append(np.flatnonzero(start), len(seg))
-    # row r pairs with the rows after it in its cell
-    counts = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(len(seg)) - 1
-    ends = np.cumsum(counts)
-    codes, i = [np.empty(0, dtype=np.int64)], 0
-    while i < len(seg):
-        j = max(int(np.searchsorted(ends, ends[i] - counts[i] + _PAIR_BLOCK, "right")), i + 1)
-        first, off = _expand(counts[i:j])
-        first += i
-        # a segment is listed once per cell and ascending within it, so i < j
-        block = np.sort(seg[first] * 2**32 + seg[first + 1 + off])
-        codes.append(block[np.diff(block, prepend=-1) != 0])  # codes are >= 0
-        i = j
-    # a stable sort merges the sorted runs; np.unique hashes integers in
-    # numpy 2.x, about 10x slower on these codes
-    codes = np.sort(np.concatenate(codes), kind="stable")
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    P = np.empty((len(codes), 2), dtype=np.int64)
-    np.right_shift(codes, 32, out=P[:, 0])
-    np.bitwise_and(codes, 2**32 - 1, out=P[:, 1])
-    return P
+    # row r pairs with the rows after it in its cell, up to row end[r]
+    bounds = np.flatnonzero(np.append((cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1]), True)) + 1
+    end = np.repeat(bounds, np.diff(bounds, prepend=0))
+    del order, cx, cy, bounds  # the blocks read seg and end only
+    rows = np.argsort(seg, kind="stable")  # each segment's rows together
+    lo = np.searchsorted(seg, np.arange(seg.max(initial=-1) + 2), sorter=rows)
+    before = np.append(0, np.cumsum(end[rows] - rows - 1))[lo]  # listings before each
+    s = 0
+    while s < len(lo) - 1:
+        t = max(int(np.searchsorted(before, before[s] + _PAIR_BLOCK, "right")) - 1, s + 1)
+        yield _listed_pairs(seg, end, rows[lo[s]:lo[t]])
+        s = t
 
 
-def _boxes_meet(S: np.ndarray, pairs) -> np.ndarray:
-    """The (k, 2) pairs, in order, whose segments' closed bounding boxes
-    meet: segments with disjoint boxes neither cross, touch nor overlap."""
+def _listed_pairs(seg: np.ndarray, end: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The block of rows r of _pair_blocks, built apart so that the
+    generator's frame keeps no block while its consumer holds one."""
+    first, off = _expand(end[r] - r - 1)
+    first = r[first]
+    # a segment is listed once per cell and ascending within it, so i < j
+    codes = np.sort(seg[first] * 2**32 + seg[first + 1 + off])
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are >= 0
+    return np.stack([codes >> 32, codes & (2**32 - 1)], axis=1)
+
+
+def _boxes_meet(S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The rows of the (k, 2) index pairs P, in order, whose segments' closed
+    bounding boxes meet: disjoint boxes neither cross, touch nor overlap."""
     x0, y0 = np.minimum(S[:, 0], S[:, 2]), np.minimum(S[:, 1], S[:, 3])
     x1, y1 = np.maximum(S[:, 0], S[:, 2]), np.maximum(S[:, 1], S[:, 3])
-    meet = []
-    for P in _blocks(pairs):
-        i, j = P[:, 0].copy(), P[:, 1].copy()
-        meet.append(P[(x0[i] <= x1[j]) & (x0[j] <= x1[i])
-                      & (y0[i] <= y1[j]) & (y0[j] <= y1[i])])
-    return np.concatenate(meet)
+    i, j = P[:, 0].copy(), P[:, 1].copy()
+    return P[(x0[i] <= x1[j]) & (x0[j] <= x1[i]) & (y0[i] <= y1[j]) & (y0[j] <= y1[i])]
 
 
-def _pair_arrays(S: np.ndarray, pairs):
-    """(k, 2) index pairs P and the eight 1-D coordinate arrays ax, ay, bx,
-    by, cx, cy, dx, dy: segment P[:, 0] runs from a to b, P[:, 1] from c to d."""
-    P = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+def _pair_arrays(S: np.ndarray, P: np.ndarray):
+    """The eight 1-D coordinate arrays ax, ay, bx, by, cx, cy, dx, dy of the
+    (k, 2) index pairs P: segment P[:, 0] runs from a to b, P[:, 1] from c to d."""
     cols = np.ascontiguousarray(S.T)
     i, j = P[:, 0].copy(), P[:, 1].copy()
-    return P, [c[i] for c in cols] + [c[j] for c in cols]
+    return [c[i] for c in cols] + [c[j] for c in cols]
 
 
 def _filtered_cross(ux, uy, vx, vy):
@@ -353,27 +350,18 @@ def _shares_endpoint(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
             | ((bx == cx) & (by == cy)) | ((bx == dx) & (by == dy)))
 
 
-def _intersection_events(S: np.ndarray, pairs):
-    """Candidate pairs meeting in a single point: their (k, 2) rows of
-    ``pairs``, in order, the (k, 2) meeting points, and the number of pairs
-    sent to the exact predicates.  The pairs go in blocks of _PAIR_BLOCK.
-    """
-    ev, hits, exact = zip(*(_block_events(S, B) for B in _blocks(pairs)))
-    return np.concatenate(ev), np.concatenate(hits), sum(exact)
-
-
-def _block_events(S: np.ndarray, pairs):
-    """_intersection_events on one block of pairs.
+def _block_events(S: np.ndarray, P: np.ndarray):
+    """The rows of the (k, 2) index pairs P, in order, meeting in a single
+    point, the (k, 2) meeting points, and the number of pairs sent to the
+    exact predicates.
 
     A vectorized orientation filter settles the bulk of the pairs: pairs
     whose four orientations are all decisively nonzero either cross
     properly (intersection solved in floats) or miss entirely.  Pairs the
     filter cannot decide and that share no endpoint go through the exact
-    predicate path.  Collinear overlaps (already merged away upstream)
-    produce no event.
+    predicate path.  Collinear overlaps produce no event.
     """
-    P, E = _pair_arrays(S, pairs)
-    ax, ay, bx, by, cx, cy, dx, dy = E
+    ax, ay, bx, by, cx, cy, dx, dy = E = _pair_arrays(S, P)
     rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
     d1, decisive = _filtered_cross(rx, ry, cx - ax, cy - ay)
     d2, sure = _filtered_cross(rx, ry, dx - ax, dy - ay)
@@ -387,9 +375,9 @@ def _block_events(S: np.ndarray, pairs):
     t = ((cx - ax) * sy - (cy - ay) * sx) / (rx * sy - ry * sx)
     rows, hits = [k], [np.column_stack([ax + t * rx, ay + t * ry])]
     # A pair sharing an endpoint bit-for-bit meets only there.  Exact and
-    # reversed duplicates were dropped and collinear overlaps merged by
-    # _merge_overlaps (an overlap would give a Segment, hence no event), so
-    # the pair is non-collinear, with one common point, or collinear end to
+    # reversed duplicates were dropped, and the events of a _merge_overlaps
+    # round that finds a collinear overlap are dropped with it, so the kept
+    # pair is non-collinear, with one common point, or collinear end to
     # end.  segment_intersection would return the shared point, which is
     # already a node of both segments: _project gives it t = 0.0 or
     # t = 1.0 exactly, so its event would insert no node and split nothing.
@@ -407,9 +395,8 @@ def _block_events(S: np.ndarray, pairs):
     return P[rows[order]], hits[order], len(exact)
 
 
-def _near_collinear_pairs(S: np.ndarray, pairs) -> np.ndarray:
-    """Rows of the candidate pairs that could be collinear, in order, taken
-    in blocks of _PAIR_BLOCK.
+def _near_collinear_pairs(S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The rows of the (k, 2) index pairs P, in order, that could be collinear.
 
     Keeps a pair whenever the directions are not decisively non-parallel
     and one endpoint is not decisively off the other's line; exactly
@@ -417,42 +404,46 @@ def _near_collinear_pairs(S: np.ndarray, pairs) -> np.ndarray:
     zero and thus inside the filter's error band.
     """
     rx, ry = S[:, 2] - S[:, 0], S[:, 3] - S[:, 1]
-    near = []
-    for P in _blocks(pairs):
-        i, j = P[:, 0].copy(), P[:, 1].copy()
-        P = P[~_filtered_cross(rx[i], ry[i], rx[j], ry[j])[1]]
-        ax, ay, bx, by, cx, cy, _, _ = _pair_arrays(S, P)[1]
-        near.append(P[~_filtered_cross(bx - ax, by - ay, cx - ax, cy - ay)[1]])
-    return np.concatenate(near)
+    i, j = P[:, 0].copy(), P[:, 1].copy()
+    P = P[~_filtered_cross(rx[i], ry[i], rx[j], ry[j])[1]]
+    ax, ay, bx, by, cx, cy, _, _ = _pair_arrays(S, P)
+    return P[~_filtered_cross(bx - ax, by - ay, cx - ax, cy - ay)[1]]
 
 
-def _merge_overlaps(S: np.ndarray, cell: float, pad: float):
-    """Union collinear overlapping segments so shared geometry counts once.
+def _merge_overlaps(S: np.ndarray, cell: float, pad: float, stats: dict):
+    """Union collinear overlapping segments so shared geometry counts once,
+    and find where the merged segments meet.
 
-    Overlaps are sought among the near-collinear candidate pairs, those
-    sharing a cell grown by ``pad``: two segments that overlap with positive
-    length share every cell the overlap crosses.  Returns the merged
-    (m', 4) array, the number of rounds taken and the candidate pairs of
-    the merged segments.
+    Each round reads the blocks of candidate pairs once, those sharing a
+    cell grown by ``pad``, as overlapping segments do.  A block feeds the
+    merge's near-collinear filter and, after the bounding-box cut,
+    _block_events.  A merge grows a segment past the box its pairs came
+    from, so a round that merges drops its events.  Returns the merged
+    (m', 4) array, the events and their meeting points, and counts
+    overlap_rounds, exact_pairs and candidate_pairs in ``stats``.
     """
     S = S.copy()
+    none = np.empty((0, 2), dtype=np.int64)
     for rounds in range(1, 33):
-        pairs = _candidate_pairs(*_segment_cells(S, cell, pad))
+        near, found, kept = [none], [(none, np.empty((0, 2)), 0)], 0
+        for P in _pair_blocks(*_segment_cells(S, cell, pad)):
+            near.append(_near_collinear_pairs(S, P))
+            P = _boxes_meet(S, P)
+            found.append(_block_events(S, P))
+            kept += len(P)
         merged_away: set[int] = set()
-        for i, j in _near_collinear_pairs(S, pairs).tolist():
+        for i, j in np.concatenate(near).tolist():
             if i in merged_away or j in merged_away:
                 continue
             si, sj = (Segment(*map(tuple, S[k].reshape(2, 2).tolist())) for k in (i, j))
             if isinstance(segment_intersection(si, sj), Segment):
-                # union of the two collinear segments
-                pts = [si.a, si.b, sj.a, sj.b]
-                axis = 0 if abs(si.b[0] - si.a[0]) >= abs(si.b[1] - si.a[1]) else 1
-                lo = min(pts, key=lambda p: p[axis])
-                hi = max(pts, key=lambda p: p[axis])
-                S[i] = (*lo, *hi)
+                pts = (*si, *sj)  # union of the two collinear segments
+                S[i] = (*min(pts, key=_along(pts)), *max(pts, key=_along(pts)))
                 merged_away.add(j)
         if not merged_away:
-            return S, rounds, pairs
+            ev, hits, exact = zip(*found)
+            stats.update(overlap_rounds=rounds, exact_pairs=sum(exact), candidate_pairs=kept)
+            return S, np.concatenate(ev), np.concatenate(hits)
         S = np.delete(S, sorted(merged_away), axis=0)
     raise RuntimeError("overlap merging did not converge")
 
@@ -593,19 +584,13 @@ def build_arrangement(
 
     cell = max(sum(_lengths(S).tolist()) / len(S), 16 * snap_eps) if len(S) else 1.0
     pad = max(snap_eps, 1e-9 * cell)
-    S, stats["overlap_rounds"], pairs = _merge_overlaps(S, cell, pad)
+    S, ev, hits = _merge_overlaps(S, cell, pad, stats)
     m, n_cities = len(S), len(cities)
     if m == 0 and n_cities > 1:
         raise DisconnectedCityError("disconnected city: empty segment set")
     length = _lengths(S)
-
     # pairwise intersections and endpoint touches; a proper crossing
-    # carries no node in graph mode.  The box cut waits until the overlaps
-    # are merged: a merge grows a segment past the box its pairs came from.
-    pairs = _boxes_meet(S, pairs)
-    ev, hits, stats["exact_pairs"] = _intersection_events(S, pairs)
-    stats["candidate_pairs"] = len(pairs)
-    del pairs  # the largest array here, and no stage below reads it
+    # carries no node in graph mode
     t_i = _project(hits[:, 0], hits[:, 1], S[ev[:, 0]])[0]
     t_j = _project(hits[:, 0], hits[:, 1], S[ev[:, 1]])[0]
     in_i = _interior(t_i, length[ev[:, 0]], snap_eps)

@@ -88,6 +88,27 @@ class TestSegmentIntersection:
         hit = segment_intersection(Segment((0, 0), (2, 0)), Segment((1, 0), (1, 1)))
         assert hit == pytest.approx((1.0, 0.0))
 
+    def test_degenerate_first_collinear(self):
+        # the overlap axis comes from both segments, not the first alone
+        point, seg = Segment((1, 5), (1, 5)), Segment((1, 0), (1, 2))
+        assert segment_intersection(point, seg) is None
+        assert segment_intersection(seg, point) is None
+        assert segment_intersection(point, Segment((1, 0), (1, 6))) == (1, 5)
+
+    _small = st.integers(-3, 3).map(float)
+
+    @given(st.lists(st.tuples(_small, _small), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_same_under_swap(self, pts):
+        """Lattice points make collinear, touching and degenerate pairs often."""
+        s, t = Segment(*pts[:2]), Segment(*pts[2:])
+        one, two = segment_intersection(s, t), segment_intersection(t, s)
+        assert type(one) is type(two)
+        if type(one) is tuple:  # a proper crossing is solved from either end
+            assert one == pytest.approx(two)
+        else:
+            assert one == two
+
     def test_nearly_parallel_crossing(self):
         # the orientations say the segments cross, but the float
         # determinant of their directions cancels to zero
@@ -418,8 +439,9 @@ def _shared_endpoint_segments(draw):
 
 
 def _arrangement_input(segments):
-    """The segment array and candidate pairs that build_arrangement hands to
-    _intersection_events (duplicates dropped, collinear overlaps merged)."""
+    """The merged segment array and its candidate pairs, from which
+    build_arrangement finds its events (duplicates dropped, collinear
+    overlaps merged)."""
     seen, segs = set(), []
     for s in segments:
         key = (min(s.a, s.b), max(s.a, s.b))
@@ -427,9 +449,10 @@ def _arrangement_input(segments):
             seen.add(key)
             segs.append(s)
     cell = sum(s.length for s in segs) / len(segs)
-    S, _, pairs = geom._merge_overlaps(np.array(segs, dtype=float).reshape(-1, 4), cell,
-                                       1e-9 * cell)
-    return S, pairs
+    S = geom._merge_overlaps(np.array(segs, dtype=float).reshape(-1, 4), cell, 1e-9 * cell,
+                             {})[0]
+    blocks = geom._pair_blocks(*geom._segment_cells(S, cell, 1e-9 * cell))
+    return S, np.concatenate([np.empty((0, 2), dtype=np.int64), *blocks])
 
 
 class TestTopologyFastPaths:
@@ -442,8 +465,8 @@ class TestTopologyFastPaths:
         S, pairs = _arrangement_input(segments)
         if not len(pairs):
             return
-        P, cols = geom._pair_arrays(S, pairs)
-        for i, j in P[geom._shares_endpoint(*cols)].tolist():
+        cols = geom._pair_arrays(S, pairs)
+        for i, j in pairs[geom._shares_endpoint(*cols)].tolist():
             s, t = (Segment(*map(tuple, S[k].reshape(2, 2).tolist())) for k in (i, j))
             hit = segment_intersection(s, t)
             assert not isinstance(hit, Segment) and hit is not None
@@ -469,12 +492,21 @@ class TestTopologyFastPaths:
     def test_candidate_pairs_brute_force(self, raw, cell):
         S = np.array(raw, dtype=float).reshape(-1, 4)
         want = _bucket_pairs(_buckets([Segment(a, b) for a, b in raw], cell, 1e-9 * cell))
-        got = geom._candidate_pairs(*geom._segment_cells(S, cell, 1e-9 * cell))
-        assert got.dtype.kind == "i" and got.shape == (len(want), 2)
-        assert [tuple(p) for p in got.tolist()] == want
-        with mock.patch.object(geom, "_PAIR_BLOCK", 3):
-            blocked = geom._candidate_pairs(*geom._segment_cells(S, cell, 1e-9 * cell))
-        np.testing.assert_array_equal(blocked, got)
+        got = [tuple(p) for B in geom._pair_blocks(*geom._segment_cells(S, cell, 1e-9 * cell))
+               for p in B.tolist()]
+        assert got == want
+        for block in (1, 3):
+            with mock.patch.object(geom, "_PAIR_BLOCK", block):
+                blocks = list(geom._pair_blocks(*geom._segment_cells(S, cell, 1e-9 * cell)))
+            assert all(B.dtype.kind == "i" and B.shape[1:] == (2,) for B in blocks)
+            assert [tuple(p) for B in blocks for p in B.tolist()] == want
+            last = (-1, -1)
+            for B in map(np.ndarray.tolist, blocks):
+                # sorted, unique and above the previous block's last pair
+                assert all(tuple(p) < tuple(q) for p, q in zip([last] + B, B))
+                last = tuple(B[-1]) if B else last
+                # within the budget, or the pairs of one lower segment
+                assert len(B) <= block or len({i for i, _ in B}) == 1
 
 
 # segments snapped to a half-unit lattice put endpoints on cell boundaries and
@@ -490,6 +522,20 @@ def _segment_set(draw, max_size=14):
     raw = draw(st.lists(st.tuples(coord, coord, coord, coord), min_size=0,
                         max_size=max_size))
     return [((a, b), (c, d)) for a, b, c, d in raw]
+
+
+@st.composite
+def _collinear_chain(draw):
+    """Overlapping segments along one lattice line, which merge, spokes that
+    touch it at lattice points, which take the exact predicates, and a few
+    other segments."""
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, 3)]))
+    ox, oy = draw(_lattice), draw(_lattice)
+    at = st.integers(-6, 6).map(lambda t: (ox + t * dx, oy + t * dy))
+    runs = draw(st.lists(st.tuples(at, st.integers(1, 5)), min_size=2, max_size=6))
+    chain = [(p, (p[0] + n * dx, p[1] + n * dy)) for p, n in runs]
+    spokes = draw(st.lists(st.tuples(at, _point), max_size=3))
+    return chain + spokes + draw(_segment_set(max_size=6))
 
 
 class TestArrangementStages:
@@ -752,10 +798,25 @@ class TestPairBlocks:
         segs = [Segment(*s) for s in raw if s[0] != s[1]]
         S = np.array(segs, dtype=float).reshape(-1, 4)
         pairs = [(i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))]
-        kept = [tuple(p) for p in geom._boxes_meet(S, pairs).tolist()]
+        P = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        kept = [tuple(p) for p in geom._boxes_meet(S, P).tolist()]
         assert kept == [p for p in pairs if p in set(kept)]  # a subset, in order
         for i, j in sorted(set(pairs) - set(kept)):
             assert segment_intersection(segs[i], segs[j]) is None
+
+    @given(_collinear_chain())
+    @settings(max_examples=150, deadline=None)
+    def test_merging_round_leaves_no_trace(self, raw):
+        """The pair counts are those of the merged segments arranged at once."""
+        with mock.patch.object(geom, "_merge_overlaps", wraps=geom._merge_overlaps) as merge:
+            g = build_arrangement(raw, [])
+        (S, cell, pad, _), _ = merge.call_args
+        merged = geom._merge_overlaps(S, cell, pad, {})[0]
+        direct = {}
+        geom._merge_overlaps(merged, cell, pad, direct)
+        assert direct["overlap_rounds"] == 1
+        for name in ("candidate_pairs", "exact_pairs"):
+            assert g.stats[name] == direct[name], name
 
     # tracemalloc peak of routing_graph on cone8 over the seed-0 20x20 torus
     # (55,808 nodes, 218,306 candidate pairs): 20.6 MB with blocks of 1 << 16
