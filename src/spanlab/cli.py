@@ -106,6 +106,8 @@ def _save_run(path: str | None, argv: list[str]) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.torus and args.kind in ("square", "hex", "tri"):
+        raise ValueError("lattices have no torus form")
     cfg = _GENERATORS[args.kind][1](_window_arg(args.window), args)
     _write(args.out, cfg.to_json())
     return EXIT_OK

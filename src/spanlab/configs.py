@@ -68,7 +68,10 @@ class Window:
         return math.hypot(self.width, self.height)
 
     def inner(self, margin_fraction: float) -> "Window":
-        """Window shrunk by margin_fraction of each dimension per side."""
+        """Window shrunk by margin_fraction of each dimension per side;
+        ValueError unless 0 <= margin_fraction < 0.5."""
+        if not 0 <= margin_fraction < 0.5:
+            raise ValueError("margin_fraction must be in [0, 0.5)")
         mx = margin_fraction * self.width
         my = margin_fraction * self.height
         return Window(self.x0 + mx, self.y0 + my, self.x1 - mx, self.y1 - my)

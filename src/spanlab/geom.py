@@ -154,8 +154,8 @@ class RoutingGraph:
     nodes: (n, 2) coordinates; edges: (m, 2) node indices; weights:
     Euclidean sub-segment lengths; city_nodes: node index per input city.
     stats: counts from build_arrangement's stages: segments_in (input
-    rows), overlap_rounds (passes over the candidate pairs, the last one
-    merging nothing), candidate_pairs (pairs of the merged segments sharing
+    rows), overlap_rounds (passes over the candidate pairs: 1, or 2 when
+    the first merged), candidate_pairs (pairs of the merged segments sharing
     a grid cell whose bounding boxes meet), exact_pairs (those sent to
     segment_intersection), snapped (points merged into a node at nonzero
     distance), nodes and edges; on a torus also seam_points and glued (see
@@ -352,18 +352,22 @@ def _shares_endpoint(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
 
 def _block_events(S: np.ndarray, P: np.ndarray):
     """The rows of the (k, 2) index pairs P, in order, meeting in a single
-    point, the (k, 2) meeting points, and the number of pairs sent to the
-    exact predicates.
+    point, the (k, 2) meeting points, the number of pairs sent to the
+    exact predicates, and the pairs of P, in order, that could be collinear.
 
     A vectorized orientation filter settles the bulk of the pairs: pairs
     whose four orientations are all decisively nonzero either cross
     properly (intersection solved in floats) or miss entirely.  Pairs the
     filter cannot decide and that share no endpoint go through the exact
-    predicate path.  Collinear overlaps produce no event.
+    predicate path.  Collinear overlaps produce no event.  The pairs that
+    could be collinear, whose directions are not decisively non-parallel
+    and c not decisively off the line ab, hold every exactly collinear
+    pair: its true determinants are zero, inside the filter's error band.
     """
     ax, ay, bx, by, cx, cy, dx, dy = E = _pair_arrays(S, P)
     rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
     d1, decisive = _filtered_cross(rx, ry, cx - ax, cy - ay)
+    near = P[~decisive & ~_filtered_cross(rx, ry, sx, sy)[1]]
     d2, sure = _filtered_cross(rx, ry, dx - ax, dy - ay)
     decisive &= sure
     d3, sure = _filtered_cross(sx, sy, ax - cx, ay - cy)
@@ -375,13 +379,13 @@ def _block_events(S: np.ndarray, P: np.ndarray):
     t = ((cx - ax) * sy - (cy - ay) * sx) / (rx * sy - ry * sx)
     rows, hits = [k], [np.column_stack([ax + t * rx, ay + t * ry])]
     # A pair sharing an endpoint bit-for-bit meets only there.  Exact and
-    # reversed duplicates were dropped, and the events of a _merge_overlaps
-    # round that finds a collinear overlap are dropped with it, so the kept
-    # pair is non-collinear, with one common point, or collinear end to
-    # end.  segment_intersection would return the shared point, which is
-    # already a node of both segments: _project gives it t = 0.0 or
-    # t = 1.0 exactly, so its event would insert no node and split nothing.
-    # The topology settles these pairs.
+    # reversed duplicates were dropped, and _merge_overlaps keeps only the
+    # events of segments no two of which overlap, so the kept pair is
+    # non-collinear, with one common point, or collinear end to end.
+    # segment_intersection would return the shared point, which is already
+    # a node of both segments: _project gives it t = 0.0 or t = 1.0
+    # exactly, so its event would insert no node and split nothing.  The
+    # topology settles these pairs.
     exact = np.flatnonzero(~decisive)
     exact = exact[~_shares_endpoint(*(v[exact] for v in E))]
     for row, (x1, y1, x2, y2, x3, y3, x4, y4) in zip(
@@ -392,60 +396,46 @@ def _block_events(S: np.ndarray, P: np.ndarray):
             hits.append(np.array([hit], dtype=float))
     rows, hits = np.concatenate(rows), np.concatenate(hits)
     order = np.argsort(rows, kind="stable")
-    return P[rows[order]], hits[order], len(exact)
-
-
-def _near_collinear_pairs(S: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """The rows of the (k, 2) index pairs P, in order, that could be collinear.
-
-    Keeps a pair whenever the directions are not decisively non-parallel
-    and one endpoint is not decisively off the other's line; exactly
-    collinear pairs always survive because their true determinants are
-    zero and thus inside the filter's error band.
-    """
-    rx, ry = S[:, 2] - S[:, 0], S[:, 3] - S[:, 1]
-    i, j = P[:, 0].copy(), P[:, 1].copy()
-    P = P[~_filtered_cross(rx[i], ry[i], rx[j], ry[j])[1]]
-    ax, ay, bx, by, cx, cy, _, _ = _pair_arrays(S, P)
-    return P[~_filtered_cross(bx - ax, by - ay, cx - ax, cy - ay)[1]]
+    return P[rows[order]], hits[order], len(exact), near
 
 
 def _merge_overlaps(S: np.ndarray, cell: float, pad: float, stats: dict):
     """Union collinear overlapping segments so shared geometry counts once,
     and find where the merged segments meet.
 
-    Each round reads the blocks of candidate pairs once, those sharing a
-    cell grown by ``pad``, as overlapping segments do.  A block feeds the
-    merge's near-collinear filter and, after the bounding-box cut,
-    _block_events.  A merge grows a segment past the box its pairs came
-    from, so a round that merges drops its events.  Returns the merged
+    A pass feeds _block_events the blocks of candidate pairs, those sharing
+    a cell grown by ``pad`` whose bounding boxes meet, as overlapping
+    segments' do.  The near-collinear pairs that overlap join into connected
+    components, each merged into its lowest row.  A segment overlapping a
+    union overlaps one of its members, so a second pass, run only when the
+    first merged, finds the events and seeks no overlap.  Returns the merged
     (m', 4) array, the events and their meeting points, and counts
-    overlap_rounds, exact_pairs and candidate_pairs in ``stats``.
+    overlap_rounds (passes), exact_pairs and candidate_pairs in ``stats``.
     """
     S = S.copy()
-    none = np.empty((0, 2), dtype=np.int64)
-    for rounds in range(1, 33):
-        near, found, kept = [none], [(none, np.empty((0, 2)), 0)], 0
+    for rounds in (1, 2):
+        found, kept = [_block_events(S, np.empty((0, 2), dtype=np.int64))], 0
         for P in _pair_blocks(*_segment_cells(S, cell, pad)):
-            near.append(_near_collinear_pairs(S, P))
             P = _boxes_meet(S, P)
             found.append(_block_events(S, P))
             kept += len(P)
-        merged_away: set[int] = set()
-        for i, j in np.concatenate(near).tolist():
-            if i in merged_away or j in merged_away:
-                continue
-            si, sj = (Segment(*map(tuple, S[k].reshape(2, 2).tolist())) for k in (i, j))
-            if isinstance(segment_intersection(si, sj), Segment):
-                pts = (*si, *sj)  # union of the two collinear segments
-                S[i] = (*min(pts, key=_along(pts)), *max(pts, key=_along(pts)))
-                merged_away.add(j)
-        if not merged_away:
-            ev, hits, exact = zip(*found)
+        ev, hits, exact, near = zip(*found)
+        pairs = [p for p in np.concatenate(near).tolist() if rounds == 1 and isinstance(
+            segment_intersection(*(Segment(*map(tuple, S[k].reshape(2, 2).tolist())) for k in p)),
+            Segment)]
+        if not pairs:
             stats.update(overlap_rounds=rounds, exact_pairs=sum(exact), candidate_pairs=kept)
             return S, np.concatenate(ev), np.concatenate(hits)
-        S = np.delete(S, sorted(merged_away), axis=0)
-    raise RuntimeError("overlap merging did not converge")
+        i, j = np.array(pairs).T
+        comp = connected_components(csr_matrix((np.ones(len(i)), (i, j)), shape=(len(S),) * 2),
+                                    directed=False)[1]
+        rows = np.unique(pairs)  # each component's rows together, lowest first
+        rows = rows[np.argsort(comp[rows], kind="stable")]
+        first = np.flatnonzero(np.diff(comp[rows], prepend=-1))
+        for members in np.split(rows, first[1:]):
+            pts = [tuple(p) for p in S[members].reshape(-1, 2).tolist()]
+            S[members[0]] = (*min(pts, key=_along(pts)), *max(pts, key=_along(pts)))
+        S = np.delete(S, np.delete(rows, first), axis=0)
 
 
 def _project(px: np.ndarray, py: np.ndarray, S: np.ndarray):

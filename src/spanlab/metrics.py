@@ -175,8 +175,6 @@ def normalized_length(net: Network, margin_fraction: float = DEFAULT_MARGIN) -> 
     seam pieces (``nets.unwrap``), which hold every road once inside the
     window.
     """
-    if not 0 <= margin_fraction < 0.5:
-        raise ValueError("margin_fraction must be in [0, 0.5)")
     inner = net.config.window.inner(margin_fraction)
     if inner.area <= 0:
         raise ValueError("empty inner window")

@@ -48,6 +48,12 @@ class TestGenerate:
         assert json.loads(out)["kind"] == kind
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("kind", ["square", "hex", "tri"])
+    def test_lattice_on_a_torus_is_a_domain_error(self, capsys, kind):
+        assert run("generate", kind, "--window", "4", "--torus") == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and "lattices have no torus form" in captured.err
+
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
         assert run("generate", "gaussian") == EXIT_USAGE
         capsys.readouterr()

@@ -713,10 +713,10 @@ class TestArrangementOracle:
         g = build_arrangement(segs + [((1, 1), (2, 2)), ((2, 2), (0, 0))],
                               [(0, 0), (2 + 1e-12, 0), (1 + 1e-12, 1)], snap_eps=1e-9,
                               junctions=False)
-        # the reversed duplicate goes, the collinear overlap merges in a
-        # second round, the crossing carries no node, the second city snaps
-        # to the endpoint (2, 0) and the third, off the crossing by 1e-12,
-        # splits both roads at a node of its own
+        # the reversed duplicate goes, the collinear overlap merges (so a
+        # second pass finds the events), the crossing carries no node, the
+        # second city snaps to the endpoint (2, 0) and the third, off the
+        # crossing by 1e-12, splits both roads at a node of its own
         assert g.stats == {"segments_in": 4, "overlap_rounds": 2, "candidate_pairs": 1,
                            "exact_pairs": 0, "snapped": 1, "nodes": 5, "edges": 4}
 
@@ -739,9 +739,9 @@ class TestArrangementOracle:
                        "snapped": 2, "nodes": 6, "edges": 4}),
         (_GAPS, 1.5 * _D, {"overlap_rounds": 1, "candidate_pairs": 0, "exact_pairs": 0,
                            "snapped": 0, "nodes": 8, "edges": 4}),
-        # A u B meets C in the round that made it: 2 rounds; seeking
-        # overlaps only in cells grown by 1e-9 * cell, as _build_reference
-        # does, takes 3 to the same graph
+        # A meets C only through B: one pass merges all three and a second
+        # finds the events; _build_reference's round loop takes 3 rounds to
+        # the same graph
         (_CHAIN, 4e-6, {"overlap_rounds": 2, "candidate_pairs": 0, "exact_pairs": 0,
                         "snapped": 0, "nodes": 5, "edges": 3}),
         (_CHAIN, 1.5 * _D, {"overlap_rounds": 2, "candidate_pairs": 0, "exact_pairs": 0,
@@ -753,6 +753,21 @@ class TestArrangementOracle:
             segs = [tuple(p[::-1] for p in s) for s in segs]
         g = _assert_same_as_reference(segs, [segs[0][0], segs[1][1], segs[2][1]], snap)
         assert g.stats == {"segments_in": 4, **stats}
+
+    # A and B overlap, and C and B; A and C do not.  _build_reference merges
+    # pair by pair and skips the pairs of a segment merged away, so it meets
+    # A u B with C in a second merging round.
+    _ACB = [((0, 0), (2, 0)), ((3, 0), (6, 0)), ((1, 0), (4, 0)), ((0, 1), (6, 1))]
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_overlap_chain_merges_in_one_pass(self, transposed):
+        segs, cities = self._ACB, [(0, 0), (2.5, 0), (6, 0), (0, 1)]
+        if transposed:
+            segs = [tuple(p[::-1] for p in s) for s in segs]
+            cities = [c[::-1] for c in cities]
+        g = _assert_same_as_reference(segs, cities)
+        assert g.stats == {"segments_in": 4, "overlap_rounds": 2, "exact_pairs": 0,
+                           "candidate_pairs": 0, "snapped": 0, "nodes": 5, "edges": 3}
 
     def test_tiny_segment_far_from_origin(self):
         # cell indices near 3e76 overflow int64
@@ -817,6 +832,23 @@ class TestPairBlocks:
         assert direct["overlap_rounds"] == 1
         for name in ("candidate_pairs", "exact_pairs"):
             assert g.stats[name] == direct[name], name
+
+    @given(st.one_of(_collinear_chain(), _segment_set()))
+    @settings(max_examples=200, deadline=None)
+    def test_near_rows_hold_every_overlap(self, raw):
+        """Each listed pair with a collinear overlap of positive length is
+        among the near-collinear pairs _block_events returns for its box-cut
+        block, so one pass finds every overlap: the merge takes at most two."""
+        segs = [Segment(*s) for s in raw if s[0] != s[1]]
+        S = np.array(segs, dtype=float).reshape(-1, 4)
+        cell = sum(s.length for s in segs) / len(segs) if segs else 1.0
+        with mock.patch.object(geom, "_PAIR_BLOCK", 3):
+            for P in geom._pair_blocks(*geom._segment_cells(S, cell, 1e-9 * cell)):
+                near = geom._block_events(S, geom._boxes_meet(S, P))[3].tolist()
+                for i, j in P.tolist():
+                    if isinstance(segment_intersection(segs[i], segs[j]), Segment):
+                        assert [i, j] in near
+        assert build_arrangement(raw, []).stats["overlap_rounds"] <= 2
 
     # tracemalloc peak of routing_graph on cone8 over the seed-0 20x20 torus
     # (55,808 nodes, 218,306 candidate pairs): 20.6 MB with blocks of 1 << 16

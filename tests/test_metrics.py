@@ -607,3 +607,18 @@ class TestIntersectionRate:
         net = _net([[1, 1], [2, 2]], [[1, 1, 2, 2]])
         with pytest.raises(ValueError):
             metrics.intersection_rate(net, n_lines=0)
+
+
+@pytest.mark.parametrize("margin", [-0.2, 0.5, 0.7])
+@pytest.mark.parametrize("measure", ["length", "rate", "stretch", "local"])
+def test_every_metric_takes_its_margin_rule_from_the_window(measure, margin):
+    """A margin outside [0, 0.5) is refused by Window.inner, for every metric
+    that reads an inner window."""
+    planar = nets.delaunay(poisson(Window.square(10), seed=1))
+    call = {"length": lambda: metrics.normalized_length(planar, margin),
+            "rate": lambda: metrics.intersection_rate(planar, 200, 0, margin),
+            "stretch": lambda: metrics.stretch(planar, margin_fraction=margin),
+            "local": lambda: metrics.local_stretch(nets.alternate_diagonals(Window.square(10)),
+                                                   "unit-distance", margin)}[measure]
+    with pytest.raises(ValueError, match=r"margin_fraction must be in \[0, 0\.5\)"):
+        call()
