@@ -12,8 +12,10 @@ import math
 from itertools import repeat
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from numpy.polynomial.legendre import leggauss
+
+# enough nodes for double precision on both integrands below (20 fall short)
+_GL_NODES, _GL_WEIGHTS = leggauss(24)
 
 # ---------------------------------------------------------------------------
 # theta-graphs
@@ -22,7 +24,7 @@ from scipy.optimize import brentq
 
 def s_m_bound(m: int) -> float:
     """Best known worst-case stretch of the theta-graph with m cones (m >= 6)."""
-    if m < 6 or int(m) != m:
+    if not m >= 6 or m % 1 != 0:
         raise ValueError("m must be an integer >= 6")
     t = 2.0 * math.pi / m
     if m % 4 == 0:
@@ -33,9 +35,10 @@ def s_m_bound(m: int) -> float:
     return math.cos(t / 4) / (math.cos(t / 2) - math.sin(3 * t / 4))
 
 
-def _theta_alpha(m: int) -> float:
-    half = math.pi / m  # half the cone angle
-    return math.cos(half) / (4.0 * math.sin(half))
+def _gauss_legendre(f, lo: float, hi: float) -> float:
+    """Gauss-Legendre rule for the vectorized f on [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    return half * math.fsum(_GL_WEIGHTS * f(lo + half * (_GL_NODES + 1.0)))
 
 
 def theta_mean_length(m: int) -> float:
@@ -43,29 +46,25 @@ def theta_mean_length(m: int) -> float:
     process, for even m >= 6.
 
     An edge from a typical city to the point z in one of its m cones exists
-    iff a triangle of area alpha*l(z)^2 is empty; the edge is mutual iff a
-    further region of area alpha*(r^2 + (l-r)^2) is also empty, where r and
-    l - r are the vertical distances from z to the cone boundaries (bisector
-    drawn horizontal).  Mutual edges are counted half to avoid
-    double-counting.
+    iff a triangle of area alpha*l(z)^2 is empty, alpha = 1/(4 tan(pi/m));
+    the edge is mutual iff a further region of area alpha*(r^2 + (l-r)^2)
+    is also empty, where r and l - r are the vertical distances from z to
+    the cone boundaries (bisector drawn horizontal).  Mutual edges are
+    counted half to avoid double-counting.
 
     The integral reduces exactly to one dimension.  With r = l*v,
-    u = v - 1/2, a = 1/(2 tan(pi/m)) and q(u) = 3/2 + 2u^2, the integrand
-    in (l, u), Jacobian included, is l^2 sqrt(a^2 + u^2) [exp(-alpha l^2)
-    - exp(-alpha l^2 q(u))/2], and the l-integral is closed form,
-    int_0^inf l^2 exp(-beta l^2) dl = sqrt(pi) / (4 beta^(3/2)).  So
-    L_m = m a sqrt(pi) / (4 alpha^(3/2)) * (I1 - I2/2) over u in
-    [-1/2, 1/2], with I1 = int sqrt(a^2 + u^2) du in closed form and
-    I2 = int sqrt(a^2 + u^2) q(u)^(-3/2) du by one quadrature.
+    u = v - 1/2, a = 2 alpha and q(u) = 3/2 + 2u^2, the integrand in (l, u),
+    Jacobian included, is l^2 sqrt(a^2 + u^2) [exp(-alpha l^2) -
+    exp(-alpha l^2 q(u))/2], and int_0^inf l^2 exp(-beta l^2) dl =
+    sqrt(pi) / (4 beta^(3/2)).  So L_m = m sqrt(pi tan(pi/m)) * int
+    sqrt(a^2 + u^2) (1 - q(u)^(-3/2)/2) du over [-1/2, 1/2], by the 24-node
+    Gauss-Legendre rule (the nearest singularities are at u = +-i sqrt(3)/2).
     """
-    if m < 6 or m % 2 != 0:
+    if not m >= 6 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 6")
-    a = 0.5 / math.tan(math.pi / m)
-    alpha = _theta_alpha(m)
-    i1 = 0.5 * math.hypot(a, 0.5) + a * a * math.asinh(0.5 / a)
-    i2, _err = quad(lambda u: math.hypot(a, u) * (1.5 + 2.0 * u * u) ** -1.5,
-                    -0.5, 0.5, epsabs=0.0, epsrel=1e-13)
-    return m * a * math.sqrt(math.pi) / (4.0 * alpha ** 1.5) * (i1 - 0.5 * i2)
+    t = math.tan(math.pi / m)
+    return m * math.sqrt(math.pi * t) * _gauss_legendre(
+        lambda u: np.hypot(0.5 / t, u) * (1.0 - 0.5 * (1.5 + 2.0 * u * u) ** -1.5), -0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +72,10 @@ def theta_mean_length(m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cone_area_factor(omega: float, k: int) -> float:
+def _cone_area_factor(omega, k: int):
     """Exponent coefficient: area of the mutual-exclusion region over r^2."""
-    return (math.pi / k - math.cos(omega) * math.sin(omega)
-            + math.sin(omega) ** 2 * (math.cos(math.pi / k) / math.sin(math.pi / k)))
+    return (math.pi / k - np.cos(omega) * np.sin(omega)
+            + np.sin(omega) ** 2 * (math.cos(math.pi / k) / math.sin(math.pi / k)))
 
 
 def cone_Lk(k: int) -> float:
@@ -84,16 +83,16 @@ def cone_Lk(k: int) -> float:
 
     Every city is linked to its Euclidean-nearest city in an angle-pi/k cone
     and in the opposite cone; L_k is the resulting mean length per unit area
-    over a rate-1 Poisson process.
+    over a rate-1 Poisson process: sqrt(2k) (1 - M/2), M the mean over
+    omega in [0, pi/k] of (A1 / A(omega))^(3/2), A the area factor and
+    A1 = pi/(2k) its one-cone counterpart, by the 24-node Gauss-Legendre
+    rule (A's nearest zeros are 1.15 to sqrt(3) half-lengths off [0, pi/k]).
     """
-    if k < 2 or int(k) != k:
+    if not k >= 2 or k % 1 != 0:
         raise ValueError("k must be an integer >= 2")
-
-    def integrand(omega):
-        return _cone_area_factor(omega, k) ** (-1.5)
-
-    val, _err = quad(integrand, 0.0, math.pi / k, epsabs=1e-8, epsrel=1e-12, limit=200)
-    return math.sqrt(2.0 * k) - 0.25 * math.sqrt(math.pi) * val
+    t = math.pi / k
+    val = _gauss_legendre(lambda w: (0.5 * t / _cone_area_factor(w, k)) ** 1.5, 0.0, t)
+    return math.sqrt(2.0 * k) * (1.0 - 0.5 * val / t)
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +125,23 @@ def g_of_delta(delta: float) -> float:
 
 
 def g_inverse(s: float) -> float:
-    """Inverse of g on [0, 64] by bracketed root search (tolerance 1e-12)."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s == 0:
-        return 0.0
-    hi = 64.0
-    if s > g_of_delta(hi):
-        raise ValueError(f"s={s} out of inversion range (0, {g_of_delta(hi)}]")
-    return brentq(lambda d: g_of_delta(d) - s, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
+    """Inverse of g on [0, 64] in closed form: g(delta) = s puts (delta, 1)
+    on the ellipse with foci (+-1, 0) and semi-major axis a = sqrt(2)(1 + s),
+    so delta^2 = a^2 (a^2 - 2) / (a^2 - 1).  With w = (a^2 - 2)/2 = s(2 + s),
+    free of cancellation at small s, delta = 2 sqrt(w (1 + w) / (1 + 2w))."""
+    if not s >= 0:
+        raise ValueError("s must be a nonnegative number")
+    if s > g_of_delta(64.0):
+        raise ValueError(f"s={s} out of inversion range (0, {g_of_delta(64.0)}]")
+    w = s * (2.0 + s)
+    return 2.0 * math.sqrt(w * (1.0 + w) / (1.0 + 2.0 * w))
 
 
 def delta_hs(h: float, s: float) -> float:
     """Maximum displacement between the straight crossing position and the
     route crossing position, for friends in a half-height-h strip under
     stretch excess s."""
-    if h <= 0 or s <= 0:
+    if not (h > 0 and s > 0):
         raise ValueError("h and s must be positive")
     return h * g_inverse(s)
 

@@ -2,7 +2,7 @@
 
 Closed-form values are checked against independent oracles: second
 quadrature paths in different coordinates, direct numerical integration,
-30-digit mpmath evaluations and exact special values.
+40-digit mpmath evaluations and exact special values.
 """
 
 import math
@@ -28,7 +28,7 @@ def _theta_mean_length_cartesian(m):
     """L_m by raw Cartesian quadrature over one cone, bisector horizontal:
     the second integration path for :func:`analytic.theta_mean_length`."""
     tan_half = math.tan(math.pi / m)
-    alpha = analytic._theta_alpha(m)
+    alpha = math.cos(math.pi / m) / (4.0 * math.sin(math.pi / m))
     x_max = math.sqrt(math.log(1.0 / _TAIL) / alpha) / (2.0 * tan_half)
 
     def integrand(y, x):
@@ -62,9 +62,10 @@ def _cone_Lk_2d(k):
 
 
 def _theta_mean_length_mpmath(m):
-    """L_m at 30 digits: the l-integral in closed form, then the whole
-    u-integrand by mpmath quadrature (no closed-form I1)."""
-    with mp.workdps(30):
+    """L_m at 40 digits: the l-integral in closed form, then the whole
+    u-integrand by mpmath quadrature, in the (a, alpha) form of the
+    derivation."""
+    with mp.workdps(40):
         a = 1 / (2 * mp.tan(mp.pi / m))
         alpha = mp.cos(mp.pi / m) / (4 * mp.sin(mp.pi / m))
 
@@ -73,6 +74,33 @@ def _theta_mean_length_mpmath(m):
             return mp.sqrt(a * a + u * u) * (alpha ** -1.5 - (alpha * q) ** -1.5 / 2)
 
         return float(m * a * mp.sqrt(mp.pi) / 4 * mp.quad(integrand, [-0.5, 0, 0.5]))
+
+
+def _cone_Lk_mpmath(k):
+    """L_k at 40 digits: sqrt(2k) - sqrt(pi)/4 times the integral of
+    A(omega)^(-3/2) over the cone, A the mutual-exclusion area factor
+    pi/k - cos(omega) sin(omega) + sin(omega)^2 cot(pi/k)."""
+    with mp.workdps(40):
+        t = mp.pi / k
+
+        def integrand(omega):
+            return (t - mp.cos(omega) * mp.sin(omega) + mp.sin(omega) ** 2 * mp.cot(t)) ** -1.5
+
+        return float(mp.sqrt(2 * k) - mp.sqrt(mp.pi) / 4 * mp.quad(integrand, [0, t / 2, t]))
+
+
+def _g_inverse_mpmath(s):
+    """g^-1(s) at 40 digits: the root of g(delta) = s by mpmath's secant
+    search from the small-s asymptote sqrt(8 s)."""
+    with mp.workdps(40):
+        s = mp.mpf(s)
+
+        def excess(d):
+            return (mp.sqrt(1 + (1 + d) ** 2) + mp.sqrt(1 + (1 - d) ** 2)) / (2 * mp.sqrt(2)) - 1 - s
+
+        root = mp.findroot(excess, mp.sqrt(8 * s))
+        assert root > 0
+        return float(root)
 
 
 class TestThetaStretch:
@@ -87,8 +115,9 @@ class TestThetaStretch:
         assert analytic.s_m_bound(m) == pytest.approx(expected, rel=1e-12)
 
     def test_small_m_rejected(self):
-        with pytest.raises(ValueError):
-            analytic.s_m_bound(5)
+        for m in (5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                analytic.s_m_bound(m)
 
     def test_tends_to_one(self):
         assert analytic.s_m_bound(1000) == pytest.approx(1.0, abs=0.01)
@@ -109,10 +138,10 @@ class TestThetaMeanLength:
         b = _theta_mean_length_cartesian(m)
         assert a == pytest.approx(b, rel=1e-8)
 
-    @pytest.mark.parametrize("m", [6, 8, 10, 16, 64, 1000])
+    @pytest.mark.parametrize("m", [6, 8, 10, 16, 64, 1000, 10 ** 4])
     def test_matches_mpmath(self, m):
         assert analytic.theta_mean_length(m) == pytest.approx(
-            _theta_mean_length_mpmath(m), rel=1e-13)
+            _theta_mean_length_mpmath(m), rel=1e-15)
 
     def test_no_integration_warning(self):
         with warnings.catch_warnings():
@@ -127,8 +156,9 @@ class TestThetaMeanLength:
         assert max(ratios) / min(ratios) < 2.0
 
     def test_small_m_rejected(self):
-        with pytest.raises(ValueError):
-            analytic.theta_mean_length(4)
+        for m in (4, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                analytic.theta_mean_length(m)
 
 
 class TestConeLength:
@@ -145,6 +175,10 @@ class TestConeLength:
     def test_1d_and_2d_quadrature_agree(self, k):
         assert analytic.cone_Lk(k) == pytest.approx(_cone_Lk_2d(k), rel=1e-8)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 16, 64, 1000])
+    def test_matches_mpmath(self, k):
+        assert analytic.cone_Lk(k) == pytest.approx(_cone_Lk_mpmath(k), rel=1e-15)
+
     def test_upper_envelope(self):
         for k in range(2, 65):
             assert k * analytic.cone_Lk(k) <= math.sqrt(2.0) * k ** 1.5
@@ -154,8 +188,9 @@ class TestConeLength:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_small_k_rejected(self):
-        with pytest.raises(ValueError):
-            analytic.cone_Lk(1)
+        for k in (1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                analytic.cone_Lk(k)
 
 
 class TestPsiStar:
@@ -163,7 +198,7 @@ class TestPsiStar:
         assert analytic.psi_star(1.5) == pytest.approx(19.65687021150528,
                                                        rel=1e-12)
 
-    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 2.5, math.inf, math.nan])
     def test_domain(self, s):
         with pytest.raises(ValueError):
             analytic.psi_star(s)
@@ -193,6 +228,19 @@ class TestCrossingModel:
     def test_g_inverse_round_trip(self, s):
         assert analytic.g_of_delta(analytic.g_inverse(s)) == pytest.approx(
             s, rel=1e-9)
+
+    @pytest.mark.parametrize("s", np.geomspace(1e-12, 10.0, 27).tolist())
+    def test_g_inverse_matches_mpmath(self, s):
+        assert analytic.g_inverse(s) == pytest.approx(_g_inverse_mpmath(s), rel=1e-15)
+
+    def test_g_inverse_domain(self):
+        assert analytic.g_inverse(0.0) == 0.0
+        for s in (-1e-300, 1e3, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                analytic.g_inverse(s)
+        for h, s in ((0.0, 0.1), (1.0, 0.0), (math.nan, 0.1), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                analytic.delta_hs(h, s)
 
     def test_delta_hs_scales_linearly_in_h(self):
         assert analytic.delta_hs(3.0, 0.01) == pytest.approx(
@@ -341,16 +389,16 @@ class TestProp38:
         assert [type(v) for v in got] == [type(v) for v in expected]
 
     @pytest.mark.parametrize("s,frozen", [
-        (1e-4, (4.205150885060053, 3.6135702986915503, 0.0430809939152815)),
-        (1e-3, (1.6013599315974656, 2.9649939362790545, 0.0912510972286875)),
-        (1e-2, (0.5928067720104205, 2.51188643150958, 0.18563112370500837)),
-        (0.05, (0.29434198857708366, 2.154326353494924, 0.3030748314876765)),
+        (1e-4, (4.205150885059251, 3.6135702986915503, 0.0430809939152815)),
+        (1e-3, (1.6013599315962772, 2.9649939362790545, 0.0912510972286875)),
+        (1e-2, (0.5928067720104242, 2.51188643150958, 0.18563112370500837)),
+        (0.05, (0.2943419885770839, 2.154326353494924, 0.3030748314876765)),
     ])
     def test_frozen_triples(self, s, frozen):
         assert analytic.prop38_lower_bound(s) == frozen
 
     def test_domain(self):
-        for s in (0.0, 0.5):
+        for s in (0.0, 0.5, math.inf, math.nan):
             with pytest.raises(ValueError):
                 analytic.prop38_lower_bound(s)
 

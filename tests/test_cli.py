@@ -4,6 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,10 +257,10 @@ class TestBounds:
         (("--lm", "6", "--lk", "4", "--psi-star", "1.5", "--prop38", "0.001"),
          "name,param,value,schema_version\n"
          "psi_star,1.5,19.656870211505279,1\n"
-         "prop38_lower_bound,0.001,1.6013599315974656,1\n"
+         "prop38_lower_bound,0.001,1.6013599315962772,1\n"
          "prop38_best_h,0.001,2.9649939362790545,1\n"
          "prop38_best_L,0.001,0.091251097228687503,1\n"
-         "theta_mean_length,6,5.6420764736772302,1\n"
+         "theta_mean_length,6,5.642076473677232,1\n"
          "cone_Lk,4,2.1514857208105207,1\n"),
     ], ids=["table", "options"])
     def test_bytes(self, capsys, argv, expected):
@@ -440,3 +444,14 @@ class TestRepro:
 
     def test_missing_run_file(self, tmp_path):
         assert run("repro", str(tmp_path / "none.json")) == EXIT_IO
+
+
+def test_import_loads_no_scipy_integrate_or_optimize():
+    # a fresh interpreter, as this one holds scipy.integrate for the test oracles;
+    # spanlab.cli imports every spanlab module
+    code = ("import sys, spanlab.cli; print([m for m in ('scipy.integrate', "
+            "'scipy.optimize') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
