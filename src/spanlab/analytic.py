@@ -148,7 +148,7 @@ def delta_hs(h: float, s: float) -> float:
 
 def expected_crossings(h: float, L: float) -> float:
     """Mean number of virtual crossing positions in [0, L]: 2 h^3 L."""
-    if h < 0 or L < 0:
+    if not (h >= 0 and L >= 0):
         raise ValueError("h and L must be nonnegative")
     return 2.0 * h ** 3 * L
 
@@ -204,8 +204,8 @@ def _crossing_moments(hs, ls):
 
 def second_moment_upper(h: float, L: float) -> float:
     """Closed-form upper bound on E N(h, L)^2 for 0 < L < 2h (``_crossing_moments``)."""
-    if not 0.0 < L < 2.0 * h:
-        raise ValueError("second_moment_upper requires 0 < L < 2h")
+    if not 0.0 < L < 2.0 * h < math.inf:
+        raise ValueError("second_moment_upper requires 0 < L < 2h and a finite h")
     return float(_crossing_moments([h], [L])[1][0, 0])
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.spatial import cKDTree
+# scipy is imported where it is used, so that a process that never builds or
+# routes a network (closed forms, the crossing model) does not pay to load it.
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 Point = tuple[float, float]
 
@@ -181,6 +182,7 @@ class RoutingGraph:
 
     def _matrix(self) -> csr_matrix:
         if self._csr is None:  # both directions of every edge
+            from scipy.sparse import csr_matrix
             n, e = self.n_nodes, self.edges
             self._csr = csr_matrix((np.tile(self.weights, 2), (e.T.ravel(), e[:, ::-1].T.ravel())),
                                    shape=(n, n))
@@ -195,6 +197,7 @@ class RoutingGraph:
         """
         if not 0 <= city < len(self.city_nodes):
             raise KeyError(f"unknown city index {city}")
+        from scipy.sparse.csgraph import dijkstra
         return dijkstra(self._matrix(), directed=True, indices=self.city_nodes[city])
 
 
@@ -412,6 +415,7 @@ def _merge_overlaps(S: np.ndarray, cell: float, pad: float, stats: dict):
     (m', 4) array, the events and their meeting points, and counts
     overlap_rounds (passes), exact_pairs and candidate_pairs in ``stats``.
     """
+    from scipy.sparse import csgraph, csr_matrix
     S = S.copy()
     for rounds in (1, 2):
         found, kept = [_block_events(S, np.empty((0, 2), dtype=np.int64))], 0
@@ -427,8 +431,8 @@ def _merge_overlaps(S: np.ndarray, cell: float, pad: float, stats: dict):
             stats.update(overlap_rounds=rounds, exact_pairs=sum(exact), candidate_pairs=kept)
             return S, np.concatenate(ev), np.concatenate(hits)
         i, j = np.array(pairs).T
-        comp = connected_components(csr_matrix((np.ones(len(i)), (i, j)), shape=(len(S),) * 2),
-                                    directed=False)[1]
+        comp = csgraph.connected_components(
+            csr_matrix((np.ones(len(i)), (i, j)), shape=(len(S),) * 2), directed=False)[1]
         rows = np.unique(pairs)  # each component's rows together, lowest first
         rows = rows[np.argsort(comp[rows], kind="stable")]
         first = np.flatnonzero(np.diff(comp[rows], prepend=-1))
@@ -505,6 +509,7 @@ def _snap_nodes(X: np.ndarray, eps: float):
     that every node within eps of one is made by another) are replayed in
     order, against the nodes they made.
     """
+    from scipy.spatial import cKDTree
     n = len(X)
     K = X + 0.0  # one key for -0.0 and 0.0
     order = np.lexsort((K[:, 1], K[:, 0]))
@@ -736,6 +741,8 @@ def build_torus_arrangement(segments, cities, window, snap_eps: float,
     (the nodes within snap_eps of a seam) and glued (nodes merged away) to
     the counts of build_arrangement, whose nodes and edges are recounted.
     """
+    from scipy.sparse import csgraph, csr_matrix
+    from scipy.spatial import cKDTree
     lo = np.array([window.x0, window.y0], dtype=float)
     side = np.array([window.x1, window.y1], dtype=float) - lo
     pieces, cut = _seam_pieces(np.asarray(segments, dtype=float).reshape(-1, 4), lo, side)
@@ -758,7 +765,7 @@ def build_torus_arrangement(segments, cities, window, snap_eps: float,
     pairs = seam[cKDTree(key).query_pairs(snap_eps, output_type="ndarray")]
     glue = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                       shape=(n_nodes, n_nodes))
-    n_comp, comp = connected_components(glue, directed=False)
+    n_comp, comp = csgraph.connected_components(glue, directed=False)
     rep = np.full(n_comp, n_nodes)
     np.minimum.at(rep, comp, np.arange(n_nodes))
     rep = rep[comp]  # each node joins the first node of its component

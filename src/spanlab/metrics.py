@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from spanlab.configs import SCHEMA_VERSION, rng_from_seed
 from spanlab.geom import build_arrangement, build_torus_arrangement
@@ -137,6 +136,7 @@ def local_stretch(
     """
     if net.config.torus:
         raise ValueError("local_stretch has no torus form")
+    from scipy.spatial import cKDTree  # on use: a process that never routes loads no scipy
     pts = net.config.points
     tree = cKDTree(pts)
     tol = 1e-9

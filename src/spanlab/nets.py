@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import Delaunay as _SciDelaunay
-from scipy.spatial import cKDTree
-from scipy.spatial import QhullError
+
+# scipy.spatial is imported in the builders that use it, so importing nets loads no scipy
 
 from spanlab.configs import SCHEMA_VERSION, PointConfig, Window, square_grid
 from spanlab.geom import _seam_pieces
@@ -133,6 +132,7 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     side = config.window.width if config.torus else None
     theta = 2.0 * math.pi / n_cones
     reach = (math.cos(theta / 2) if criterion == "projection" else 1.0) * (1.0 - 1e-9)
+    from scipy.spatial import cKDTree
     if side is not None:
         box = np.mod(pts - [config.window.x0, config.window.y0], side)
         tree = cKDTree(np.where(box < side, box, 0.0), boxsize=side)
@@ -206,9 +206,9 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
 
 
 def _cone_graph(config: PointConfig, m: int, criterion: str, kind: str) -> Network:
-    if m < 6 or int(m) != m:
+    if not m >= 6 or m % 1 != 0:
         raise ValueError("m must be an integer >= 6")
-    _, segs, _ = _cone_edges(config, m, criterion)
+    _, segs, _ = _cone_edges(config, int(m), criterion)
     return Network(config, segs, kind, {"m": int(m)})
 
 
@@ -230,12 +230,13 @@ def cone_road_network(config: PointConfig, k: int, directions=None) -> Network:
     opposite cone.  An edge belongs to direction c mod k, c the cone of the
     city that picked it.  ``directions`` restricts to a subset of indices (a
     single index gives the one-direction network whose mean length is L_k)."""
-    if k < 2 or int(k) != k:
+    if not k >= 2 or k % 1 != 0:
         raise ValueError("k must be an integer >= 2")
+    k = int(k)
     _, segs, cone = _cone_edges(config, 2 * k, "distance")
     wanted = sorted({int(i) % k for i in (range(k) if directions is None else directions)})
     return Network(config, segs[np.isin(cone % k, wanted)], "cone",
-                   {"k": int(k), "directions": wanted})
+                   {"k": k, "directions": wanted})
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +262,9 @@ def delaunay(config: PointConfig) -> Network:
     span = (-1, 0, 1) if config.torus else (0,)
     tiles = np.array([(ix, iy) for ix in span for iy in span])
     tiled = np.concatenate([pts + config.window.width * t for t in tiles])
+    from scipy.spatial import Delaunay, QhullError
     try:
-        tri = _SciDelaunay(tiled)
+        tri = Delaunay(tiled)
     except QhullError as exc:
         raise ValueError("Delaunay triangulation failed (collinear input?)") from exc
     # triangle edges (0, 1), (1, 2), (2, 0) of each simplex, in order
@@ -370,6 +372,7 @@ def lattice_edges(config: PointConfig) -> Network:
         # it would add no wrap-around edge, and a square grid's cities on the
         # far edges would double those on the near ones
         raise ValueError("lattice_edges has no torus form")
+    from scipy.spatial import cKDTree
     pts = config.points
     pairs = cKDTree(pts).query_pairs(r=spacing * (1.0 + 1e-9), output_type="ndarray")
     i, j = pairs[np.lexsort(pairs.T[::-1])].T
@@ -385,10 +388,9 @@ def lattice_edges(config: PointConfig) -> Network:
 # its builder up at call time, so a replaced module attribute is honored.
 BUILDERS = {
     "delaunay": ((), lambda c, p: delaunay(c)),
-    "theta": (("m",), lambda c, p: theta_graph(c, int(p["m"]))),
-    "yao": (("m",), lambda c, p: yao_graph(c, int(p["m"]))),
-    "cone": (("k",), lambda c, p: cone_road_network(
-        c, int(p["k"]), directions=p.get("directions"))),
+    "theta": (("m",), lambda c, p: theta_graph(c, p["m"])),
+    "yao": (("m",), lambda c, p: yao_graph(c, p["m"])),
+    "cone": (("k",), lambda c, p: cone_road_network(c, p["k"], directions=p.get("directions"))),
     "grid_freeway": (("t",), lambda c, p: grid_freeway(
         c, float(p["t"]), p.get("variant", "N1"))),
     "alt_diag": ((), lambda c, p: alternate_diagonals(c.window)),

@@ -250,6 +250,11 @@ class TestCrossingModel:
         assert analytic.expected_crossings(2.0, 0.5) == 8.0
         assert analytic.expected_crossings(0.0, 5.0) == 0.0
 
+    @pytest.mark.parametrize("h,L", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+    def test_expected_crossings_domain(self, h, L):
+        with pytest.raises(ValueError):
+            analytic.expected_crossings(h, L)
+
 
 def _area_A_numeric(x0, y0, h, L):
     """Direct integration oracle for the friend-region area."""
@@ -296,8 +301,10 @@ def _scalar_second_moment(h, L):
 
 class TestSecondMoment:
     def test_domain(self):
-        # h <= L/2, L = 0 (a division by zero in the scalar form) and L < 0
-        for h, L in [(0.5, 1.0), (1.0, 0.0), (-1.0, -4.0)]:
+        # h <= L/2, L = 0 (a division by zero in the scalar form), L < 0, and a
+        # non-finite h or L (an infinite h gave nan with a RuntimeWarning)
+        for h, L in [(0.5, 1.0), (1.0, 0.0), (-1.0, -4.0), (math.inf, 1.0),
+                     (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)]:
             with pytest.raises(ValueError):
                 analytic.second_moment_upper(h, L)
 

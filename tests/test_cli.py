@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -455,3 +456,34 @@ def test_import_loads_no_scipy_integrate_or_optimize():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_crossing_and_closed_forms_load_no_geometry_stack():
+    # a fresh interpreter: configs, the closed forms, the crossing model and
+    # grid-freeway length load neither scipy.sparse nor scipy.spatial; a
+    # Delaunay stretch then loads both, so the first check is not vacuous
+    code = textwrap.dedent("""\
+        import sys, spanlab.cli
+        from spanlab import analytic, configs, mc, metrics, nets
+        cfg = configs.poisson(configs.Window.square(10), seed=0)
+        for f, x in ((analytic.s_m_bound, 6), (analytic.theta_mean_length, 6),
+                     (analytic.cone_Lk, 4), (analytic.psi_star, 1.5),
+                     (analytic.prop38_lower_bound, 0.01)):
+            f(x)
+        analytic.second_moment_upper(1.0, 1.0)
+        mc.crossing_experiment(1, 1, replicates=50)
+        metrics.normalized_length(nets.grid_freeway(cfg, 2.0))
+        geometry = ("scipy.sparse", "scipy.spatial")
+        print([m for m in geometry if m in sys.modules])
+        metrics.stretch(nets.delaunay(cfg))
+        print([m for m in geometry if m in sys.modules])
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.splitlines() == ["[]", "['scipy.sparse', 'scipy.spatial']"]
+    for argv in (["bounds", "--table"],
+                 ["experiment", "crossing", "--h", "1", "--L", "1", "--replicates", "50"]):
+        done = subprocess.run([sys.executable, "-m", "spanlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr

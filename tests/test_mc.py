@@ -51,6 +51,12 @@ class TestEmpiricalLengths:
         with pytest.raises(ValueError):
             mc.empirical_Lk(1)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 2.5])
+    def test_non_integer_k_rejected(self, k):
+        # the builder registry passes k on unrounded, so its check sees it
+        with pytest.raises(ValueError, match="integer >= 2"):
+            mc.empirical_Lk(k, replicates=1)
+
     def test_replicates_match_spawned_children(self):
         window = Window.square(10)
         r = mc.empirical_Lm(6, window, replicates=3, master_seed=5)

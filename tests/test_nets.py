@@ -66,6 +66,12 @@ class TestThetaGraph:
         with pytest.raises(ValueError):
             nets.theta_graph(_config([[0, 0], [1, 1]]), 4)
 
+    @pytest.mark.parametrize("m", [math.inf, math.nan, 6.5])
+    @pytest.mark.parametrize("builder", [nets.theta_graph, nets.yao_graph])
+    def test_non_integer_m_rejected(self, builder, m):
+        with pytest.raises(ValueError, match="integer >= 6"):
+            builder(_config([[0, 0], [1, 1]]), m)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("m", [6, 8])
     def test_matches_brute_force(self, seed, m):
@@ -232,7 +238,8 @@ class TestConeEdgesFastPath:
                 return super().query(x, k=k)
 
         monkeypatch.setattr(nets, "_RANK_BLOCK", block)
-        monkeypatch.setattr(nets, "cKDTree", RecordingTree)
+        # _cone_edges imports cKDTree from scipy.spatial when it is called
+        monkeypatch.setattr("scipy.spatial.cKDTree", RecordingTree)
         for cfg in [_config(pts, side=510.0), poisson(Window.square(8), seed=4, torus=True)]:
             for n_cones, criterion in [(6, "projection"), (8, "distance")]:
                 _assert_cone_edges_match_reference(cfg, n_cones, criterion)
@@ -273,6 +280,11 @@ class TestConeRoads:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             nets.cone_road_network(_config([[0, 0], [1, 1]]), 1)
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 2.5])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            nets.cone_road_network(_config([[0, 0], [1, 1]]), k)
 
     def test_direction_classes_partition(self):
         cfg = uniform_n(40, Window.square(10), seed=9)
