@@ -148,8 +148,8 @@ def delta_hs(h: float, s: float) -> float:
 
 def expected_crossings(h: float, L: float) -> float:
     """Mean number of virtual crossing positions in [0, L]: 2 h^3 L."""
-    if not (h >= 0 and L >= 0):
-        raise ValueError("h and L must be nonnegative")
+    if not (0.0 <= h < math.inf and 0.0 <= L < math.inf):
+        raise ValueError("h and L must be nonnegative and finite")
     return 2.0 * h ** 3 * L
 
 

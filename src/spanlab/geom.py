@@ -535,6 +535,38 @@ def _snap_nodes(X: np.ndarray, eps: float):
     return node, np.flatnonzero(makes)
 
 
+def _attach_cities(S, length, cities, cell: float, pad: float, snap_eps: float):
+    """Each city against the segments listed in its grid cell: the (segment,
+    t, city) splits of the cities inside a segment, and the segments listed
+    with each city near none."""
+    seg_of, cx, cy = _segment_cells(S, cell, pad)
+    kx, ky = _cell_index(cities, cell).T
+    code = _cell_codes(np.concatenate([cx, kx]), np.concatenate([cy, ky]))
+    by_cell = np.argsort(code[:len(cx)], kind="stable")
+    sorted_code, city_code = code[:len(cx)][by_cell], code[len(cx):]
+    lo = np.searchsorted(sorted_code, city_code, "left")
+    city, off = _expand(np.searchsorted(sorted_code, city_code, "right") - lo)
+    on = seg_of[by_cell][lo[city] + off]
+    t_c, qx, qy = _project(cities[city, 0], cities[city, 1], S[on])
+    near = _hypot(cities[city, 0] - qx, cities[city, 1] - qy) <= snap_eps
+    inside = near & _interior(t_c, length[on], snap_eps)
+    lonely = np.flatnonzero(np.bincount(city[near], minlength=len(cities)) == 0).tolist()
+    return (on[inside], t_c[inside], city[inside]), {k: on[city == k] for k in lonely}
+
+
+def _split_edges(seg: np.ndarray, t: np.ndarray, at: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Sorted unique (lo, hi) edges joining the nodes at[k], at parameter
+    t[k] along segment seg[k], in (t, node) order along each segment."""
+    order = np.lexsort((at, t, seg))
+    seg, at = seg[order], at[order]
+    del t, order  # the steps read only the sorted seg and at
+    step = (seg[1:] == seg[:-1]) & (at[1:] != at[:-1])
+    n0, n1 = at[:-1][step], at[1:][step]
+    codes = np.sort(np.minimum(n0, n1) * n_nodes + np.maximum(n0, n1))
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    return np.stack([codes // n_nodes, codes % n_nodes], axis=1).astype(int)
+
+
 def build_arrangement(
     segments,
     cities,
@@ -596,33 +628,20 @@ def build_arrangement(
         keep &= ~(in_i & _among(_end_near(S[ev[:, 1]], t_j), cuts))
     ev, hits, t_i, t_j, in_i, in_j = (v[keep] for v in (ev, hits, t_i, t_j, in_i, in_j))
 
-    # each city against the segments listed in its grid cell
-    seg_of, cx, cy = _segment_cells(S, cell, pad)
-    kx, ky = _cell_index(cities, cell).T
-    code = _cell_codes(np.concatenate([cx, kx]), np.concatenate([cy, ky]))
-    by_cell = np.argsort(code[:len(cx)], kind="stable")
-    sorted_code, city_code = code[:len(cx)][by_cell], code[len(cx):]
-    lo = np.searchsorted(sorted_code, city_code, "left")
-    city, off = _expand(np.searchsorted(sorted_code, city_code, "right") - lo)
-    on = seg_of[by_cell][lo[city] + off]
-    t_c, qx, qy = _project(cities[city, 0], cities[city, 1], S[on])
-    near = _hypot(cities[city, 0] - qx, cities[city, 1] - qy) <= snap_eps
-    inside = near & _interior(t_c, length[on], snap_eps)
+    (on, t_c, city), lonely = _attach_cities(S, length, cities, cell, pad, snap_eps)
 
     X = np.concatenate([S.reshape(-1, 2), hits, cities])
     node, makers = _snap_nodes(X, snap_eps)
     stats["snapped"] = int((X[makers][node] != X).any(axis=1).sum())
     ev_node, city_nodes = node[2 * m:2 * m + len(hits)], node[2 * m + len(hits):]
 
-    attached = np.zeros(n_cities, dtype=bool)
-    attached[city[near]] = True
-    for k in np.flatnonzero(~attached).tolist() if m else ():
+    for k, listed in lonely.items() if m else ():
         # a city may still share its node with an endpoint of a segment in
         # its cell, as the nodes near those endpoints stood right after the
         # city's insertion; each end's own node is among them, so no end
         # makes a node
         made = makers[makers <= 2 * m + len(hits) + k]
-        ends = S[on[city == k]].reshape(-1, 2)
+        ends = S[listed].reshape(-1, 2)
         gap = np.floor(X[made, None] / snap_eps) - np.floor(ends / snap_eps)
         made = made[(np.abs(gap) <= 1).all(2).any(1)]
         joins = _snap_nodes(np.concatenate([X[made], ends]), snap_eps)[0][len(made):]
@@ -632,20 +651,12 @@ def build_arrangement(
                 f"farther than {snap_eps:g} from every segment"
             )
 
-    # split each segment at its nodes, sorted by (t, node)
-    seg = np.concatenate([np.repeat(np.arange(m), 2), ev[in_i, 0], ev[in_j, 1],
-                          on[inside]])
-    t = np.concatenate([np.tile([0.0, 1.0], m), t_i[in_i], t_j[in_j], t_c[inside]])
-    at = np.concatenate([node[:2 * m], ev_node[in_i], ev_node[in_j],
-                         city_nodes[city[inside]]])
-    order = np.lexsort((at, t, seg))
-    seg, at = seg[order], at[order]
-    step = (seg[1:] == seg[:-1]) & (at[1:] != at[:-1])
-    n0, n1 = at[:-1][step], at[1:][step]
-    n_nodes = max(len(makers), 1)
-    codes = np.sort(np.minimum(n0, n1) * n_nodes + np.maximum(n0, n1))
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    edges = np.stack([codes // n_nodes, codes % n_nodes], axis=1).astype(int)
+    # split each segment at its ends, its events and the cities inside it
+    edges = _split_edges(
+        np.concatenate([np.repeat(np.arange(m), 2), ev[in_i, 0], ev[in_j, 1], on]),
+        np.concatenate([np.tile([0.0, 1.0], m), t_i[in_i], t_j[in_j], t_c]),
+        np.concatenate([node[:2 * m], ev_node[in_i], ev_node[in_j], city_nodes[city]]),
+        max(len(makers), 1))
     nodes = X[makers].reshape(-1, 2)
     weights = _hypot(nodes[edges[:, 1], 0] - nodes[edges[:, 0], 0],
                      nodes[edges[:, 1], 1] - nodes[edges[:, 0], 1])

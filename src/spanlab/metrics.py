@@ -68,8 +68,9 @@ def stretch(
     Exact over all filtered pairs when the pair budget SAMPLED_PAIRS // n
     covers all n filtered cities as sources (n <= 447); otherwise that many
     seeded random source cities are used and the sampled pair count is
-    reported.  The percentiles are taken over the finite ratios (+inf when
-    none is), so a disconnected pair shows only as max_ratio = +inf.
+    reported.  The (sources, cities) block of ratios is filled one source
+    row at a time.  The percentiles are taken over the finite ratios (+inf
+    when none is), so a disconnected pair shows only as max_ratio = +inf.
     A torus has no boundary, so there every city is scored (the report
     reads pair_filter "all"; pair_filter and margin_fraction are not used)
     and distances are minimal-image ones.  Fewer than two filtered cities,
@@ -93,30 +94,31 @@ def stretch(
     sources = cities if exact else rng_from_seed(seed).choice(
         cities, size=max(2, SAMPLED_PAIRS // n), replace=False)
 
-    # one (sources, cities) block, at most SAMPLED_PAIRS entries; a city's
-    # displacement from itself is exactly 0, so eucl > 0 drops the self-pair
-    d = pts[cities][None, :, :] - pts[sources][:, None, :]
-    if side is not None:
-        d -= side * np.round(d / side)
-    eucl = np.hypot(d[..., 0], d[..., 1])
-    ok = eucl > 0
-    if not ok.any():  # the sources are filtered cities: all of them coincide
+    # one (sources, cities) block of ratios, at most SAMPLED_PAIRS entries,
+    # filled one source row at a time; a city's displacement from itself is
+    # exactly 0, so eucl > 0 drops the self-pair, whose ratio stays -inf
+    to, at = pts[cities], g.city_nodes[cities]
+    ratios = np.full((len(sources), n), -np.inf)
+    for r, src in enumerate(sources.tolist()):
+        d = to - pts[src]
+        if side is not None:
+            d -= side * np.round(d / side)
+        eucl = np.hypot(d[:, 0], d[:, 1])
+        np.divide(g.distances_from(src)[at], eucl, out=ratios[r], where=eucl > 0)
+    kept = int(np.count_nonzero(ratios > -np.inf))
+    if not kept:  # the sources are filtered cities: all of them coincide
         raise ValueError("need two filtered cities at distinct positions")
-    route = np.stack([g.distances_from(int(src))[g.city_nodes[cities]] for src in sources])
-    ratios = route[ok] / eucl[ok]
-    k = int(np.argmax(ratios))  # the first maximum in (source, city) order
-    i, j = (int(v[k]) for v in np.nonzero(ok))
-    n_pairs = len(ratios) // 2 if exact else len(ratios)
+    i, j = divmod(int(np.argmax(ratios)), n)  # the first maximum in (source, city) order
     finite = ratios[np.isfinite(ratios)]
     pct = [math.inf] * 3 if len(finite) == 0 else np.percentile(finite, [50, 90, 99]).tolist()
     return StretchReport(
         mode=mode,
-        max_ratio=float(ratios[k]),
+        max_ratio=float(ratios[i, j]),
         argmax_pair=(int(sources[i]), int(cities[j])),
         percentiles=dict(zip(("p50", "p90", "p99"), pct)),
         pair_filter=pair_filter,
         n_cities=n,
-        n_pairs=int(n_pairs),
+        n_pairs=kept // 2 if exact else kept,
         exact=exact,
     )
 

@@ -250,7 +250,8 @@ class TestCrossingModel:
         assert analytic.expected_crossings(2.0, 0.5) == 8.0
         assert analytic.expected_crossings(0.0, 5.0) == 0.0
 
-    @pytest.mark.parametrize("h,L", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+    @pytest.mark.parametrize("h,L", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0),
+                                     (math.inf, 0.0), (0.0, math.inf), (math.inf, 1.0)])
     def test_expected_crossings_domain(self, h, L):
         with pytest.raises(ValueError):
             analytic.expected_crossings(h, L)

@@ -851,12 +851,14 @@ class TestPairBlocks:
         assert build_arrangement(raw, []).stats["overlap_rounds"] <= 2
 
     # tracemalloc peak of routing_graph on cone8 over the seed-0 20x20 torus
-    # (55,808 nodes, 218,306 candidate pairs): 20.6 MB with blocks of 1 << 16
+    # (55,808 nodes, 218,306 candidate pairs): 14.8 MB with blocks of 1 << 16
     # pairs; a stage holding a block costs about 171 bytes a pair on top of
-    # what is live, and the stages after them peak near 369 bytes a node.
-    # Before the pairs went in blocks it was 92.2 MB.
+    # what is live, and the stages after them peak near 266 bytes a node
+    # (the torus gluing; the split-and-edge tail 252), 67 of which the graph
+    # keeps.  It was 20.6 MB while build_arrangement kept every stage's
+    # temporaries to its end, and 92.2 MB before the pairs went in blocks.
     BLOCK_PAIR_BYTES = 176
-    NODE_BYTES = 384
+    NODE_BYTES = 128
 
     def test_peak_memory_follows_block_and_nodes(self):
         net = nets.cone_road_network(poisson(Window.square(20), seed=0, torus=True), 8)

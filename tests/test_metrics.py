@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,24 @@ class TestStretch:
         doc = json.loads(rep.to_json())
         assert doc["schema_version"] == 1
         assert doc["mode"] == "steiner"
+
+    def test_peak_memory_follows_routing_graph(self):
+        # seed-0 40x40 torus Delaunay, 125 of 1,597 cities as sources: the
+        # block is filled one source row at a time, so stretch peaks at 6.15
+        # MB in tracemalloc against 6.14 MB for routing_graph; holding the
+        # (sources, cities) displacements and their copies whole took 11.7
+        net = nets.delaunay(poisson(Window.square(40), seed=0, torus=True))
+        metrics.stretch(net)  # a first call loads scipy's modules
+        peaks = []
+        for measure in (metrics.routing_graph, metrics.stretch):
+            tracemalloc.start()
+            try:
+                measure(net)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        n = net.config.n
+        assert peaks[1] <= peaks[0] + 3 * 8 * (metrics.SAMPLED_PAIRS // n) * n
 
 
 _TORUS_BUILDERS = {"delaunay": nets.delaunay,
@@ -317,9 +336,10 @@ def _assert_matches_tiles(net, mode, g=None):
 
 def _loop_stretch(net, mode="steiner", pair_filter="interior",
                   margin_fraction=metrics.DEFAULT_MARGIN, seed=0):
-    """Reference: the per-source loop that the (sources, cities) block of
-    metrics.stretch replaced, as (max_ratio, argmax_pair, percentiles,
-    n_pairs, exact)."""
+    """Reference: a per-source loop over the kept ratios of each source,
+    taking the first maximum in (source, city) order, as (max_ratio,
+    argmax_pair, percentiles, n_pairs, exact).  metrics.stretch fills a
+    (sources, cities) block one source row at a time instead."""
     side = net.config.window.width if net.config.torus else None
     if side is not None:
         pair_filter = "all"
@@ -375,6 +395,9 @@ _STRETCH_CASES = {
                                   [[1, 1, 2, 2], [2, 2, 3, 1], [8, 8, 9, 9]]), "all"),
     "coincident": (lambda: _net([[2, 2], [2, 2], [5, 5], [6, 5], [5, 7], [5, 7]],
                                 [[2, 2, 5, 5], [5, 5, 6, 5], [5, 5, 5, 7]]), "all"),
+    # a 4-cycle: both diagonals have ratio sqrt(2), the first is (0, 2)
+    "tie": (lambda: _net([[1, 1], [2, 1], [2, 2], [1, 2]],
+                         [[1, 1, 2, 1], [2, 1, 2, 2], [2, 2, 1, 2], [1, 2, 1, 1]]), "all"),
     # every pair coincides: no ratio at all, refused
     "all-coincident": (lambda: _net([[3, 3], [3, 3]], [[1, 1, 5, 5]]), "all"),
 }
@@ -396,6 +419,9 @@ class TestStretchMatchesLoop:
         assert rep.exact == ("sampled" not in case)
         if case == "disconnected":
             assert rep.max_ratio == math.inf and rep.percentiles["p99"] < math.inf
+        if case == "tie":
+            assert (rep.max_ratio, rep.argmax_pair) == (2 / math.sqrt(2), (0, 2))
+
 
 
 def _loop_local_stretch(net, neighbor_rule, margin_fraction=metrics.DEFAULT_MARGIN):
