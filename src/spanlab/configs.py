@@ -140,6 +140,8 @@ class PointConfig:
             raise ValueError("points must be finite")
         if self.torus and not math.isclose(self.window.width, self.window.height):
             raise ValueError("toroidal window must be square")
+        if self.torus and not self.window.contains(self.points).all():
+            raise ValueError("toroidal cities must lie in the window")
 
     @property
     def n(self) -> int:

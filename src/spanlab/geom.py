@@ -767,12 +767,12 @@ def build_torus_arrangement(segments, cities, window, snap_eps: float,
                                    lo, side, snap_eps)
     g = build_arrangement(pieces, np.concatenate([cities, images]), snap_eps,
                           junctions, cuts=cuts)
-    n_nodes = g.n_nodes
-    near_lo = np.abs(g.nodes - lo) <= snap_eps
-    near_hi = np.abs(g.nodes - lo - side) <= snap_eps
+    nodes, n_nodes, stats = g.nodes, g.n_nodes, g.stats
+    near_lo = np.abs(nodes - lo) <= snap_eps
+    near_hi = np.abs(nodes - lo - side) <= snap_eps
     seam = np.flatnonzero((near_lo | near_hi).any(axis=1))
     # one key per torus point: the far edge's coordinate moves to the near one
-    key = np.where(near_hi[seam], g.nodes[seam] - side, g.nodes[seam])
+    key = np.where(near_hi[seam], nodes[seam] - side, nodes[seam])
     pairs = seam[cKDTree(key).query_pairs(snap_eps, output_type="ndarray")]
     glue = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                       shape=(n_nodes, n_nodes))
@@ -782,13 +782,17 @@ def build_torus_arrangement(segments, cities, window, snap_eps: float,
     rep = rep[comp]  # each node joins the first node of its component
     kept = rep == np.arange(n_nodes)
     label = (np.cumsum(kept) - 1)[rep]
-    e = label[g.edges]
+    # the unglued graph goes once its edges are relabelled
+    nodes, e, w = nodes[kept], label[g.edges], g.weights
+    city_nodes = label[g.city_nodes[:len(cities)]]
+    del g
     loop = e[:, 0] == e[:, 1]
-    e, w = np.sort(e[~loop], axis=1), g.weights[~loop]
+    e, w = e[~loop], w[~loop]
+    e.sort(axis=1)
     codes = e[:, 0] * n_nodes + e[:, 1]
     order = np.lexsort((w, codes))
     first = order[np.diff(codes[order], prepend=-1) != 0]
-    stats = {**g.stats, "seam_points": len(seam), "glued": int(n_nodes - kept.sum()),
-             "nodes": int(kept.sum()), "edges": len(first)}
-    return RoutingGraph(nodes=g.nodes[kept], edges=e[first], weights=w[first],
-                        city_nodes=label[g.city_nodes[:len(cities)]], stats=stats)
+    stats = {**stats, "seam_points": len(seam), "glued": int(n_nodes - len(nodes)),
+             "nodes": len(nodes), "edges": len(first)}
+    return RoutingGraph(nodes=nodes, edges=e[first], weights=w[first],
+                        city_nodes=city_nodes, stats=stats)

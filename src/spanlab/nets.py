@@ -245,48 +245,65 @@ def cone_road_network(config: PointConfig, k: int, directions=None) -> Network:
 
 
 def delaunay(config: PointConfig) -> Network:
-    """Edges of the Delaunay triangulation of the cities.
+    """Edges of the Delaunay triangulation of the cities, in key order.
 
-    On a toroidal configuration the triangulation is taken over a 3x3
-    tiling and an edge is kept once, when its midpoint falls inside the
-    fundamental window, so segments may stick out of the window just as
-    the wrap-around edges of the cone builders do.  An edge is known by
-    the key (i, j, wx, wy): cities i <= j and the tile of j's end seen from
-    i's.  Planar edges come in (i, j) order, toroidal ones in the order
-    the triangulation first lists them.
+    An edge's key is (i, j, wx, wy): cities i <= j and the tile of j's end
+    seen from i's; the edge runs from i's end to j's.  On a torus the
+    triangulation is the 3x3 tiling's, and an edge is kept once, when its
+    midpoint lies in the window, so segments may stick out of the window.
+
+    Qhull sees only the tiled cities in the band R, the window grown by w
+    (first 4 mean spacings).  A triangle whose circumdisk lies strictly
+    inside R (1e-9 relative slack) has no tiled city in it, so it is a
+    Delaunay triangle of the whole tiling; only such triangles give edges.
+    A torus triangulation has 3n edges, so once their keys number 3n they
+    are all the tiling's; else, or if Qhull fails, w doubles.  Once w
+    reaches the side, R holds the 3x3 tiling and every triangle counts, as
+    in the plane.  Only the diagonals chosen among cocircular cities may
+    differ from the 3x3 tiling's.
     """
     pts = config.points
     n = len(pts)
     if n < 3:
         raise ValueError("Delaunay needs at least 3 cities")
+    win = config.window
     span = (-1, 0, 1) if config.torus else (0,)
     tiles = np.array([(ix, iy) for ix in span for iy in span])
-    tiled = np.concatenate([pts + config.window.width * t for t in tiles])
+    tiled = np.concatenate([pts + win.width * t for t in tiles])
+    centre = 0.5 * np.array([win.x0 + win.x1, win.y0 + win.y1])
+    w = 4.0 * math.sqrt(win.area / n) if config.torus else math.inf
     from scipy.spatial import Delaunay, QhullError
-    try:
-        tri = Delaunay(tiled)
-    except QhullError as exc:
-        raise ValueError("Delaunay triangulation failed (collinear input?)") from exc
-    # triangle edges (0, 1), (1, 2), (2, 0) of each simplex, in order
-    a, b = tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).T
-    if config.torus:
-        win = config.window
-        mid = 0.5 * (tiled[a] + tiled[b])
-        inside = ((win.x0 <= mid[:, 0]) & (mid[:, 0] < win.x1)
-                  & (win.y0 <= mid[:, 1]) & (mid[:, 1] < win.y1))
-        a, b = a[inside], b[inside]
-    else:
-        a, b = np.minimum(a, b), np.maximum(a, b)
-    # tiles are in lexicographic order, so (city, tiled index) orders an
-    # edge's two ends the same way whichever lift it is read from
-    i, j = a % n, b % n
-    flip = (i > j) | ((i == j) & (a > b))
-    wrap = np.where(flip, -1, 1)[:, None] * (tiles[b // n] - tiles[a // n])
-    keys = np.column_stack([np.where(flip, j, i), np.where(flip, i, j), wrap])
-    _, first = np.unique(keys, axis=0, return_index=True)
-    if config.torus:
-        first = np.sort(first)
-    return Network(config, np.hstack([tiled[a[first]], tiled[b[first]]]), "delaunay", {})
+    while True:
+        whole, reach = w >= win.width, 0.5 * win.width + w
+        band = np.flatnonzero(whole | (np.abs(tiled - centre) <= reach).all(axis=1))
+        try:
+            tri = band[Delaunay(tiled[band]).simplices]
+        except QhullError as exc:  # a band Qhull fails on certifies nothing
+            if whole:
+                raise ValueError("Delaunay triangulation failed (collinear input?)") from exc
+            tri = np.empty((0, 3), dtype=int)
+        if not whole:  # circumcentre z0 + c, radius |c|; complex, from R's centre
+            z = tiled[tri] @ np.array([1.0, 1.0j]) - complex(*centre)
+            u, v = z[:, 1] - z[:, 0], z[:, 2] - z[:, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = (abs(u) ** 2 * v - abs(v) ** 2 * u) / (2j * (u.conjugate() * v).imag)
+            d = z[:, 0] + c
+            tri = tri[np.maximum(abs(d.real), abs(d.imag)) + abs(c) < reach * (1.0 - 1e-9)]
+        # triangle edges (0, 1), (1, 2), (2, 0) of each simplex, in order
+        a, b = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).T
+        if config.torus:
+            mid = 0.5 * (tiled[a] + tiled[b])
+            inside = ((mid >= [win.x0, win.y0]) & (mid < [win.x1, win.y1])).all(axis=1)
+            a, b = a[inside], b[inside]
+        # tiles are in lexicographic order, so (city, tiled index) orders an
+        # edge's two ends the same way whichever lift it is read from
+        flip = (a % n > b % n) | ((a % n == b % n) & (a > b))
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        keys = np.column_stack([a % n, b % n, tiles[b // n] - tiles[a // n]])
+        _, first = np.unique(keys, axis=0, return_index=True)
+        if whole or len(first) == 3 * n:
+            return Network(config, np.hstack([tiled[a[first]], tiled[b[first]]]), "delaunay", {})
+        w *= 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,20 @@ class TestBuildMeasure:
         assert run("measure", str(bad)) == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
 
+    def test_torus_city_outside_window_is_domain_error(self, tmp_path, capsys):
+        cfg, net = tmp_path / "cfg.json", tmp_path / "net.json"
+        assert run("generate", "uniform", "--n", "5", "--window", "10", "--torus",
+                   "--out", str(cfg)) == EXIT_OK
+        doc = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**doc, "points": [*doc["points"], [10.06, 3.0]]}))
+        net.write_text(json.dumps({"window": [0, 0, 10, 10], "torus": True,
+                                   "cities": [[1, 1], [10.06, 3.0]],
+                                   "segments": [[1, 1, 0.06, 3.0]]}))
+        for argv in (("build", str(cfg), "delaunay"), ("measure", str(net))):
+            assert run(*argv) == EXIT_DOMAIN
+            captured = capsys.readouterr()
+            assert captured.out == "" and "lie in the window" in captured.err
+
     def test_stretch_of_coincident_cities_is_domain_error(self, tmp_path, capsys):
         net = tmp_path / "net.json"
         net.write_text(json.dumps({"window": [0, 0, 10, 10], "cities": [[3, 3], [3, 3]],

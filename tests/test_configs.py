@@ -114,6 +114,14 @@ class TestRandomGenerators:
         with pytest.raises(ValueError):
             poisson(Window(0, 0, 10, 20), torus=True)
 
+    def test_torus_requires_cities_in_window(self):
+        # the closed window: cities on its far edges are accepted
+        PointConfig(np.array([[0.0, 10.0], [10.0, 3.0]]), Window.square(10), torus=True)
+        for city in ([10.06, 3.0], [3.0, -1e-9]):
+            with pytest.raises(ValueError, match="lie in the window"):
+                PointConfig(np.array([[1.0, 1.0], city]), Window.square(10), torus=True)
+        PointConfig(np.array([[10.06, 3.0]]), Window.square(10))  # planar: no window to wrap
+
 
 class TestSpawnKeys:
     @settings(max_examples=60, deadline=None)

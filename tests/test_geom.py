@@ -851,12 +851,14 @@ class TestPairBlocks:
         assert build_arrangement(raw, []).stats["overlap_rounds"] <= 2
 
     # tracemalloc peak of routing_graph on cone8 over the seed-0 20x20 torus
-    # (55,808 nodes, 218,306 candidate pairs): 14.8 MB with blocks of 1 << 16
+    # (55,808 nodes, 218,306 candidate pairs): 14.0 MB with blocks of 1 << 16
     # pairs; a stage holding a block costs about 171 bytes a pair on top of
-    # what is live, and the stages after them peak near 266 bytes a node
-    # (the torus gluing; the split-and-edge tail 252), 67 of which the graph
-    # keeps.  It was 20.6 MB while build_arrangement kept every stage's
-    # temporaries to its end, and 92.2 MB before the pairs went in blocks.
+    # what is live, and the stages after them peak near 252 bytes a node
+    # (the split-and-edge tail; the torus gluing 200), 67 of which the graph
+    # keeps.  It was 14.8 MB while the gluing held the unglued graph to its
+    # end (266 bytes a node), 20.6 MB while build_arrangement kept every
+    # stage's temporaries to its end, and 92.2 MB before the pairs went in
+    # blocks.
     BLOCK_PAIR_BYTES = 176
     NODE_BYTES = 128
 
@@ -870,6 +872,28 @@ class TestPairBlocks:
             tracemalloc.stop()
         assert g.stats["candidate_pairs"] > 3 * geom._PAIR_BLOCK
         assert peak <= self.BLOCK_PAIR_BYTES * geom._PAIR_BLOCK + self.NODE_BYTES * g.n_nodes
+
+    def test_torus_gluing_peaks_below_the_arrangement(self):
+        # the gluing drops each unglued array once its glued form exists
+        # (11.2 MB here, against 14.0 for the arrangement; 14.8 while it
+        # held the unglued graph to its end)
+        net = nets.cone_road_network(poisson(Window.square(20), seed=0, torus=True), 8)
+        peaks, arrange = [], geom.build_arrangement
+
+        def traced(*args, **kwargs):
+            g = arrange(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return g
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(geom, "build_arrangement", traced):
+                metrics.routing_graph(net, "steiner")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0]
 
 
 class TestTorusArrangement:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from spanlab import metrics, nets
 from spanlab.configs import (PointConfig, Window, hex_config, poisson,
@@ -306,6 +306,54 @@ class TestConeRoads:
                 assert i * math.pi / k - 1e-12 <= ang <= (i + 1) * math.pi / k + 1e-12
 
 
+def _tiled_delaunay(cfg):
+    """Oracle: the Delaunay edges of the whole 3x3 tiling of a toroidal
+    configuration whose midpoint lies in the window, one per key (i, j,
+    wx, wy), as segments from i's end to j's in key order."""
+    pts, n, win = cfg.points, cfg.n, cfg.window
+    tiles = np.array([(ix, iy) for ix in (-1, 0, 1) for iy in (-1, 0, 1)])
+    tiled = np.concatenate([pts + win.width * t for t in tiles])
+    a, b = Delaunay(tiled).simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).T
+    mid = 0.5 * (tiled[a] + tiled[b])
+    inside = ((win.x0 <= mid[:, 0]) & (mid[:, 0] < win.x1)
+              & (win.y0 <= mid[:, 1]) & (mid[:, 1] < win.y1))
+    a, b = a[inside], b[inside]
+    flip = (a % n > b % n) | ((a % n == b % n) & (a > b))
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    keys = np.column_stack([a % n, b % n, tiles[b // n] - tiles[a // n]])
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return np.hstack([tiled[a[first]], tiled[b[first]]])
+
+
+def _edge_keys(net):
+    """The key (i, j, wx, wy) of each segment of a Delaunay network, read
+    from its ends: i the city at its start, j at its end."""
+    pts, win = net.config.points, net.config.window
+    lo, side = np.array([win.x0, win.y0]), win.width
+    ends = net.segments.reshape(-1, 2)
+    _, city = cKDTree(pts).query(lo + np.mod(ends - lo, side) if net.config.torus else ends)
+    i, j = city.reshape(-1, 2).T
+    wrap = np.round((net.segments[:, 2:] - net.segments[:, :2] - pts[j] + pts[i]) / side)
+    return [(int(a), int(b), int(x), int(y)) for a, b, (x, y) in zip(i, j, wrap)]
+
+
+class _QhullSpy:
+    """Records the number of points of each scipy.spatial.Delaunay call;
+    the first ``failures`` calls raise QhullError."""
+
+    def __init__(self, monkeypatch, failures=0):
+        import scipy.spatial
+        self.sizes, real = [], scipy.spatial.Delaunay
+
+        def spy(points, *args, **kwargs):
+            self.sizes.append(len(points))
+            if len(self.sizes) <= failures:
+                raise scipy.spatial.QhullError("refused")
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", spy)
+
+
 class TestDelaunay:
     def test_triangle(self):
         net = nets.delaunay(_config([[0, 0], [4, 0], [0, 3]]))
@@ -332,6 +380,74 @@ class TestDelaunay:
         pairs = [(index[tuple(s[:2])], index[tuple(s[2:])])
                  for s in nets.delaunay(cfg).segments.tolist()]
         assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
+        assert pairs == [key[:2] for key in _edge_keys(nets.delaunay(cfg))]
+
+    @pytest.mark.parametrize("side,seed", [(10, 4), (40, 0)])
+    def test_torus_edges_in_key_order(self, side, seed):
+        keys = _edge_keys(nets.delaunay(poisson(Window.square(side), seed=seed, torus=True)))
+        assert keys == sorted(set(keys)) and all(i <= j for i, j, _, _ in keys)
+
+    @pytest.mark.parametrize("side", [5, 6, 8, 12, 20, 30, 40, 60, 80])
+    def test_band_matches_tiling_on_poisson_tori(self, side):
+        for seed in range(4 if side < 60 else 2):
+            cfg = poisson(Window.square(side), seed=seed, torus=True)
+            np.testing.assert_array_equal(nets.delaunay(cfg).segments,
+                                          _tiled_delaunay(cfg), err_msg=str(seed))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_band_matches_tiling_on_few_cities(self, n):
+        for seed in range(20):
+            cfg = uniform_n(n, Window.square(10), seed=seed, torus=True)
+            np.testing.assert_array_equal(nets.delaunay(cfg).segments,
+                                          _tiled_delaunay(cfg), err_msg=str(seed))
+
+    @given(st.integers(3, 400), st.floats(2.0, 30.0), st.floats(-50.0, 50.0),
+           st.floats(-50.0, 50.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_band_matches_tiling_on_random_tori(self, n, side, x0, y0, seed):
+        window = Window(x0, y0, x0 + side, y0 + side)
+        cfg = uniform_n(n, window, seed=seed, torus=True)
+        np.testing.assert_array_equal(nets.delaunay(cfg).segments, _tiled_delaunay(cfg))
+
+    @pytest.mark.parametrize("radius,centre", [(10, (0, 20)), (15, (40, 40)), (3, (0, 0))])
+    def test_band_widens_across_an_empty_disk(self, monkeypatch, radius, centre):
+        cfg = poisson(Window.square(40), seed=0, torus=True)
+        d = cfg.points - centre
+        d -= 40 * np.round(d / 40)
+        cfg = PointConfig(cfg.points[np.hypot(d[:, 0], d[:, 1]) > radius], cfg.window,
+                          torus=True)
+        spy = _QhullSpy(monkeypatch)
+        np.testing.assert_array_equal(nets.delaunay(cfg).segments, _tiled_delaunay(cfg))
+        # a disk wider than the first band's margin needs a wider band
+        assert (len(spy.sizes) > 1) == (radius > 4) and spy.sizes == sorted(spy.sizes)
+
+    def test_qhull_sees_a_band_not_nine_tiles(self, monkeypatch):
+        cfg = poisson(Window.square(40), seed=0, torus=True)
+        spy = _QhullSpy(monkeypatch)
+        assert len(nets.delaunay(cfg).segments) == 3 * cfg.n
+        assert len(spy.sizes) == 1 and spy.sizes[0] <= 2 * cfg.n
+
+    def test_qhull_failure_widens_the_band(self, monkeypatch):
+        cfg = poisson(Window.square(40), seed=0, torus=True)
+        spy = _QhullSpy(monkeypatch, failures=1)
+        np.testing.assert_array_equal(nets.delaunay(cfg).segments, _tiled_delaunay(cfg))
+        assert len(spy.sizes) == 2 and spy.sizes[0] < spy.sizes[1] < 9 * cfg.n
+        # when the whole tiling fails too, the error is the builder's
+        spy = _QhullSpy(monkeypatch, failures=10)
+        with pytest.raises(ValueError, match="triangulation failed"):
+            nets.delaunay(cfg)
+        assert spy.sizes[-1] == 9 * cfg.n
+
+    def test_cocircular_grid_torus(self):
+        # the squares' diagonals may be chosen otherwise than in the 3x3
+        # tiling; what holds for any choice is checked
+        grid = [(x + 0.5, y + 0.5) for x in range(10) for y in range(10)]
+        net = nets.delaunay(_config(grid, torus=True))
+        assert len(net.segments) == 3 * 100
+        # no two edges cross properly: routing adds no crossing node
+        steiner, graph = metrics.routing_graph(net, "steiner"), metrics.routing_graph(net, "graph")
+        assert steiner.n_nodes == graph.n_nodes
+        assert metrics.stretch(net).max_ratio == pytest.approx(math.sqrt(2), rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_few_city_torus_edge_count(self, n):
