@@ -184,6 +184,8 @@ def cmd_experiment(args) -> int:
 def cmd_repro(args) -> int:
     doc = json.loads(_load(args.run))
     argv = doc["argv"]
+    if not (isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)):
+        raise ValueError("a run file's argv must be a list of strings")
     if argv and argv[0] == "repro":
         raise ValueError("refusing to replay a repro run")
     return main(argv)

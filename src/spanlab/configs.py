@@ -135,6 +135,8 @@ class PointConfig:
     seed: int | np.ndarray | None = None  # an integer or a spawn_keys key
 
     def __post_init__(self):
+        if not isinstance(self.torus, bool):
+            raise ValueError("torus must be true or false")
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points must be finite")
@@ -168,11 +170,13 @@ class PointConfig:
         doc = json.loads(text)
         seed = doc.get("seed")
         if isinstance(seed, list) and len(seed) == 2:  # a replicate's Philox key
+            if not all(type(v) is int and 0 <= v < 2 ** 64 for v in seed):  # no bool
+                raise ValueError("a Philox key seed must be two integers in [0, 2**64)")
             seed = np.array(seed, dtype=np.uint64)
         return PointConfig(
             points=np.array(doc["points"], dtype=float).reshape(-1, 2),
             window=Window.from_bounds(doc["window"]),
-            torus=bool(doc["torus"]),
+            torus=doc["torus"],
             kind=doc.get("kind", "custom"),
             params=doc.get("params", {}),
             seed=seed,

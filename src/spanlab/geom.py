@@ -39,7 +39,7 @@ class Segment(NamedTuple):
 
 
 class DisconnectedCityError(ValueError):
-    """A city lies farther than snap_eps from every segment."""
+    """A city's node carries no road: no edge of the arrangement ends there."""
 
 
 def orient(p: Point, q: Point, r: Point) -> int:
@@ -537,8 +537,7 @@ def _snap_nodes(X: np.ndarray, eps: float):
 
 def _attach_cities(S, length, cities, cell: float, pad: float, snap_eps: float):
     """Each city against the segments listed in its grid cell: the (segment,
-    t, city) splits of the cities inside a segment, and the segments listed
-    with each city near none."""
+    t, city) splits of the cities inside a segment."""
     seg_of, cx, cy = _segment_cells(S, cell, pad)
     kx, ky = _cell_index(cities, cell).T
     code = _cell_codes(np.concatenate([cx, kx]), np.concatenate([cy, ky]))
@@ -550,8 +549,7 @@ def _attach_cities(S, length, cities, cell: float, pad: float, snap_eps: float):
     t_c, qx, qy = _project(cities[city, 0], cities[city, 1], S[on])
     near = _hypot(cities[city, 0] - qx, cities[city, 1] - qy) <= snap_eps
     inside = near & _interior(t_c, length[on], snap_eps)
-    lonely = np.flatnonzero(np.bincount(city[near], minlength=len(cities)) == 0).tolist()
-    return (on[inside], t_c[inside], city[inside]), {k: on[city == k] for k in lonely}
+    return on[inside], t_c[inside], city[inside]
 
 
 def _split_edges(seg: np.ndarray, t: np.ndarray, at: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -589,6 +587,10 @@ def build_arrangement(
     ``junctions=False`` a segment end at one of them touching another
     segment's interior is a crossing and carries no node.  The stages count
     their work in ``stats``.
+
+    A city whose node lies in no edge of the split graph raises
+    DisconnectedCityError, whatever point made the node, unless there is
+    no road and no other city.
     """
     S = np.asarray(segments, dtype=float).reshape(-1, 4)
     cities = np.asarray(cities, dtype=float).reshape(-1, 2)
@@ -612,9 +614,7 @@ def build_arrangement(
     cell = max(sum(_lengths(S).tolist()) / len(S), 16 * snap_eps) if len(S) else 1.0
     pad = max(snap_eps, 1e-9 * cell)
     S, ev, hits = _merge_overlaps(S, cell, pad, stats)
-    m, n_cities = len(S), len(cities)
-    if m == 0 and n_cities > 1:
-        raise DisconnectedCityError("disconnected city: empty segment set")
+    m = len(S)
     length = _lengths(S)
     # pairwise intersections and endpoint touches; a proper crossing
     # carries no node in graph mode
@@ -628,28 +628,12 @@ def build_arrangement(
         keep &= ~(in_i & _among(_end_near(S[ev[:, 1]], t_j), cuts))
     ev, hits, t_i, t_j, in_i, in_j = (v[keep] for v in (ev, hits, t_i, t_j, in_i, in_j))
 
-    (on, t_c, city), lonely = _attach_cities(S, length, cities, cell, pad, snap_eps)
+    on, t_c, city = _attach_cities(S, length, cities, cell, pad, snap_eps)
 
     X = np.concatenate([S.reshape(-1, 2), hits, cities])
     node, makers = _snap_nodes(X, snap_eps)
     stats["snapped"] = int((X[makers][node] != X).any(axis=1).sum())
     ev_node, city_nodes = node[2 * m:2 * m + len(hits)], node[2 * m + len(hits):]
-
-    for k, listed in lonely.items() if m else ():
-        # a city may still share its node with an endpoint of a segment in
-        # its cell, as the nodes near those endpoints stood right after the
-        # city's insertion; each end's own node is among them, so no end
-        # makes a node
-        made = makers[makers <= 2 * m + len(hits) + k]
-        ends = S[listed].reshape(-1, 2)
-        gap = np.floor(X[made, None] / snap_eps) - np.floor(ends / snap_eps)
-        made = made[(np.abs(gap) <= 1).all(2).any(1)]
-        joins = _snap_nodes(np.concatenate([X[made], ends]), snap_eps)[0][len(made):]
-        if makers[city_nodes[k]] not in made[joins]:
-            raise DisconnectedCityError(
-                f"disconnected city: city {k} at {tuple(cities[k].tolist())} lies "
-                f"farther than {snap_eps:g} from every segment"
-            )
 
     # split each segment at its ends, its events and the cities inside it
     edges = _split_edges(
@@ -657,6 +641,11 @@ def build_arrangement(
         np.concatenate([np.tile([0.0, 1.0], m), t_i[in_i], t_j[in_j], t_c]),
         np.concatenate([node[:2 * m], ev_node[in_i], ev_node[in_j], city_nodes[city]]),
         max(len(makers), 1))
+    lonely = np.bincount(edges.ravel(), minlength=len(makers))[city_nodes] == 0
+    if lonely.any() and (m or len(cities) > 1):
+        k = int(np.argmax(lonely))
+        raise DisconnectedCityError(f"disconnected city: the node of city {k} at "
+                                    f"{tuple(cities[k].tolist())} carries no road")
     nodes = X[makers].reshape(-1, 2)
     weights = _hypot(nodes[edges[:, 1], 0] - nodes[edges[:, 0], 0],
                      nodes[edges[:, 1], 1] - nodes[edges[:, 0], 1])

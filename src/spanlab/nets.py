@@ -61,7 +61,7 @@ class Network:
         config = PointConfig(
             points=np.array(doc["cities"], dtype=float).reshape(-1, 2),
             window=Window.from_bounds(doc["window"]),
-            torus=bool(doc.get("torus", False)),
+            torus=doc.get("torus", False),
             kind="custom",
         )
         return Network(config=config,

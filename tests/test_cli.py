@@ -149,6 +149,46 @@ class TestBuildMeasure:
         assert run("measure", str(net), "--stretch", "steiner") == EXIT_DOMAIN
         assert "distinct positions" in capsys.readouterr().err
 
+    def test_city_on_a_node_no_road_reaches_is_domain_error(self, tmp_path, capsys):
+        # the end (1e-8, 0) joins the node (0, 0); city 0, 0.88 snap
+        # tolerances from the second road, makes a node of its own
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"window": [-6, -1, 3, 6], "cities": [[2e-8, 0], [-5, 0]],
+                                   "segments": [[-5, 0, 0, 0], [1e-8, 0, 1e-8, 5]]}))
+        assert run("measure", str(net), "--stretch", "steiner", "--margin", "0") == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "disconnected city: the node of city 0 at (2e-08, 0.0) carries no road" in (
+            captured.err)
+
+    @pytest.mark.parametrize("torus", ["false", 0, 1, None])
+    def test_torus_that_is_not_a_boolean_is_domain_error(self, tmp_path, capsys, torus):
+        cfg, net = tmp_path / "cfg.json", tmp_path / "net.json"
+        assert run("generate", "poisson", "--window", "10", "--out", str(cfg)) == EXIT_OK
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "torus": torus}))
+        net.write_text(json.dumps({"window": [0, 0, 10, 10], "torus": torus,
+                                   "cities": [[1, 1], [2, 2]], "segments": [[1, 1, 2, 2]]}))
+        for argv in (("build", str(cfg), "delaunay"), ("measure", str(net))):
+            assert run(*argv) == EXIT_DOMAIN
+            captured = capsys.readouterr()
+            assert captured.out == "" and "torus must be true or false" in captured.err
+
+    @pytest.mark.parametrize("seed", [[-1, 2], [1.5, 2], [2 ** 64, 0], [True, 2], [1, "2"]],
+                             ids=["negative", "float", "too-large", "bool", "string"])
+    def test_seed_that_is_not_a_philox_key_is_domain_error(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        assert run("generate", "poisson", "--window", "10", "--out", str(cfg)) == EXIT_OK
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "seed": seed}))
+        assert run("build", str(cfg), "delaunay") == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and "two integers in [0, 2**64)" in captured.err
+
+    def test_philox_key_seed_builds(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        assert run("generate", "poisson", "--window", "10", "--out", str(cfg)) == EXIT_OK
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "seed": [0, 2 ** 64 - 1]}))
+        assert run("build", str(cfg), "delaunay", "--out", str(tmp_path / "n.json")) == EXIT_OK
+
     @pytest.mark.parametrize("net,flag", [("theta", "--m"),
                                           ("grid_freeway", "--t")])
     def test_missing_builder_flag_is_usage_error(self, tmp_path, capsys, net, flag):
@@ -459,6 +499,22 @@ class TestRepro:
 
     def test_missing_run_file(self, tmp_path):
         assert run("repro", str(tmp_path / "none.json")) == EXIT_IO
+
+    @pytest.mark.parametrize("argv", [5, ["bounds", 5], "bounds --table", None,
+                                      {"0": "bounds"}],
+                             ids=["number", "number-in-list", "string", "null", "object"])
+    def test_argv_that_is_not_a_list_of_strings_is_domain_error(self, tmp_path, capsys,
+                                                                argv):
+        runfile = tmp_path / "run.json"
+        runfile.write_text(json.dumps({"schema_version": 1, "argv": argv}))
+        assert run("repro", str(runfile)) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argv must be a list of strings" in captured.err
+
+    def test_run_file_without_argv_is_io_error(self, tmp_path):
+        runfile = tmp_path / "run.json"
+        runfile.write_text(json.dumps({"schema_version": 1}))
+        assert run("repro", str(runfile)) == EXIT_IO
 
 
 def test_import_loads_no_scipy_integrate_or_optimize():

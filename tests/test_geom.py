@@ -301,7 +301,10 @@ def _bucket_pairs(buckets):
 def _build_reference(segments, cities, snap_eps=None, junctions=True):
     """build_arrangement one element at a time: Segment lists, bucket dicts,
     the node registry and a per-city attach loop.  Every candidate pair goes
-    through segment_intersection, with no filter and no topology rule."""
+    through segment_intersection, with no filter and no topology rule.
+
+    A city is refused when its node lies in no edge, given any segment or a
+    second city."""
     segs = [Segment((float(s[0][0]), float(s[0][1])), (float(s[1][0]), float(s[1][1])))
             for s in segments]
     cities = [(float(c[0]), float(c[1])) for c in cities]
@@ -360,21 +363,10 @@ def _build_reference(segments, cities, snap_eps=None, junctions=True):
         node = registry.insert(c)
         city_nodes[ci] = node
         cands = seg_buckets.get((int(math.floor(c[0] / cell)), int(math.floor(c[1] / cell))), [])
-        attached = False
         for si in cands:
             d, t = _point_segment_distance(c, segs[si])
-            if d <= snap_eps:
-                attached = True
-                if snap_eps < t * segs[si].length < segs[si].length - snap_eps:
-                    splits[si].append((t, node))
-        if not attached and segs:
-            if not any(registry.insert(segs[si].a) == node or registry.insert(segs[si].b) == node
-                       for si in cands):
-                raise DisconnectedCityError(
-                    f"disconnected city: city {ci} at {c} lies farther than "
-                    f"{snap_eps:g} from every segment")
-        if not segs and len(cities) > 1:
-            raise DisconnectedCityError("disconnected city: empty segment set")
+            if d <= snap_eps and snap_eps < t * segs[si].length < segs[si].length - snap_eps:
+                splits[si].append((t, node))
     edge_weights = {}
     coords = registry.coords
     for si in range(len(segs)):
@@ -384,6 +376,11 @@ def _build_reference(segments, cities, snap_eps=None, junctions=True):
                 p0, p1 = coords[n0], coords[n1]
                 edge_weights[(min(n0, n1), max(n0, n1))] = math.hypot(p1[0] - p0[0],
                                                                       p1[1] - p0[1])
+    on_road = {n for edge in edge_weights for n in edge}
+    for ci, c in enumerate(cities):
+        if (segs or len(cities) > 1) and city_nodes[ci] not in on_road:
+            raise DisconnectedCityError(
+                f"disconnected city: the node of city {ci} at {c} carries no road")
     nodes = np.array(coords, dtype=float).reshape(-1, 2)
     edges = np.array(sorted(edge_weights), dtype=int).reshape(-1, 2)
     weights = np.array([edge_weights[tuple(e)] for e in edges.tolist()], dtype=float)
@@ -671,12 +668,27 @@ class TestArrangementOracle:
         assert t.stats["edges"] == len(t.edges)
 
     def test_city_within_snap_of_node_only(self):
-        """The second city is 1.45 from every segment but joins the first
-        city's node, which the endpoint (0.95, 0) snaps to at that time;
-        the third city makes a node nearer that endpoint only afterwards."""
+        """The endpoint (0.95, 0) joins the node (0, 0) that the first road
+        made, so the roads meet there.  The first city, 0.5 from the second
+        road but 1.48 from that node, makes a node of its own; the second
+        city joins it and the third makes another: no edge ends at any."""
         segs = [((-5.0, 0.0), (0.0, 0.0)), ((0.95, 0.0), (0.95, 5.0))]
-        g = _assert_same_as_reference(segs, [(1.45, 0.3), (2.4, 0.3), (0.9, -0.56)], 1.0)
-        assert g.city_nodes[0] == g.city_nodes[1] != g.city_nodes[2]
+        cities = [(1.45, 0.3), (2.4, 0.3), (0.9, -0.56)]
+        with pytest.raises(DisconnectedCityError, match="city 0 at"):
+            build_arrangement(segs, cities, 1.0)
+        _assert_same_as_reference(segs, cities, 1.0)
+
+    def test_city_near_a_road_end_on_a_node_of_its_own(self):
+        """At the snap tolerance routing uses (1e-9 of the window diameter
+        hypot(9, 7)), the end (1e-8, 0) joins the node (0, 0); city 0, 1e-8
+        from the second road (0.88 of the tolerance) but 2e-8 from that
+        node, makes a node that no road reaches."""
+        segs = [((-5.0, 0.0), (0.0, 0.0)), ((1e-8, 0.0), (1e-8, 5.0))]
+        cities = [(2e-8, 0.0), (-5.0, 0.0)]
+        snap = 1e-9 * math.hypot(9.0, 7.0)
+        with pytest.raises(DisconnectedCityError, match="city 0 at"):
+            build_arrangement(segs, cities, snap)
+        _assert_same_as_reference(segs, cities, snap)
 
     # math.hypot(a, -a) = 0.003232558856781153 for this city, one ulp above
     # np.hypot's value: attaching compares the math.hypot distance with snap_eps
