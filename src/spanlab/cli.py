@@ -12,9 +12,9 @@ import json
 import sys
 
 from spanlab import analytic, mc, metrics, nets
-from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, csv_text,
-                             hex_config, poisson, square_grid, tri_config,
-                             uniform_n)
+from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, _json_object,
+                             csv_text, hex_config, poisson, square_grid,
+                             tri_config, uniform_n)
 
 # flags that carry builder parameters (see nets.BUILDERS) -> add_argument keywords
 _BUILDER_FLAGS = {
@@ -182,7 +182,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    doc = json.loads(_load(args.run))
+    doc = _json_object(_load(args.run))
     argv = doc["argv"]
     if not (isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)):
         raise ValueError("a run file's argv must be a list of strings")

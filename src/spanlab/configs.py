@@ -21,6 +21,13 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 
+def _json_object(text: str) -> dict:
+    """The object a config, network or run file's JSON text holds."""
+    if isinstance(doc := json.loads(text), dict):
+        return doc
+    raise ValueError("a config, network or run file must hold a JSON object")
+
+
 def csv_text(header, rows) -> str:
     """CSV text of a header and rows, each line newline-terminated.
 
@@ -167,7 +174,7 @@ class PointConfig:
 
     @staticmethod
     def from_json(text: str) -> "PointConfig":
-        doc = json.loads(text)
+        doc = _json_object(text)
         seed = doc.get("seed")
         if isinstance(seed, list) and len(seed) == 2:  # a replicate's Philox key
             if not all(type(v) is int and 0 <= v < 2 ** 64 for v in seed):  # no bool

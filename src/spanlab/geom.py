@@ -1,8 +1,8 @@
 """Robust planar geometry kernel.
 
 Exact orientation predicates, segment intersection, construction of the
-planar arrangement induced by a set of road segments (crossings become
-junction nodes), and shortest-path distances on the resulting graph.
+arrangement of a set of road segments on the plane or a torus (crossings
+become junction nodes), and shortest-path distances on the resulting graph.
 """
 
 from __future__ import annotations
@@ -155,12 +155,12 @@ class RoutingGraph:
     nodes: (n, 2) coordinates; edges: (m, 2) node indices; weights:
     Euclidean sub-segment lengths; city_nodes: node index per input city.
     stats: counts from build_arrangement's stages: segments_in (input
-    rows), overlap_rounds (passes over the candidate pairs: 1, or 2 when
-    the first merged), candidate_pairs (pairs of the merged segments sharing
-    a grid cell whose bounding boxes meet), exact_pairs (those sent to
-    segment_intersection), snapped (points merged into a node at nonzero
-    distance), nodes and edges; on a torus also seam_points and glued (see
-    build_torus_arrangement).
+    rows, or seam pieces), overlap_rounds (passes over the candidate pairs:
+    1, or 2 when the first merged), candidate_pairs (pairs of the merged
+    segments sharing a grid cell whose bounding boxes meet), exact_pairs
+    (those sent to segment_intersection), snapped (points merged into a
+    node at nonzero distance), on a torus seam_points (nodes within snap_eps
+    of a seam) and glued (nodes merged away), and the routed nodes and edges.
     Immutable after construction; the sparse matrix is built once and
     each per-source search runs afresh.
     """
@@ -570,7 +570,7 @@ def build_arrangement(
     cities,
     snap_eps: float | None = None,
     junctions: bool = True,
-    cuts=None,
+    window=None,
 ) -> RoutingGraph:
     """Planar subdivision of a segment set as a RoutingGraph.
 
@@ -581,25 +581,42 @@ def build_arrangement(
     order; a point within snap_eps of an earlier node joins the nearest
     one; collinear overlaps are deduplicated before splitting.  With
     ``junctions=False`` crossings stay geometrically present but carry no
-    node, giving graph-network (endpoint-only) semantics.  ``cuts`` is a
-    (k, 2) array of points where a road was cut into segments without
-    ending there (build_torus_arrangement cuts roads at the seams); with
-    ``junctions=False`` a segment end at one of them touching another
-    segment's interior is a crossing and carries no node.  The stages count
-    their work in ``stats``.
+    node, giving graph-network (endpoint-only) semantics.
 
-    A city whose node lies in no edge of the split graph raises
-    DisconnectedCityError, whatever point made the node, unless there is
-    no road and no other city.
+    With ``window`` (bounds x0, y0, x1, y1) each segment is a lift of a road
+    on that torus and the cities lie in the window.  The lifts are cut at
+    the seams and moved into the window (_seam_pieces), the pieces arranged,
+    and the nodes within snap_eps of a seam glued to their images across it,
+    dropping self-loops and keeping the shortest of parallel edges.
+
+    A city whose node lies in no edge of the graph that routes (glued, on a
+    torus) raises DisconnectedCityError, unless the graph has no edge and
+    no other city.  The stages count their work in ``stats``.
     """
     S = np.asarray(segments, dtype=float).reshape(-1, 4)
     cities = np.asarray(cities, dtype=float).reshape(-1, 2)
-    stats = {"segments_in": len(S)}
-
     if snap_eps is None:
         pts = np.concatenate([S.reshape(-1, 2), cities])
         diam = math.hypot(*(pts.max(0) - pts.min(0)).tolist()) if len(pts) else 1.0
         snap_eps = max(1e-9 * diam, 1e-300)
+    if window is None:
+        g = _planar_arrangement(S, cities, snap_eps, junctions)
+    else:
+        g = _torus_arrangement(S, cities, window, snap_eps, junctions)
+    lonely = np.bincount(g.edges.ravel(), minlength=g.n_nodes)[g.city_nodes] == 0
+    if lonely.any() and (len(g.edges) or len(cities) > 1):
+        k = int(np.argmax(lonely))
+        raise DisconnectedCityError(f"disconnected city: the node of city {k} at "
+                                    f"{tuple(cities[k].tolist())} carries no road")
+    return g
+
+
+def _planar_arrangement(S: np.ndarray, cities: np.ndarray, snap_eps: float,
+                        junctions: bool, cuts=None) -> RoutingGraph:
+    """build_arrangement's stages on the plane.  With ``junctions=False`` a
+    segment end at one of the points ``cuts`` (where a road was cut without
+    ending) touching another segment's interior carries no node."""
+    stats = {"segments_in": len(S)}
 
     # drop degenerate and exactly duplicated segments, keeping the first
     # of each in input order
@@ -641,11 +658,6 @@ def build_arrangement(
         np.concatenate([np.tile([0.0, 1.0], m), t_i[in_i], t_j[in_j], t_c]),
         np.concatenate([node[:2 * m], ev_node[in_i], ev_node[in_j], city_nodes[city]]),
         max(len(makers), 1))
-    lonely = np.bincount(edges.ravel(), minlength=len(makers))[city_nodes] == 0
-    if lonely.any() and (m or len(cities) > 1):
-        k = int(np.argmax(lonely))
-        raise DisconnectedCityError(f"disconnected city: the node of city {k} at "
-                                    f"{tuple(cities[k].tolist())} carries no road")
     nodes = X[makers].reshape(-1, 2)
     weights = _hypot(nodes[edges[:, 1], 0] - nodes[edges[:, 0], 0],
                      nodes[edges[:, 1], 1] - nodes[edges[:, 0], 1])
@@ -724,38 +736,21 @@ def _images_on_seam_roads(pieces: np.ndarray, points: np.ndarray, lo: np.ndarray
     return np.concatenate(images)
 
 
-def build_torus_arrangement(segments, cities, window, snap_eps: float,
-                            junctions: bool = True) -> RoutingGraph:
-    """Arrangement of a network on the torus ``window`` as a RoutingGraph.
-
-    ``window`` has the bounds x0, y0, x1, y1 of the torus; each row of
-    ``segments`` is a lift of a road, a plane segment whose points stand
-    for their images modulo the window; ``cities`` lie in the window.  Each
-    lift is cut at the seam lines it crosses and its pieces are moved into
-    the window (_seam_pieces).  build_arrangement arranges the pieces, with
-    the cut points where no road ends as ``cuts``: in graph mode a cut end
-    touching a road that runs along a seam crosses it, as in the plane.
-    The nodes within snap_eps of a seam are glued to the nodes of their
-    images across it; self-loops left by the gluing are dropped and
-    parallel edges keep their shortest weight.  ``stats`` adds seam_points
-    (the nodes within snap_eps of a seam) and glued (nodes merged away) to
-    the counts of build_arrangement, whose nodes and edges are recounted.
-    """
+def _torus_arrangement(S: np.ndarray, cities: np.ndarray, window, snap_eps: float,
+                       junctions: bool) -> RoutingGraph:
+    """build_arrangement's stages on the torus ``window``: the seam pieces of
+    the lifts S arranged, then glued; ``stats`` adds seam_points and glued."""
     from scipy.sparse import csgraph, csr_matrix
     from scipy.spatial import cKDTree
     lo = np.array([window.x0, window.y0], dtype=float)
     side = np.array([window.x1, window.y1], dtype=float) - lo
-    pieces, cut = _seam_pieces(np.asarray(segments, dtype=float).reshape(-1, 4), lo, side)
-    ends, cut = pieces.reshape(-1, 2), cut.ravel()
-    cuts = ends[cut]
-    cuts = cuts[~_among(cuts, ends[~cut])]
+    S, cut = _seam_pieces(S, lo, side)  # from here on S holds the pieces
+    ends, cut = S.reshape(-1, 2), cut.ravel()
+    cuts = ends[cut & ~_among(ends, ends[~cut])]  # the cut points where no road ends
     # a road that runs along an edge takes a node at the image of every
     # road end and city on the opposite edge
-    cities = np.asarray(cities, dtype=float).reshape(-1, 2)
-    images = _images_on_seam_roads(pieces, np.concatenate([ends[~cut], cities]),
-                                   lo, side, snap_eps)
-    g = build_arrangement(pieces, np.concatenate([cities, images]), snap_eps,
-                          junctions, cuts=cuts)
+    images = _images_on_seam_roads(S, np.concatenate([ends[~cut], cities]), lo, side, snap_eps)
+    g = _planar_arrangement(S, np.concatenate([cities, images]), snap_eps, junctions, cuts)
     nodes, n_nodes, stats = g.nodes, g.n_nodes, g.stats
     near_lo = np.abs(nodes - lo) <= snap_eps
     near_hi = np.abs(nodes - lo - side) <= snap_eps

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spanlab.configs import SCHEMA_VERSION, rng_from_seed
-from spanlab.geom import build_arrangement, build_torus_arrangement
+from spanlab.geom import build_arrangement
 from spanlab.nets import Network, unwrap
 
 DEFAULT_MARGIN = 0.1
@@ -48,12 +48,9 @@ def routing_graph(net: Network, mode: str = "steiner"):
     if mode not in ("steiner", "graph"):
         raise ValueError(f"unknown mode {mode!r}")
     win = net.config.window
-    snap = 1e-9 * max(win.diameter, 1.0)
-    if net.config.torus:
-        return build_torus_arrangement(net.segments, net.config.points, win,
-                                       snap_eps=snap, junctions=(mode == "steiner"))
-    return build_arrangement(net.segments, net.config.points,
-                             snap_eps=snap, junctions=(mode == "steiner"))
+    return build_arrangement(net.segments, net.config.points, 1e-9 * max(win.diameter, 1.0),
+                             junctions=(mode == "steiner"),
+                             window=win if net.config.torus else None)
 
 
 def stretch(

@@ -17,7 +17,7 @@ import numpy as np
 
 # scipy.spatial is imported in the builders that use it, so importing nets loads no scipy
 
-from spanlab.configs import SCHEMA_VERSION, PointConfig, Window, square_grid
+from spanlab.configs import SCHEMA_VERSION, PointConfig, Window, _json_object, square_grid
 from spanlab.geom import _seam_pieces
 
 
@@ -57,7 +57,7 @@ class Network:
 
     @staticmethod
     def from_json(text: str) -> "Network":
-        doc = json.loads(text)
+        doc = _json_object(text)
         config = PointConfig(
             points=np.array(doc["cities"], dtype=float).reshape(-1, 2),
             window=Window.from_bounds(doc["window"]),

@@ -517,6 +517,18 @@ class TestRepro:
         assert run("repro", str(runfile)) == EXIT_IO
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "text", None], ids=["list", "string", "null"])
+@pytest.mark.parametrize("command", ["build", "measure", "repro"])
+def test_json_that_is_not_an_object_is_domain_error(tmp_path, capsys, command, doc):
+    # the file is read as a config (build), network (measure) or run file (repro)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = (command, str(path), "delaunay") if command == "build" else (command, str(path))
+    assert run(*argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must hold a JSON object" in captured.err
+
+
 def test_import_loads_no_scipy_integrate_or_optimize():
     # a fresh interpreter, as this one holds scipy.integrate for the test oracles;
     # spanlab.cli imports every spanlab module

@@ -7,13 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spanlab import geom, metrics, nets
-from spanlab.configs import Window, poisson
-from spanlab.geom import (DisconnectedCityError, Segment, build_arrangement,
-                          build_torus_arrangement, orient, segment_intersection)
+from spanlab.configs import PointConfig, Window, poisson
+from spanlab.geom import (DisconnectedCityError, Segment, build_arrangement, orient,
+                          segment_intersection)
 
 
 def _route(g, src, dst):
@@ -303,7 +303,7 @@ def _build_reference(segments, cities, snap_eps=None, junctions=True):
     the node registry and a per-city attach loop.  Every candidate pair goes
     through segment_intersection, with no filter and no topology rule.
 
-    A city is refused when its node lies in no edge, given any segment or a
+    A city is refused when its node lies in no edge, given any edge or a
     second city."""
     segs = [Segment((float(s[0][0]), float(s[0][1])), (float(s[1][0]), float(s[1][1])))
             for s in segments]
@@ -378,7 +378,7 @@ def _build_reference(segments, cities, snap_eps=None, junctions=True):
                                                                       p1[1] - p0[1])
     on_road = {n for edge in edge_weights for n in edge}
     for ci, c in enumerate(cities):
-        if (segs or len(cities) > 1) and city_nodes[ci] not in on_road:
+        if (edge_weights or len(cities) > 1) and city_nodes[ci] not in on_road:
             raise DisconnectedCityError(
                 f"disconnected city: the node of city {ci} at {c} carries no road")
     nodes = np.array(coords, dtype=float).reshape(-1, 2)
@@ -653,8 +653,9 @@ class TestArrangementOracle:
         net = {"delaunay": lambda: nets.delaunay(cfg),
                "theta6": lambda: nets.theta_graph(cfg, 6),
                "cone4": lambda: nets.cone_road_network(cfg, 4)}[kind]()
-        # the planar arrangement that build_torus_arrangement glues: the
-        # network's lifts cut at the seams and moved into the window
+        # the planar arrangement that build_arrangement glues on a torus
+        # window: the network's lifts cut at the seams and moved into the
+        # window (without the images of cities and road ends on seam roads)
         win = cfg.window
         pieces, _ = geom._seam_pieces(net.segments, np.array([win.x0, win.y0]),
                                       np.array([win.width, win.height]))
@@ -801,9 +802,22 @@ class TestPairBlocks:
 
     @given(_segment_set(), st.sampled_from([None, 1e-6, 0.01, 0.2]), st.booleans())
     @settings(max_examples=150, deadline=None)
+    # a road shorter than the snap distance leaves no edge: one city on it
+    # is let through, a second refused, whatever the blocks
+    @example(raw=[((0.0, 0.0), (0.0, 2.22e-16))], snap=1e-6, junctions=True)
+    @example(raw=[((0.0, 0.0), (0.0, 0.25)), ((1.1125369292536007e-308, 0.5), (0.0, 0.5))],
+             snap=None, junctions=False)
     def test_block_boundaries_change_nothing(self, raw, snap, junctions):
+        """Both builds give the same graph, or both raise the same refusal."""
         cities = [a for a, b in raw if a != b][:3]
-        want = build_arrangement(raw, cities, snap, junctions)
+        try:
+            want = build_arrangement(raw, cities, snap, junctions)
+        except DisconnectedCityError as exc:
+            with mock.patch.object(geom, "_PAIR_BLOCK", 3), \
+                    pytest.raises(DisconnectedCityError) as got:
+                build_arrangement(raw, cities, snap, junctions)
+            assert str(got.value) == str(exc)
+            return
         with mock.patch.object(geom, "_PAIR_BLOCK", 3):
             got = build_arrangement(raw, cities, snap, junctions)
         _assert_same_graph(got, want)
@@ -890,7 +904,7 @@ class TestPairBlocks:
         # (11.2 MB here, against 14.0 for the arrangement; 14.8 while it
         # held the unglued graph to its end)
         net = nets.cone_road_network(poisson(Window.square(20), seed=0, torus=True), 8)
-        peaks, arrange = [], geom.build_arrangement
+        peaks, arrange = [], geom._planar_arrangement
 
         def traced(*args, **kwargs):
             g = arrange(*args, **kwargs)
@@ -900,7 +914,7 @@ class TestPairBlocks:
 
         tracemalloc.start()
         try:
-            with mock.patch.object(geom, "build_arrangement", traced):
+            with mock.patch.object(geom, "_planar_arrangement", traced):
                 metrics.routing_graph(net, "steiner")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -909,13 +923,13 @@ class TestPairBlocks:
 
 
 class TestTorusArrangement:
-    """build_torus_arrangement on hand-made lifts over the 10x10 torus."""
+    """build_arrangement on hand-made lifts over the 10x10 torus."""
 
     WINDOW = Window.square(10)
 
     def _graph(self, segs, cities, junctions=True):
-        return build_torus_arrangement(segs, cities, self.WINDOW,
-                                       1e-9 * self.WINDOW.diameter, junctions)
+        return build_arrangement(segs, cities, 1e-9 * self.WINDOW.diameter, junctions,
+                                 window=self.WINDOW)
 
     def test_lift_across_x_seam(self):
         g = self._graph([(9, 5, 11, 6)], [(9, 5), (1, 6)])
@@ -955,15 +969,35 @@ class TestTorusArrangement:
         assert g.stats["glued"] == 1
         assert _route(g, 0, 1) == pytest.approx(math.hypot(2.95, 0.6))
 
+    # a road on x = 0 and a longer copy within snap_eps of x = 10 glue into
+    # parallel edges (the sparse matrix would add their weights); the road
+    # at y = 5 that wraps all the way round glues into a loop
+    _PARALLEL = [(0, 1, 0, 3), (10 - 1e-8, 1, 10 - 1e-8, 3 + 1e-9), (0, 5, 10 - 1e-12, 5)]
+
     def test_parallel_edges_keep_shortest_weight(self):
-        # a road on x = 0 and a longer copy within snap_eps of x = 10 glue
-        # into parallel edges (the sparse matrix would add their weights);
-        # the road at y = 5 that wraps all the way round glues into a loop
-        segs = [(0, 1, 0, 3), (10 - 1e-8, 1, 10 - 1e-8, 3 + 1e-9), (0, 5, 10 - 1e-12, 5)]
-        g = self._graph(segs, [(0, 1), (0, 3), (0, 5)])
+        g = self._graph(self._PARALLEL, [(0, 1), (0, 3)])
         assert g.stats["glued"] == 3
         assert len(g.edges) == 1 and g.weights.tolist() == [2.0]
         assert _route(g, 0, 1) == 2.0
+
+    def test_city_on_a_road_glued_into_a_loop_is_refused(self):
+        # the loop is dropped, so the node of (0, 5) carries no edge
+        with pytest.raises(DisconnectedCityError, match=r"city 2 at \(0\.0, 5\.0\)"):
+            self._graph(self._PARALLEL, [(0, 1), (0, 3), (0, 5)])
+
+    # a city on a seam whose road leaves across it: its node and the road's
+    # end lie on opposite edges until the gluing joins them
+    @pytest.mark.parametrize("segs,cities", [
+        ([(0, 5, -3, 5), (7, 5, 7, 8)], [(0, 5), (7, 5), (7, 8)]),
+        ([(10, 5, 7, 5), (7, 5, 7, 8)], [(0, 5), (7, 5), (7, 8)]),
+        ([(10, 5, 13, 5), (3, 5, 3, 8)], [(10, 5), (3, 5), (3, 8)]),
+    ], ids=["lift-from-near-edge", "lift-from-far-edge", "city-on-far-edge"])
+    def test_seam_city_routes_across_the_seam(self, segs, cities):
+        g = self._graph(segs, cities)
+        assert _route(g, 0, 1) == pytest.approx(3.0)
+        assert _route(g, 0, 2) == pytest.approx(6.0)
+        net = nets.Network(PointConfig(cities, self.WINDOW, torus=True), segs, "custom")
+        assert metrics.stretch(net, "steiner").max_ratio == pytest.approx(math.sqrt(2))
 
     def test_long_lifts_cut_at_every_seam(self):
         # a lift 2.5 sides long crosses x = 0, 10 and 20, and the road one
