@@ -193,6 +193,7 @@ class PointConfig:
 def spawn_keys(master_seed: int, n: int) -> np.ndarray:
     """Philox keys of n replicates, as (n, 2) uint64: row i equals the key
     of the i-th child of ``np.random.SeedSequence(master_seed).spawn(n)``.
+    n must be a whole number of at least 1; a float such as 3.0 counts as 3.
 
     SeedSequence hashes the master's 32-bit words, zero-padded to its pool
     of 4, into the pool, mixes the pool, then mixes in any words past the
@@ -202,8 +203,9 @@ def spawn_keys(master_seed: int, n: int) -> np.ndarray:
     master = operator.index(master_seed)
     if master < 0:
         raise ValueError("expected non-negative integer")
-    if n < 1:
-        raise ValueError("replicates must be at least 1")
+    if not n >= 1 or n % 1 != 0:
+        raise ValueError("replicates must be an integer >= 1")
+    n = int(n)
     words = [master >> shift & 0xFFFFFFFF
              for shift in range(0, max(master.bit_length(), 1), 32)]
     entropy = [*map(np.uint32, words + [0] * (4 - len(words))),

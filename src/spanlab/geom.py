@@ -547,7 +547,10 @@ def _attach_cities(S, length, cities, cell: float, pad: float, snap_eps: float):
     city, off = _expand(np.searchsorted(sorted_code, city_code, "right") - lo)
     on = seg_of[by_cell][lo[city] + off]
     t_c, qx, qy = _project(cities[city, 0], cities[city, 1], S[on])
-    near = _hypot(cities[city, 0] - qx, cities[city, 1] - qy) <= snap_eps
+    dx, dy = cities[city, 0] - qx, cities[city, 1] - qy
+    # hypot is at least max(|dx|, |dy|): only the rest can be near
+    near = (np.abs(dx) <= snap_eps) & (np.abs(dy) <= snap_eps)
+    near[near] = _hypot(dx[near], dy[near]) <= snap_eps
     inside = near & _interior(t_c, length[on], snap_eps)
     return on[inside], t_c[inside], city[inside]
 

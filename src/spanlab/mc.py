@@ -46,7 +46,7 @@ def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:
     se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else math.nan
     return ExperimentResult(
         estimator=name, params=params, n=len(values), mean=mean, se=se,
-        seed=master_seed, replicate_values=[float(v) for v in values],
+        seed=master_seed, replicate_values=values.tolist(),
         wall_time=time.perf_counter() - t0,
     )
 
@@ -140,26 +140,27 @@ def _crossing_counts(rep, xs, ys, h: float, L: float, replicates: int) -> np.nda
 
     A point below the axis (y < 0) and one on or above it (y >= 0) of the
     same replicate are friends when |dx| < dy; their segment then meets the
-    axis at x1 + (x2 - x1) * (-y1) / (y2 - y1), less than -y1 <= h from x1
-    and less than y2 <= h from x2.  So only points with x in [-h, L + h]
-    can count; the band kept is 1 wider on each side, far above rounding.
-    Above-axis points are sorted by the exact complex key rep + i x, which
-    numpy orders lexicographically, so each below-axis point finds its
-    partners in its own replicate's 2h x-window.  All friend pairs are
+    axis at x1 + (x2 - x1) * (-y1) / (y2 - y1), less than -y1 from x1 and
+    at most y2 from x2.  So a point counts only within its reach |y| of
+    [0, L]; the reach kept adds a margin of 1e-9 (1 + h + L + |x|), far
+    above rounding.  Above-axis points are sorted by the exact complex key
+    rep + i x, which numpy orders lexicographically, so each below-axis
+    point finds its partners in its own replicate's x-window of half-width
+    h + its reach, as |dx| < y2 - y1 <= h - y1.  All friend pairs are
     expanded with numpy, in blocks of below-axis points holding at most
     ``_PAIR_BLOCK`` candidate pairs (or one point's candidates, when those
     alone exceed it).
     """
-    band = (xs >= -h - 1.0) & (xs <= L + h + 1.0)
-    below, above = band & (ys < 0), band & (ys >= 0)
-    rb, xb, yb = rep[below], xs[below], ys[below]
+    reach = np.abs(ys) + 1e-9 * (1.0 + h + L + np.abs(xs))
+    keep = (xs >= -reach) & (xs <= L + reach)
+    below, above = keep & (ys < 0), keep & (ys >= 0)
+    rb, xb, yb, half = rep[below], xs[below], ys[below], h + reach[below]
     key = rep[above] + 1j * xs[above]
     order = np.argsort(key)
     key, ya = key[order], ys[above][order]
     xa = key.imag
-    # |dx| < y2 - y1 <= 2h restricts partners to a 2h x-window
-    lo = np.searchsorted(key, rb + 1j * (xb - 2.0 * h))
-    hi = np.searchsorted(key, rb + 1j * (xb + 2.0 * h))
+    lo = np.searchsorted(key, rb + 1j * (xb - half))
+    hi = np.searchsorted(key, rb + 1j * (xb + half))
     sizes = hi - lo
     ends = np.cumsum(sizes)
     starts = ends - sizes  # flat index of each point's first candidate pair
@@ -196,6 +197,10 @@ def crossing_experiment(
     with |dx| < |dy| contributes a virtual crossing where its connecting
     segment meets the axis; N counts crossings landing in [0, L].  Returns
     estimates of E N and E N^2.
+
+    Only the points whose x-double maps into [-h - 1, L + h + 1] are mapped
+    and handed to ``_crossing_counts``, chunk by chunk; no other point can
+    count.
     """
     if not (0.0 < h < math.inf and 0.0 < L < math.inf):
         raise ValueError("h and L must be positive and finite")
@@ -203,6 +208,10 @@ def crossing_experiment(
     # a replicate's expected hW points below the axis and hW above make at
     # most (hW)^2 candidate pairs, so a chunk expects at most one pair block
     chunk = max(1, int(_PAIR_BLOCK / max(h * W, 1.0) ** 2))
+    # the doubles u that x = -W/2 + W u maps into [-h - 1, L + h + 1]; the
+    # kernel keeps x only in [-h, L + h] and its rounding margin, so the 1 on
+    # each side covers the rounding of u_lo, u_hi and the map
+    u_lo, u_hi = 0.5 - (h + 1.0) / W, 0.5 + (L + h + 1.0) / W
     t0 = time.perf_counter()
     keys = spawn_keys(master_seed, replicates)
     # one Philox, re-keyed per replicate to the state Philox(key=key) starts
@@ -210,7 +219,7 @@ def crossing_experiment(
     bitgen = np.random.Philox(key=keys[0])
     rng, state = np.random.Generator(bitgen), bitgen.state
     counts = []
-    for start in range(0, replicates, chunk):
+    for start in range(0, len(keys), chunk):
         xs, ys = [], []
         for key in keys[start:start + chunk]:
             state["state"]["key"] = key
@@ -219,11 +228,15 @@ def crossing_experiment(
             u = rng.random(2 * n)
             xs.append(u[:n])
             ys.append(u[n:])
-        rep = np.repeat(np.arange(len(xs)), [len(x) for x in xs])
+        ux = np.concatenate(xs)
+        kept = np.flatnonzero((ux >= u_lo) & (ux <= u_hi))
+        # replicate i of the chunk holds the points from ends[i - 1] to ends[i]
+        ends = np.cumsum([len(x) for x in xs])
+        rep = np.searchsorted(ends, kept, side="right")
         # uniform(low, high) is low + (high - low) * the next double, and the
         # ranges W and 2h are exact: the same bits as two uniform calls
-        counts.append(_crossing_counts(rep, -W / 2.0 + W * np.concatenate(xs),
-                                       -h + 2.0 * h * np.concatenate(ys),
+        counts.append(_crossing_counts(rep, -W / 2.0 + W * ux[kept],
+                                       -h + 2.0 * h * np.concatenate(ys)[kept],
                                        h, L, len(xs)))
     counts = np.concatenate(counts).astype(float)
     params = {"h": h, "L": L, "W": W}

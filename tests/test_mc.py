@@ -164,18 +164,27 @@ def _loop_counts(rep, xs, ys, h, L, replicates):
             for r in range(replicates)]
 
 
+def _on_reach_edge(x, y, L, edge):
+    """The point (x, y), or by edge 1-4 moved in x onto the edge of the
+    kernel's reach, -|y| or L + |y|, or one ulp outside either."""
+    lo, hi = -abs(y), L + abs(y)
+    return (x, lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf))[edge], y
+
+
 @st.composite
 def _strip_points(draw):
     """Points in |y| <= h, many on a grid of step 1/4 in x and h/4 in y, so
     duplicate x, y == 0, crossings exactly at 0 or L and partners exactly
-    on the +-2h window edge all occur."""
+    on the +-2h window edge all occur; some sit on the edge of their reach
+    or one ulp outside it."""
     h = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
     L = draw(st.sampled_from([0.5, 1.0, 2.0]))
     x = st.one_of(st.integers(-16, 16).map(lambda k: k / 4.0),
                   st.floats(-4.0, 4.0))
     y = st.one_of(st.integers(-4, 4).map(lambda k: k * h / 4.0),
                   st.floats(-h, h))
-    return _case(draw(st.lists(st.tuples(x, y), max_size=40)), h, L)
+    points = draw(st.lists(st.tuples(x, y, st.integers(0, 4)), max_size=40))
+    return _case([_on_reach_edge(x, y, L, edge) for x, y, edge in points], h, L)
 
 
 def _multi_case(points, h, L, replicates):
@@ -221,6 +230,18 @@ class TestCrossingKernel:
                    1.0, 1.0))
     @example(_case([(0.0, -1.0), (2.0, 1.0), (-2.0, 1.0), (1.75, 1.0)],
                    1.0, 2.0))
+    # points on the reach edges -|y| and L + |y|, and one ulp outside them;
+    # above-axis points with y == 0 at x = 0 and x = L, whose friends cross
+    # exactly there; partners at and one ulp inside |dx| = h - y1
+    @example(_case([(-0.5, -0.5), (0.5, 0.5), (1.5, 0.5), (0.5, -0.5)],
+                   1.0, 1.0))
+    @example(_case([(np.nextafter(-0.5, -1.0), -0.5), (0.25, 0.75),
+                    (np.nextafter(1.5, 2.0), 0.5), (0.75, -0.75)], 1.0, 1.0))
+    @example(_case([(0.0, 0.0), (0.25, -0.5), (1.0, 0.0), (0.75, -0.5)],
+                   1.0, 1.0))
+    @example(_case([(0.0, -0.5), (1.5, 1.0), (-1.5, 1.0),
+                    (np.nextafter(1.5, 0.0), 1.0), (np.nextafter(-1.5, 0.0), 1.0)],
+                   1.0, 1.0))
     def test_matches_loop(self, case):
         xs, ys, h, L = case
         assert _one_replicate(xs, ys, h, L) == _loop_crossing_count(xs, ys, h, L)
@@ -266,14 +287,18 @@ class TestCrossingKernel:
         assert list(counts) == _loop_counts(rep, xs, ys, 2.0, 0.5, 8)
 
     def test_several_blocks_at_large_h(self):
-        # the band keeps x in [-h - 1, L + h + 1]; its pairs fill 2.5 blocks
-        h, L = 28.0, 1.0
+        # the kernel keeps a point within its reach |y| (plus a margin) of
+        # [0, L] and pairs a below-axis point with the above-axis points
+        # within h + its reach; those pairs fill 2.8 blocks
+        h, L = 30.0, 30.0
         xs, ys = _strip_sample(h, L, 5)
-        band = (xs >= -h - 1.0) & (xs <= L + h + 1.0)
-        xa = np.sort(xs[band & (ys >= 0)])
-        xb = xs[band & (ys < 0)]
-        pairs = int((np.searchsorted(xa, xb + 2.0 * h)
-                     - np.searchsorted(xa, xb - 2.0 * h)).sum())
+        reach = np.abs(ys) + 1e-9 * (1.0 + h + L + np.abs(xs))
+        keep = (xs >= -reach) & (xs <= L + reach)
+        xa = np.sort(xs[keep & (ys >= 0)])
+        below = keep & (ys < 0)
+        xb, half = xs[below], h + reach[below]
+        pairs = int((np.searchsorted(xa, xb + half)
+                     - np.searchsorted(xa, xb - half)).sum())
         assert pairs > 2 * mc._PAIR_BLOCK
         assert _one_replicate(xs, ys, h, L) == _loop_crossing_count(xs, ys, h, L)
 
@@ -291,17 +316,32 @@ class TestCrossingKernel:
         assert second.replicate_values == [v * v for v in expected]
 
 
+_DRIVERS = pytest.mark.parametrize("run", [
+    lambda n: mc.estimate_psi_ave_upper("delaunay", window=Window.square(12), replicates=n),
+    lambda n: mc.empirical_Lm(6, window=Window.square(12), replicates=n),
+    lambda n: mc.empirical_Lk(4, window=Window.square(12), replicates=n),
+    lambda n: mc.crossing_experiment(1.0, 1.0, replicates=n),
+], ids=["psi_ave_upper", "Lm", "Lk", "crossing"])
+
+
 class TestReplicateCount:
     @pytest.mark.parametrize("replicates", [0, -1])
-    @pytest.mark.parametrize("run", [
-        lambda n: mc.estimate_psi_ave_upper("delaunay", replicates=n),
-        lambda n: mc.empirical_Lm(6, replicates=n),
-        lambda n: mc.empirical_Lk(4, replicates=n),
-        lambda n: mc.crossing_experiment(1.0, 1.0, replicates=n),
-    ], ids=["psi_ave_upper", "Lm", "Lk", "crossing"])
+    @_DRIVERS
     def test_non_positive_rejected(self, run, replicates):
         with pytest.raises(ValueError, match="replicates"):
             run(replicates)
+
+    @pytest.mark.parametrize("replicates", [2.5, math.nan, math.inf])
+    @_DRIVERS
+    def test_non_integer_rejected(self, run, replicates):
+        with pytest.raises(ValueError, match="replicates"):
+            run(replicates)
+
+    @_DRIVERS
+    def test_whole_float_count_taken(self, run):
+        result = run(2.0)
+        first = result[0] if isinstance(result, tuple) else result
+        assert first.n == 2
 
 
 class TestPsiAveUpper:
