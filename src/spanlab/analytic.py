@@ -14,6 +14,8 @@ from itertools import repeat
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from spanlab.configs import _whole
+
 # enough nodes for double precision on both integrands below (20 fall short)
 _GL_NODES, _GL_WEIGHTS = leggauss(24)
 
@@ -24,8 +26,7 @@ _GL_NODES, _GL_WEIGHTS = leggauss(24)
 
 def s_m_bound(m: int) -> float:
     """Best known worst-case stretch of the theta-graph with m cones (m >= 6)."""
-    if not m >= 6 or m % 1 != 0:
-        raise ValueError("m must be an integer >= 6")
+    m = _whole(m, 6, "m")
     t = 2.0 * math.pi / m
     if m % 4 == 0:
         return 1.0 + 2.0 * math.sin(t / 2) / (math.cos(t / 2) - math.sin(t / 2))
@@ -88,8 +89,7 @@ def cone_Lk(k: int) -> float:
     A1 = pi/(2k) its one-cone counterpart, by the 24-node Gauss-Legendre
     rule (A's nearest zeros are 1.15 to sqrt(3) half-lengths off [0, pi/k]).
     """
-    if not k >= 2 or k % 1 != 0:
-        raise ValueError("k must be an integer >= 2")
+    k = _whole(k, 2, "k")
     t = math.pi / k
     val = _gauss_legendre(lambda w: (0.5 * t / _cone_area_factor(w, k)) ** 1.5, 0.0, t)
     return math.sqrt(2.0 * k) * (1.0 - 0.5 * val / t)

@@ -28,6 +28,20 @@ def _json_object(text: str) -> dict:
     raise ValueError("a config, network or run file must hold a JSON object")
 
 
+def _json_params(doc: dict) -> dict:
+    """The params object of a config or network file's JSON object."""
+    if isinstance(params := doc.get("params", {}), dict):
+        return params
+    raise ValueError("params must be a JSON object")
+
+
+def _whole(value, least: int, name: str) -> int:
+    """int(value) if value is a whole number >= least (3.0 counts as 3)."""
+    if not value >= least or value % 1 != 0:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
+
+
 def csv_text(header, rows) -> str:
     """CSV text of a header and rows, each line newline-terminated.
 
@@ -185,7 +199,7 @@ class PointConfig:
             window=Window.from_bounds(doc["window"]),
             torus=doc["torus"],
             kind=doc.get("kind", "custom"),
-            params=doc.get("params", {}),
+            params=_json_params(doc),
             seed=seed,
         )
 
@@ -203,9 +217,7 @@ def spawn_keys(master_seed: int, n: int) -> np.ndarray:
     master = operator.index(master_seed)
     if master < 0:
         raise ValueError("expected non-negative integer")
-    if not n >= 1 or n % 1 != 0:
-        raise ValueError("replicates must be an integer >= 1")
-    n = int(n)
+    n = _whole(n, 1, "replicates")
     words = [master >> shift & 0xFFFFFFFF
              for shift in range(0, max(master.bit_length(), 1), 32)]
     entropy = [*map(np.uint32, words + [0] * (4 - len(words))),
@@ -263,9 +275,8 @@ def poisson(window: Window, rate: float = 1.0, seed: int = 0, torus: bool = Fals
 
 
 def uniform_n(n: int, window: Window, seed: int = 0, torus: bool = False) -> PointConfig:
-    """Exactly n i.i.d. uniform points in the window."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """Exactly n i.i.d. uniform points in the window (n whole: 3.0 counts as 3)."""
+    n = _whole(n, 0, "n")
     pts = _uniform_points(rng_from_seed(seed), window, n)
     return PointConfig(pts, window, torus=torus, kind="uniform",
                        params={"n": n}, seed=seed)

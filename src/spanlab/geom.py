@@ -472,42 +472,20 @@ def _among(points: np.ndarray, of: np.ndarray) -> np.ndarray:
     return np.isin(points[:, 0] + 1j * points[:, 1], of[:, 0] + 1j * of[:, 1])
 
 
-def _eps_cell(p, eps: float) -> tuple[int, int]:
-    return math.floor(p[0] / eps), math.floor(p[1] / eps)
-
-
-def _snap_pick(p, P: dict, grid: dict, eps: float) -> int:
-    """Row of the node that point p snaps to, or -1.
-
-    ``grid`` files the rows of P (row -> point) that made nodes by
-    eps-grid cell, each cell's rows in creation order.  The nearest node
-    within eps in the 3x3 block of cells around p wins; a tie goes to the
-    last one met scanning the block column by column, each column bottom to
-    top.
-    """
-    kx, ky = _eps_cell(p, eps)
-    best, best_d = -1, eps
-    for gx in (kx - 1, kx, kx + 1):
-        for gy in (ky - 1, ky, ky + 1):
-            for row in grid.get((gx, gy), ()):
-                d = math.hypot(p[0] - P[row][0], p[1] - P[row][1])
-                if d <= best_d:
-                    best, best_d = row, d
-    return best
-
-
 def _snap_nodes(X: np.ndarray, eps: float):
     """Nodes of the points of X inserted in order, merging within eps.
 
-    Each point joins the node _snap_pick chooses among the nodes made so
-    far, or makes a new node at its own coordinates.  Returns the node of
-    every point and, per node, the row of X that made it.
+    Each point joins the nearest node made so far at a math.hypot distance
+    of at most eps, a tie going to the earliest node, or makes a new node
+    at its own coordinates.  Returns the node of every point and, per node,
+    the row of X that made it.
 
     Only points that some distinct point comes near need that rule: a
     point otherwise joins the node made by the first equal point.  The
     near points (within a radius safely above eps of a distinct point, so
-    that every node within eps of one is made by another) are replayed in
-    order, against the nodes they made.
+    that every node within eps of one was made at one of its near
+    partners) are replayed in order, against the nodes made at their own
+    point and at their partners.
     """
     from scipy.spatial import cKDTree
     n = len(X)
@@ -520,15 +498,21 @@ def _snap_nodes(X: np.ndarray, eps: float):
     uid[order] = np.cumsum(new) - 1
     maker = first[uid]
     near = cKDTree(K[first]).query_pairs(eps * (1.0 + 1e-6), output_type="ndarray")
-    is_near = np.zeros(len(first), dtype=bool)
-    is_near[near.ravel()] = True
-    rows = np.flatnonzero(is_near[uid])
-    P, grid, picks = dict(zip(rows.tolist(), X[rows].tolist())), {}, []
-    for row, p in P.items():
-        picks.append(_snap_pick(p, P, grid, eps))
-        if picks[-1] < 0:
-            picks[-1] = row
-            grid.setdefault(_eps_cell(p, eps), []).append(row)
+    partners = {}  # near point -> the distinct points near it
+    for u, v in near.tolist():
+        partners.setdefault(u, []).append(v)
+        partners.setdefault(v, []).append(u)
+    rows = np.flatnonzero(np.isin(uid, near))
+    made, picks = {}, []  # near point -> (row, x, y) of the node made there
+    for row, u, (x, y) in zip(rows.tolist(), uid[rows].tolist(), X[rows].tolist()):
+        if u in made:  # the node an equal point made, at distance 0
+            picks.append(made[u][0])
+            continue
+        d, pick = min(((math.hypot(x - px, y - py), r) for r, px, py in
+                       (made[v] for v in partners[u] if v in made)), default=(math.inf, row))
+        if d > eps:
+            made[u], pick = (row, x, y), row
+        picks.append(pick)
     maker[rows] = picks
     makes = maker == np.arange(n)
     node = (np.cumsum(makes) - 1)[maker]
@@ -581,10 +565,12 @@ def build_arrangement(
     numpy reshapes to one, such as a list of point pairs; ``cities`` an
     (n, 2) array of points.  Nodes are segment endpoints, pairwise proper
     intersections (when ``junctions`` is True) and cities, inserted in that
-    order; a point within snap_eps of an earlier node joins the nearest
-    one; collinear overlaps are deduplicated before splitting.  With
-    ``junctions=False`` crossings stay geometrically present but carry no
-    node, giving graph-network (endpoint-only) semantics.
+    order.  A point joins the nearest node made before it at a math.hypot
+    distance of at most snap_eps, a tie going to the earliest node, and
+    otherwise makes a node.  Collinear overlaps are deduplicated before
+    splitting.  With ``junctions=False`` crossings stay geometrically
+    present but carry no node, giving graph-network (endpoint-only)
+    semantics.
 
     With ``window`` (bounds x0, y0, x1, y1) each segment is a lift of a road
     on that torus and the cities lie in the window.  The lifts are cut at
@@ -616,9 +602,9 @@ def build_arrangement(
 
 def _planar_arrangement(S: np.ndarray, cities: np.ndarray, snap_eps: float,
                         junctions: bool, cuts=None) -> RoutingGraph:
-    """build_arrangement's stages on the plane.  With ``junctions=False`` a
-    segment end at one of the points ``cuts`` (where a road was cut without
-    ending) touching another segment's interior carries no node."""
+    """build_arrangement's stages on the plane.  A segment end at one of the
+    points ``cuts`` (where a road was cut without ending, given in graph
+    mode only) touching another segment's interior carries no node."""
     stats = {"segments_in": len(S)}
 
     # drop degenerate and exactly duplicated segments, keeping the first
@@ -643,7 +629,7 @@ def _planar_arrangement(S: np.ndarray, cities: np.ndarray, snap_eps: float,
     in_i = _interior(t_i, length[ev[:, 0]], snap_eps)
     in_j = _interior(t_j, length[ev[:, 1]], snap_eps)
     keep = junctions | ~(in_i & in_j)
-    if cuts is not None and not junctions:
+    if cuts is not None:
         keep &= ~(in_j & _among(_end_near(S[ev[:, 0]], t_i), cuts))
         keep &= ~(in_i & _among(_end_near(S[ev[:, 1]], t_j), cuts))
     ev, hits, t_i, t_j, in_i, in_j = (v[keep] for v in (ev, hits, t_i, t_j, in_i, in_j))
@@ -749,7 +735,8 @@ def _torus_arrangement(S: np.ndarray, cities: np.ndarray, window, snap_eps: floa
     side = np.array([window.x1, window.y1], dtype=float) - lo
     S, cut = _seam_pieces(S, lo, side)  # from here on S holds the pieces
     ends, cut = S.reshape(-1, 2), cut.ravel()
-    cuts = ends[cut & ~_among(ends, ends[~cut])]  # the cut points where no road ends
+    # the cut points where no road ends, which only graph mode reads
+    cuts = None if junctions else ends[cut & ~_among(ends, ends[~cut])]
     # a road that runs along an edge takes a node at the image of every
     # road end and city on the opposite edge
     images = _images_on_seam_roads(S, np.concatenate([ends[~cut], cities]), lo, side, snap_eps)

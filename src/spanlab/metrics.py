@@ -1,8 +1,8 @@
 """Network measurements: stretch, normalized length, intersection rate.
 
 Stretch is measured either in "steiner" mode (the planar arrangement, so
-routes may switch roads at crossings) or "graph" mode (crossings carry no
-junction; routes change roads only at shared endpoints).  Lengths are
+routes may switch roads at crossings) or "graph" mode (proper crossings
+carry no junction; routes change roads only at road ends and cities).  Lengths are
 clipped exactly to an inner window to control boundary effects.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spanlab.configs import SCHEMA_VERSION, rng_from_seed
+from spanlab.configs import SCHEMA_VERSION, _whole, rng_from_seed
 from spanlab.geom import build_arrangement
 from spanlab.nets import Network, unwrap
 
@@ -198,8 +198,7 @@ def intersection_rate(
     normalized length = (pi/2) * rate holds; sampling line angles uniformly
     supplies the isotropy on average for any fixed network.
     """
-    if n_lines < 1:
-        raise ValueError("n_lines must be >= 1")
+    n_lines = _whole(n_lines, 1, "n_lines")
     win = net.config.window
     inner = win.inner(margin_fraction)
     segs = unwrap(net).segments

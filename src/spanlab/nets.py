@@ -17,7 +17,8 @@ import numpy as np
 
 # scipy.spatial is imported in the builders that use it, so importing nets loads no scipy
 
-from spanlab.configs import SCHEMA_VERSION, PointConfig, Window, _json_object, square_grid
+from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, _json_object, _json_params,
+                             _whole, square_grid)
 from spanlab.geom import _seam_pieces
 
 
@@ -67,7 +68,7 @@ class Network:
         return Network(config=config,
                        segments=np.array(doc["segments"], dtype=float).reshape(-1, 4),
                        kind=doc.get("kind", "custom"),
-                       params=doc.get("params", {}))
+                       params=_json_params(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +207,9 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
 
 
 def _cone_graph(config: PointConfig, m: int, criterion: str, kind: str) -> Network:
-    if not m >= 6 or m % 1 != 0:
-        raise ValueError("m must be an integer >= 6")
-    _, segs, _ = _cone_edges(config, int(m), criterion)
-    return Network(config, segs, kind, {"m": int(m)})
+    m = _whole(m, 6, "m")
+    _, segs, _ = _cone_edges(config, m, criterion)
+    return Network(config, segs, kind, {"m": m})
 
 
 def theta_graph(config: PointConfig, m: int) -> Network:
@@ -230,11 +230,12 @@ def cone_road_network(config: PointConfig, k: int, directions=None) -> Network:
     opposite cone.  An edge belongs to direction c mod k, c the cone of the
     city that picked it.  ``directions`` restricts to a subset of indices (a
     single index gives the one-direction network whose mean length is L_k)."""
-    if not k >= 2 or k % 1 != 0:
-        raise ValueError("k must be an integer >= 2")
-    k = int(k)
+    k = _whole(k, 2, "k")
+    wanted = range(k) if directions is None else directions
+    if any(i % 1 != 0 for i in wanted):
+        raise ValueError("directions must be integers")
+    wanted = sorted({int(i) % k for i in wanted})
     _, segs, cone = _cone_edges(config, 2 * k, "distance")
-    wanted = sorted({int(i) % k for i in (range(k) if directions is None else directions)})
     return Network(config, segs[np.isin(cone % k, wanted)], "cone",
                    {"k": k, "directions": wanted})
 
@@ -319,8 +320,8 @@ def grid_freeway(config: PointConfig, t: float, variant: str = "N1") -> Network:
     access roads across its own cell.  Variant N2 adds interior roads
     through the cell centers; N3 adds interior roads at the cell thirds.
     """
-    if t <= 0:
-        raise ValueError("cell spacing t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"cell spacing t must be {'positive' if t <= 0 else 'finite'}")
     if variant not in ("N1", "N2", "N3"):
         raise ValueError(f"unknown variant {variant!r}")
     win = config.window
@@ -443,4 +444,4 @@ def unwrap(net: Network) -> Network:
     lo = np.array([win.x0, win.y0], dtype=float)
     pieces, _ = _seam_pieces(net.segments, lo, np.array([win.x1, win.y1], dtype=float) - lo)
     return Network(replace(net.config, points=net.config.points.copy(), torus=False),
-                   pieces, net.kind, {**net.params, "unwrapped": True})
+                   pieces, net.kind, net.params)

@@ -114,6 +114,13 @@ class TestThetaStretch:
     def test_known_closed_forms(self, m, expected):
         assert analytic.s_m_bound(m) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [7, 9])
+    def test_odd_m_matches_mpmath(self, m):
+        with mp.workdps(40):
+            t = 2 * mp.pi / m
+            want = float(mp.cos(t / 4) / (mp.cos(t / 2) - mp.sin(3 * t / 4)))
+        assert analytic.s_m_bound(m) == pytest.approx(want, rel=1e-14)
+
     def test_small_m_rejected(self):
         for m in (5, math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -284,6 +291,11 @@ class TestAreaA:
             analytic.area_A(25.0, 2.0, 10.0, 10.0)
         with pytest.raises(ValueError):
             analytic.area_A(5.0, 11.0, 10.0, 10.0)
+
+    @pytest.mark.parametrize("h", [5.0, 2.0])
+    def test_h_at_most_half_L_rejected(self, h):
+        with pytest.raises(ValueError, match=r"requires h > L/2"):
+            analytic.area_A(5.0, 1.0, h, 10.0)
 
 
 def _scalar_second_moment(h, L):

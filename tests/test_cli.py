@@ -529,6 +529,29 @@ def test_json_that_is_not_an_object_is_domain_error(tmp_path, capsys, command, d
     assert captured.out == "" and "must hold a JSON object" in captured.err
 
 
+@pytest.mark.parametrize("params", [[], "text", 3])
+def test_params_that_are_not_an_object_are_a_domain_error(tmp_path, capsys, params):
+    # a torus network file reaches nets.unwrap, a lattice config lattice_edges
+    cfg, net = tmp_path / "cfg.json", tmp_path / "net.json"
+    assert run("generate", "square", "--window", "3", "--out", str(cfg)) == EXIT_OK
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "params": params}))
+    net.write_text(json.dumps({"window": [0, 0, 10, 10], "torus": True, "params": params,
+                               "cities": [[1, 1], [2, 2]], "segments": [[1, 1, 2, 2]]}))
+    for argv in (("build", str(cfg), "lattice"), ("measure", str(net))):
+        assert run(*argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and "params must be a JSON object" in captured.err
+
+
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_non_finite_grid_spacing_is_a_domain_error(tmp_path, capsys, t):
+    cfg = tmp_path / "cfg.json"
+    assert run("generate", "poisson", "--window", "6", "--out", str(cfg)) == EXIT_OK
+    assert run("build", str(cfg), "grid_freeway", "--t", t) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cell spacing t must be finite" in captured.err
+
+
 def test_import_loads_no_scipy_integrate_or_optimize():
     # a fresh interpreter, as this one holds scipy.integrate for the test oracles;
     # spanlab.cli imports every spanlab module

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -106,6 +107,21 @@ class TestRandomGenerators:
         assert cfg.n == 37
         assert Window.square(5).contains(cfg.points).all()
 
+    @pytest.mark.parametrize("n", [-1, 2.5, math.nan, math.inf])
+    def test_uniform_n_that_is_not_a_count_rejected(self, n):
+        with pytest.raises(ValueError, match=r"n must be an integer >= 0"):
+            uniform_n(n, Window.square(5))
+
+    def test_uniform_n_whole_float_counts(self):
+        cfg = uniform_n(3.0, Window.square(5), seed=1)
+        assert cfg.n == 3 and cfg.params == {"n": 3}
+        np.testing.assert_array_equal(cfg.points, uniform_n(3, Window.square(5), seed=1).points)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            PointConfig(np.array([[1.0, 1.0], [bad, 2.0]]), Window.square(5))
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             poisson(Window.square(10), rate=-1.0)
@@ -186,6 +202,10 @@ class TestLattices:
     def test_too_small_window_rejected(self):
         with pytest.raises(ValueError):
             hex_config(Window.square(1.0))
+        with pytest.raises(ValueError, match="too small for one lattice cell"):
+            tri_config(Window.square(1.0))
+        with pytest.raises(ValueError, match="side must be at least 1"):
+            square_grid(Window(0.0, 0.0, 5.0, 0.5))
 
 
 def _loop_row_lattice(window, row_height, offsets_even, offsets_odd, period):
@@ -253,9 +273,13 @@ class TestSerialization:
         assert np.array_equal(back.points, cfg.points)
         assert np.array_equal(poisson(window, seed=back.seed).points, cfg.points)
 
-    def test_schema_version_present(self):
-        import json
+    @pytest.mark.parametrize("params", [[], "text", None])
+    def test_params_that_are_not_an_object_rejected(self, params):
+        doc = json.loads(square_grid(Window.square(3)).to_json())
+        with pytest.raises(ValueError, match="params must be a JSON object"):
+            PointConfig.from_json(json.dumps({**doc, "params": params}))
 
+    def test_schema_version_present(self):
         doc = json.loads(uniform_n(4, Window.square(3)).to_json())
         assert doc["schema_version"] == 1
 

@@ -164,6 +164,14 @@ class TestArrangement:
                               [(0, 0), (2, 0)], snap_eps=eps)
         assert math.isfinite(_route(g, 0, 1))
 
+    def test_snap_joins_ends_exactly_eps_apart(self):
+        # the two inner road ends lie exactly snap_eps = 1e-3 apart in
+        # math.hypot, so they make one node
+        g = build_arrangement([((-1, 0), (-5.823277293861916e-85, 0)), ((1e-3, 0), (1, 0))],
+                              [(-1, 0), (1, 0)], 1e-3)
+        assert g.n_nodes == 3
+        assert _route(g, 0, 1) == 2.0
+
     def test_stretch_at_least_one(self):
         # route length can never beat the straight-line distance
         rng = np.random.default_rng(7)
@@ -213,34 +221,22 @@ class TestRoutingGraph:
 
 
 class _NodeRegistry:
-    """Merges points within snap_eps to a single node, deterministically."""
+    """The snapping rule by brute force: a point joins the nearest node made
+    before it at a math.hypot distance of at most snap_eps, a tie going to
+    the earliest node, and otherwise makes a node.  Every node is measured,
+    so none can be missed."""
 
     def __init__(self, snap_eps):
         self.eps = snap_eps
         self.coords = []
-        self._grid = {}
-
-    def _key(self, p):
-        return (int(math.floor(p[0] / self.eps)), int(math.floor(p[1] / self.eps)))
 
     def insert(self, p):
-        kx, ky = self._key(p)
-        best = -1
-        best_d = self.eps
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for idx in self._grid.get((kx + dx, ky + dy), ()):
-                    q = self.coords[idx]
-                    d = math.hypot(p[0] - q[0], p[1] - q[1])
-                    if d <= best_d:
-                        best_d = d
-                        best = idx
-        if best >= 0:
-            return best
-        idx = len(self.coords)
+        d, idx = min(((math.hypot(p[0] - q[0], p[1] - q[1]), k)
+                      for k, q in enumerate(self.coords)), default=(math.inf, -1))
+        if d <= self.eps:
+            return idx
         self.coords.append(p)
-        self._grid.setdefault((kx, ky), []).append(idx)
-        return idx
+        return len(self.coords) - 1
 
 
 def _cells_of_segment(a, b, cell, pad=0.0):
@@ -588,6 +584,8 @@ class TestArrangementStages:
         return eps, draw(st.permutations(pts))
 
     @given(_insertion_sequence())
+    @example((1e-3, [(-5.823277293861916e-85, 0.0), (1e-3, 0.0)]))
+    @example((0.125, [(0.0, 0.5), (0.25, 0.5), (0.125, 0.5)]))
     @settings(max_examples=300, deadline=None)
     def test_snap_nodes_match_registry(self, case):
         eps, pts = case
@@ -598,10 +596,18 @@ class TestArrangementStages:
         np.testing.assert_array_equal(np.array(pts, dtype=float).reshape(-1, 2)[makers],
                                       np.array(registry.coords, dtype=float).reshape(-1, 2))
 
+    @pytest.mark.parametrize("eps, pts, want", [
+        # exactly eps apart in math.hypot
+        (1e-3, [(-5.823277293861916e-85, 0.0), (1e-3, 0.0)], [0, 0]),
+        # exactly eps from two nodes: the tie goes to the earliest
+        (0.125, [(0.0, 0.5), (0.25, 0.5), (0.125, 0.5)], [0, 1, 0]),
+    ])
+    def test_snap_rule_at_eps(self, eps, pts, want):
+        assert geom._snap_nodes(np.array(pts), eps)[0].tolist() == want
 
     def test_snap_nodes_large_cluster(self, monkeypatch):
         # 3000 points chained at half the snap distance form one cluster;
-        # each point is measured only against the nodes of its 3x3 block
+        # each point is measured only against the nodes at its near partners
         eps = 1e-3
         rng = np.random.default_rng(11)
         X = np.column_stack([np.arange(3000) * eps / 2, rng.uniform(0, eps, 3000)])

@@ -90,6 +90,13 @@ class TestStretch:
             worst = max(worst, float(np.max(g.distances_from(src)[g.city_nodes] / eucl)))
         assert rep.max_ratio == worst
 
+    @pytest.mark.parametrize("points", [[[5, 5]], [[5, 5], [0.5, 5]]])
+    def test_fewer_than_two_filtered_cities_rejected(self, points):
+        # (0.5, 5) lies in the 0.1 margin of the side-10 window
+        net = _net(points, [[5, 5, 0.5, 5]])
+        with pytest.raises(ValueError, match="at least two filtered cities"):
+            metrics.stretch(net)
+
     def test_bad_mode_and_filter_rejected(self):
         net = _net([[1, 1], [2, 2]], [[1, 1, 2, 2]])
         with pytest.raises(ValueError):
@@ -504,6 +511,13 @@ class TestLocalStretch:
                    [[2, 2, 5, 5], [5, 5, 6, 5], [5, 5, 5, 7]])
         assert metrics.local_stretch(net, "mutual-nearest", 0.0) == 1.0
 
+    @pytest.mark.parametrize("rule", ["unit-distance", "mutual-nearest"])
+    def test_no_neighbor_pair_rejected(self, rule):
+        # no pair lies 1 apart, and the mutual pair (0, 1) leaves the inner window
+        net = _net([[0.5, 5], [2.5, 5]], [[0.5, 5, 2.5, 5]])
+        with pytest.raises(ValueError, match="no neighbor pairs inside the inner window"):
+            metrics.local_stretch(net, rule)
+
     def test_bad_rule_rejected(self):
         net = nets.lattice_edges(square_grid(Window.square(6)))
         with pytest.raises(ValueError):
@@ -543,6 +557,12 @@ class TestNormalizedLength:
         net = _net([[1, 1], [2, 2]], [[1, 1, 2, 2]])
         with pytest.raises(ValueError):
             metrics.normalized_length(net, 0.5)
+
+    def test_empty_inner_window_rejected(self):
+        net = nets.Network(PointConfig(np.empty((0, 2)), Window(0, 0, 0, 0)), np.empty((0, 4)),
+                           "custom")
+        with pytest.raises(ValueError, match="empty inner window"):
+            metrics.normalized_length(net)
 
     def test_torus_counts_wrapped_parts(self):
         cfg = uniform_n(20, Window.square(6), seed=3, torus=True)
@@ -633,6 +653,24 @@ class TestIntersectionRate:
         net = _net([[1, 1], [2, 2]], [[1, 1, 2, 2]])
         with pytest.raises(ValueError):
             metrics.intersection_rate(net, n_lines=0)
+
+    @pytest.mark.parametrize("n_lines", [2.5, math.nan, math.inf])
+    def test_non_integer_line_count_rejected(self, n_lines):
+        net = _net([[1, 1], [2, 2]], [[1, 1, 2, 2]])
+        with pytest.raises(ValueError, match=r"n_lines must be an integer >= 1"):
+            metrics.intersection_rate(net, n_lines=n_lines)
+
+    def test_whole_float_line_count_counts(self):
+        net = nets.alternate_diagonals(Window.square(10))
+        assert (metrics.intersection_rate(net, n_lines=300.0)
+                == metrics.intersection_rate(net, n_lines=300))
+
+    def test_no_line_meeting_the_inner_window_rejected(self):
+        # a point window: every chord through it has length 0
+        net = nets.Network(PointConfig(np.empty((0, 2)), Window(0, 0, 0, 0)), np.empty((0, 4)),
+                           "custom")
+        with pytest.raises(ValueError, match="no test line hit the inner window"):
+            metrics.intersection_rate(net, n_lines=10)
 
 
 @pytest.mark.parametrize("margin", [-0.2, 0.5, 0.7])

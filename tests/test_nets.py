@@ -1,6 +1,7 @@
 """Tests for the network builders."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -49,6 +50,12 @@ class TestNetwork:
         assert np.allclose(back.segments, net.segments)
         assert back.kind == "theta" and back.params["m"] == 6
         assert back.config.torus
+
+    @pytest.mark.parametrize("params", [[], "text", None])
+    def test_params_that_are_not_an_object_rejected(self, params):
+        doc = json.loads(nets.delaunay(_config([[0, 0], [4, 0], [0, 3]])).to_json())
+        with pytest.raises(ValueError, match="params must be a JSON object"):
+            nets.Network.from_json(json.dumps({**doc, "params": params}))
 
 
 class TestThetaGraph:
@@ -286,6 +293,11 @@ class TestConeRoads:
         with pytest.raises(ValueError, match="integer >= 2"):
             nets.cone_road_network(_config([[0, 0], [1, 1]]), k)
 
+    @pytest.mark.parametrize("directions", [[1.5], [0, math.nan]])
+    def test_non_integer_direction_rejected(self, directions):
+        with pytest.raises(ValueError, match="directions must be integers"):
+            nets.cone_road_network(_config([[0, 0], [1, 1]]), 4, directions=directions)
+
     def test_direction_classes_partition(self):
         cfg = uniform_n(40, Window.square(10), seed=9)
         k = 4
@@ -493,6 +505,13 @@ class TestGridFreeway:
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError):
             nets.grid_freeway(_config([[1, 1]]), 1.0, "N4")
+
+    @pytest.mark.parametrize("t, message", [(0.0, "positive"), (-2.0, "positive"),
+                                            (-math.inf, "positive"), (math.inf, "finite"),
+                                            (math.nan, "finite")])
+    def test_bad_spacing_rejected(self, t, message):
+        with pytest.raises(ValueError, match=f"cell spacing t must be {message}"):
+            nets.grid_freeway(_config([[1, 1]]), t)
 
 
 class TestAlternateDiagonals:
