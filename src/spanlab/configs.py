@@ -1,11 +1,11 @@
 """Point-configuration generators, normalized to one city per unit area.
 
 All generators are pure functions of (parameters, seed).  Randomness uses
-the counter-based Philox generator.  A seed is an integer, or a Monte Carlo
-replicate's Philox key: ``spawn_keys`` derives all replicates' keys in one
-vector pass, each equal to the key of its ``SeedSequence.spawn`` child.
-This module also holds the schema version and the one CSV writer of every
-versioned output.
+the counter-based Philox generator.  A seed is an integer s, drawing from
+``Philox(s)``, or a Monte Carlo replicate's pair (s, i), drawing from
+``Philox(s).jumped(i)``: the key of ``Philox(s)`` with counter word 2 set
+to i, so replicate 0 of seed s is the plain seed s.  This module also
+holds the schema version and the one CSV writer of every versioned output.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +152,7 @@ class PointConfig:
     torus: bool = False
     kind: str = "custom"
     params: dict = field(default_factory=dict)
-    seed: int | np.ndarray | None = None  # an integer or a spawn_keys key
+    seed: int | tuple[int, int] | None = None  # s, or replicate i's (s, i): rng_from_seed
 
     def __post_init__(self):
         if not isinstance(self.torus, bool):
@@ -179,7 +178,7 @@ class PointConfig:
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "params": self.params,
-            "seed": self.seed.tolist() if isinstance(self.seed, np.ndarray) else self.seed,
+            "seed": self.seed,
             "window": [self.window.x0, self.window.y0, self.window.x1, self.window.y1],
             "torus": self.torus,
             "points": [[float(x), float(y)] for x, y in self.points],
@@ -190,10 +189,11 @@ class PointConfig:
     def from_json(text: str) -> "PointConfig":
         doc = _json_object(text)
         seed = doc.get("seed")
-        if isinstance(seed, list) and len(seed) == 2:  # a replicate's Philox key
-            if not all(type(v) is int and 0 <= v < 2 ** 64 for v in seed):  # no bool
-                raise ValueError("a Philox key seed must be two integers in [0, 2**64)")
-            seed = np.array(seed, dtype=np.uint64)
+        if isinstance(seed, list):  # a Monte Carlo replicate's [seed, replicate]
+            if not (len(seed) == 2 and all(type(v) is int and v >= 0 for v in seed)
+                    and seed[1] < 2 ** 64):  # type() refuses bool
+                raise ValueError("a replicate seed must be two integers [s, i] >= 0, i < 2**64")
+            seed = tuple(seed)
         return PointConfig(
             points=np.array(doc["points"], dtype=float).reshape(-1, 2),
             window=Window.from_bounds(doc["window"]),
@@ -204,55 +204,12 @@ class PointConfig:
         )
 
 
-def spawn_keys(master_seed: int, n: int) -> np.ndarray:
-    """Philox keys of n replicates, as (n, 2) uint64: row i equals the key
-    of the i-th child of ``np.random.SeedSequence(master_seed).spawn(n)``.
-    n must be a whole number of at least 1; a float such as 3.0 counts as 3.
-
-    SeedSequence hashes the master's 32-bit words, zero-padded to its pool
-    of 4, into the pool, mixes the pool, then mixes in any words past the
-    pool: the rest of the master's and the child's spawn word i.  Only
-    that last word differs between children, so it alone runs on arrays.
-    """
-    master = operator.index(master_seed)
-    if master < 0:
-        raise ValueError("expected non-negative integer")
-    n = _whole(n, 1, "replicates")
-    words = [master >> shift & 0xFFFFFFFF
-             for shift in range(0, max(master.bit_length(), 1), 32)]
-    entropy = [*map(np.uint32, words + [0] * (4 - len(words))),
-               np.arange(n, dtype=np.uint32)]
-
-    def hasher(const, mult):  # SeedSequence's hashmix and its running constant
-        def hashmix(value):
-            nonlocal const
-            value = value ^ np.uint32(const)
-            const = const * mult & 0xFFFFFFFF
-            value = value * np.uint32(const)
-            return value ^ value >> np.uint32(16)
-        return hashmix
-
-    def mix(x, y):
-        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-        return value ^ value >> np.uint32(16)
-
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    with np.errstate(over="ignore"):  # uint32 arithmetic wraps, as in C
-        pool = [hashmix(word) for word in entropy[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[4:]:
-            pool = [mix(value, hashmix(word)) for value in pool]
-        state = np.column_stack([*map(hasher(0x8B51F9DD, 0x58F38DED), pool)])
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
 def rng_from_seed(seed) -> np.random.Generator:
-    """Counter-based generator for an integer seed or a ``spawn_keys`` key."""
-    if isinstance(seed, np.ndarray):
-        return np.random.Generator(np.random.Philox(key=seed))
+    """Generator of an integer seed s, ``Philox(s)``, or of a Monte Carlo
+    replicate's (s, i), ``Philox(s).jumped(i)``; (s, 0) draws what s does."""
+    if isinstance(seed, tuple):
+        seed, replicate = seed
+        return np.random.Generator(np.random.Philox(seed).jumped(replicate))
     return np.random.Generator(np.random.Philox(seed))
 
 

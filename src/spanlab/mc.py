@@ -2,13 +2,13 @@
 
 Every estimator here has an analytic partner (mean network lengths, the
 crossing-count moments, the length upper bounds) and exists to confirm
-that partner numerically.  Replicate i draws its own Philox substream,
-keyed by row i of ``configs.spawn_keys(master_seed, replicates)``: the key
-of the i-th spawned child of ``SeedSequence(master_seed)``, derived for all
-replicates in one vector pass.  So results are reproducible and
-order-independent.  A crossing replicate reads its n points in one
-``random(2n)`` call, x from the first n doubles and y from the next n:
-the same values as ``uniform(-W/2, W/2, n)`` then ``uniform(-h, h, n)``.
+that partner numerically.  Replicate i of an experiment seeded s draws
+from its own Philox substream, ``Philox(s).jumped(i)``: the key of
+``Philox(s)`` with counter word 2 set to i.  So results are reproducible
+and order-independent, and replicate 0 draws what the plain seed s draws.
+A crossing replicate reads its n points in one ``random(2n)`` call, x
+from the first n doubles and y from the next n: the same values as
+``uniform(-W/2, W/2, n)`` then ``uniform(-h, h, n)``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spanlab import metrics, nets
-from spanlab.configs import SCHEMA_VERSION, Window, poisson, spawn_keys
+from spanlab.configs import SCHEMA_VERSION, Window, _whole, poisson
 from spanlab.metrics import StretchReport
 
 
@@ -59,13 +59,14 @@ def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:
 def _torus_lengths(estimator, kind, params, window, replicates, master_seed,
                    result_params, visit=None) -> ExperimentResult:
     """Mean normalized length of builder ``kind`` of ``nets.BUILDERS`` over
-    rate-1 Poisson cities on the torus ``window``, one spawned Philox key per
-    replicate; ``visit``, if given, also sees each replicate's network.
-    The result's params are ``result_params`` plus the window area."""
+    rate-1 Poisson cities on the torus ``window``, replicate i drawn from the
+    seed (master_seed, i); ``visit``, if given, also sees each replicate's
+    network.  The result's params are ``result_params`` plus the window area."""
     t0 = time.perf_counter()
     values = []
-    for key in spawn_keys(master_seed, replicates):
-        net = nets.build(kind, poisson(window, rate=1.0, seed=key, torus=True), params)
+    for i in range(_whole(replicates, 1, "replicates")):
+        net = nets.build(kind, poisson(window, rate=1.0, seed=(master_seed, i), torus=True),
+                         params)
         values.append(metrics.normalized_length(net, margin_fraction=0.0))
         if visit is not None:
             visit(net)
@@ -213,16 +214,16 @@ def crossing_experiment(
     # each side covers the rounding of u_lo, u_hi and the map
     u_lo, u_hi = 0.5 - (h + 1.0) / W, 0.5 + (L + h + 1.0) / W
     t0 = time.perf_counter()
-    keys = spawn_keys(master_seed, replicates)
-    # one Philox, re-keyed per replicate to the state Philox(key=key) starts
-    # in: counter 0 and an empty buffer
-    bitgen = np.random.Philox(key=keys[0])
+    replicates = _whole(replicates, 1, "replicates")
+    # one Philox, set per replicate i to the state Philox(master_seed).jumped(i)
+    # starts in: the master key, counter (0, 0, i, 0) and an empty buffer
+    bitgen = np.random.Philox(master_seed)
     rng, state = np.random.Generator(bitgen), bitgen.state
     counts = []
-    for start in range(0, len(keys), chunk):
+    for start in range(0, replicates, chunk):
         xs, ys = [], []
-        for key in keys[start:start + chunk]:
-            state["state"]["key"] = key
+        for i in range(start, min(start + chunk, replicates)):
+            state["state"]["counter"][2] = i
             bitgen.state = state
             n = rng.poisson(W * 2.0 * h)
             u = rng.random(2 * n)

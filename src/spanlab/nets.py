@@ -312,6 +312,12 @@ def delaunay(config: PointConfig) -> Network:
 # ---------------------------------------------------------------------------
 
 
+# Most grid lines per axis grid_freeway builds: m lines per axis cross in m^2
+# arrangement nodes of about 250 bytes each while the arrangement is split,
+# so 2**12 lines (16.8M crossings) already take about 4 GiB to route.
+_GRID_LINES = 1 << 12
+
+
 def grid_freeway(config: PointConfig, t: float, variant: str = "N1") -> Network:
     """Freeways-and-access-roads network on a square window.
 
@@ -319,6 +325,7 @@ def grid_freeway(config: PointConfig, t: float, variant: str = "N1") -> Network:
     the nearest divisor of the window side); each city gets full N-S and E-W
     access roads across its own cell.  Variant N2 adds interior roads
     through the cell centers; N3 adds interior roads at the cell thirds.
+    A t giving more than ``_GRID_LINES`` lines per axis is refused.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"cell spacing t must be {'positive' if t <= 0 else 'finite'}")
@@ -326,6 +333,9 @@ def grid_freeway(config: PointConfig, t: float, variant: str = "N1") -> Network:
         raise ValueError(f"unknown variant {variant!r}")
     win = config.window
     W, H = win.width, win.height
+    if not max(W, H) / t <= _GRID_LINES:
+        raise ValueError(f"cell spacing t = {t!r} gives {max(W, H) / t:.4g} grid lines"
+                         f" per axis, more than {_GRID_LINES}")
     m = max(1, round(W / t))
     t = W / m
     m_y = max(1, round(H / t))

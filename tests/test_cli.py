@@ -173,15 +173,16 @@ class TestBuildMeasure:
             captured = capsys.readouterr()
             assert captured.out == "" and "torus must be true or false" in captured.err
 
-    @pytest.mark.parametrize("seed", [[-1, 2], [1.5, 2], [2 ** 64, 0], [True, 2], [1, "2"]],
-                             ids=["negative", "float", "too-large", "bool", "string"])
+    @pytest.mark.parametrize("seed", [[-1, 0], [1.5, 0], [0, 2 ** 64], [True, 0], [1, "2"],
+                                      [0, 1, 2]],
+                             ids=["negative", "float", "too-large", "bool", "string", "three"])
     def test_seed_that_is_not_a_philox_key_is_domain_error(self, tmp_path, capsys, seed):
         cfg = tmp_path / "cfg.json"
         assert run("generate", "poisson", "--window", "10", "--out", str(cfg)) == EXIT_OK
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "seed": seed}))
         assert run("build", str(cfg), "delaunay") == EXIT_DOMAIN
         captured = capsys.readouterr()
-        assert captured.out == "" and "two integers in [0, 2**64)" in captured.err
+        assert captured.out == "" and "replicate seed must be two integers" in captured.err
 
     def test_philox_key_seed_builds(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -337,13 +338,14 @@ class TestExperiment:
     @pytest.mark.parametrize("argv,expected", [
         (("crossing", "--h", "1", "--L", "1", "--replicates", "50"),
          "estimator,params,mean,se,n,seed\n"
-         "crossing_N,\"{'L': 1.0, 'W': 40.0, 'h': 1.0}\",1.46,0.25267547953686298,50,0\n"
-         "crossing_N2,\"{'L': 1.0, 'W': 40.0, 'h': 1.0}\",5.2599999999999998,"
-         "1.2859714028622844,50,0\n"),
+         "crossing_N,\"{'L': 1.0, 'W': 40.0, 'h': 1.0}\",1.8600000000000001,"
+         "0.27106742891835628,50,0\n"
+         "crossing_N2,\"{'L': 1.0, 'W': 40.0, 'h': 1.0}\",7.0599999999999996,"
+         "1.7053122282791402,50,0\n"),
         (("empirical_lk", "--k", "4", "--window", "10", "--replicates", "2"),
          "estimator,params,mean,se,n,seed\n"
          "empirical_Lk,\"{'direction': 0, 'k': 4, 'window': 100.0}\","
-         "2.2133772879341373,0.066825728178378827,2,0\n"),
+         "2.1204017173934657,0.057405843386797661,2,0\n"),
     ], ids=["crossing", "empirical_lk"])
     def test_bytes(self, capsys, argv, expected):
         assert run("experiment", *argv) == EXIT_OK
@@ -352,10 +354,10 @@ class TestExperiment:
     @pytest.mark.parametrize("argv,digest", [
         # the README example
         (("--h", "2", "--L", "0.5", "--replicates", "2000", "--seed", "3"),
-         "7577a4f68d5772a960ebe6ce3460348fbd1b998da44bc0cb4debdf6526cbb7e4"),
+         "3b20bd10a06199808cfcf372f56f3cc6695a378b03fe39d7bf6f96a0241b6555"),
         # large h: each replicate is a chunk of its own
         (("--h", "12", "--L", "1", "--replicates", "20"),
-         "b36c93023338db3662c4bd702998c9a2dbf24cdbc15551b8da2a68507f0eec8b"),
+         "02f498c0169023904a90e1a1f33d7d47a20802d56abaf054d535d0f0e2518010"),
     ], ids=["readme", "large_h"])
     def test_crossing_digest(self, capsys, argv, digest):
         assert run("experiment", "crossing", *argv) == EXIT_OK
@@ -385,8 +387,8 @@ class TestExperiment:
         _assert_pinned_csv(captured.out, (
             "estimator,params,mean,se,n,seed\n"
             "psi_ave_upper[theta],\"{'m': 6, 'mode': 'steiner', 'window': 100.0}\","
-            "5.8124881486062554,nan,1,0\n"))
-        assert captured.err == "max stretch 1.41746559445701 over 5671 pairs\n"
+            "5.4790690649915055,nan,1,0\n"))
+        assert captured.err == "max stretch 1.3585541245527508 over 4851 pairs\n"
 
     def test_single_replicate_se_is_nan(self, capsys):
         # one replicate gives no spread to estimate, not a spread of zero
@@ -550,6 +552,15 @@ def test_non_finite_grid_spacing_is_a_domain_error(tmp_path, capsys, t):
     assert run("build", str(cfg), "grid_freeway", "--t", t) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == "" and "cell spacing t must be finite" in captured.err
+
+
+def test_too_fine_grid_spacing_is_a_domain_error(tmp_path, capsys):
+    # refused before any line is built: an uncapped build allocates until killed
+    cfg = tmp_path / "cfg.json"
+    assert run("generate", "poisson", "--window", "6", "--out", str(cfg)) == EXIT_OK
+    assert run("build", str(cfg), "grid_freeway", "--t", "1e-300") == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and "6e+300 grid lines per axis, more than 4096" in captured.err
 
 
 def test_import_loads_no_scipy_integrate_or_optimize():

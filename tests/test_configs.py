@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from spanlab.configs import (HEX_SPACING, TRI_SPACING, PointConfig, Window,
-                             csv_text, hex_config, poisson, spawn_keys,
+                             csv_text, hex_config, poisson, rng_from_seed,
                              square_grid, tri_config, uniform_n)
 
 
@@ -139,32 +139,22 @@ class TestRandomGenerators:
         PointConfig(np.array([[10.06, 3.0]]), Window.square(10))  # planar: no window to wrap
 
 
-class TestSpawnKeys:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 140), st.integers(1, 3000))
-    # one master word; the largest one-word master; two words; three; five,
-    # past the pool of four, so a master word is mixed in after the pool
-    @example(0, 1)
-    @example(0, 3000)
-    @example(1, 2)
-    @example(2 ** 32 - 1, 3000)
-    @example(2 ** 32, 17)
-    @example(2 ** 64 + 7, 3000)
-    @example(2 ** 128 + 5, 3000)
-    @example(2 ** 140 - 1, 1)
-    def test_matches_seed_sequence(self, master, n):
-        keys = spawn_keys(master, n)
-        expected = [child.generate_state(2, np.uint64)
-                    for child in np.random.SeedSequence(master).spawn(n)]
-        assert keys.dtype == np.uint64 and keys.shape == (n, 2)
-        assert np.array_equal(keys, expected)
-
-    def test_negative_master_rejected(self):
-        with pytest.raises(ValueError) as theirs:
-            np.random.SeedSequence(-1)
-        with pytest.raises(ValueError) as ours:
-            spawn_keys(-1, 3)
-        assert str(ours.value) == str(theirs.value)
+class TestReplicateSeeds:
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 140 - 1])
+    @pytest.mark.parametrize("replicate", [0, 1, 5, 2 ** 33])
+    def test_pair_draws_the_jumped_stream(self, seed, replicate):
+        # Philox is counter-based: the master key with counter word 2 set to
+        # the replicate; replicate 0 is the plain seed's own stream
+        bitgen = np.random.Philox(seed)
+        state = bitgen.state
+        state["state"]["counter"][2] = replicate
+        bitgen.state = state
+        want = np.random.Generator(bitgen).random(9)
+        jumped = np.random.Generator(np.random.Philox(seed).jumped(replicate))
+        assert np.array_equal(jumped.random(9), want)
+        assert np.array_equal(rng_from_seed((seed, replicate)).random(9), want)
+        if replicate == 0:
+            assert np.array_equal(rng_from_seed(seed).random(9), want)
 
 
 class TestLattices:
@@ -266,12 +256,19 @@ class TestSerialization:
 
     def test_replicate_key_seed_round_trip(self):
         window = Window.square(10)
-        cfg = poisson(window, seed=spawn_keys(0, 1)[0])
+        cfg = poisson(window, seed=(2 ** 140 - 1, 3))
+        assert json.loads(cfg.to_json())["seed"] == [2 ** 140 - 1, 3]
         back = PointConfig.from_json(cfg.to_json())
-        assert back.seed.dtype == np.uint64
-        assert np.array_equal(back.seed, cfg.seed)
+        assert back.seed == (2 ** 140 - 1, 3)
         assert np.array_equal(back.points, cfg.points)
         assert np.array_equal(poisson(window, seed=back.seed).points, cfg.points)
+
+    @pytest.mark.parametrize("seed", [[True, 0], [-1, 0], [0, 2 ** 64], [1.5, 0], [0, 1, 2]],
+                             ids=["bool", "negative", "too-large", "float", "three"])
+    def test_bad_replicate_seed_rejected(self, seed):
+        doc = json.loads(square_grid(Window.square(3)).to_json())
+        with pytest.raises(ValueError, match="replicate seed must be two integers"):
+            PointConfig.from_json(json.dumps({**doc, "seed": seed}))
 
     @pytest.mark.parametrize("params", [[], "text", None])
     def test_params_that_are_not_an_object_rejected(self, params):

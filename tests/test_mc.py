@@ -58,13 +58,15 @@ class TestEmpiricalLengths:
             mc.empirical_Lk(k, replicates=1)
 
     def test_replicates_match_spawned_children(self):
+        # replicate i draws from the seed (seed, i): Philox(seed).jumped(i)
         window = Window.square(10)
-        r = mc.empirical_Lm(6, window, replicates=3, master_seed=5)
-        expected = [metrics.normalized_length(
-                        nets.theta_graph(poisson(window, seed=child, torus=True), 6),
-                        margin_fraction=0.0)
-                    for child in np.random.SeedSequence(5).spawn(3)]
-        assert r.replicate_values == expected
+        for seed in (0, 5, 2 ** 140 - 1):
+            r = mc.empirical_Lm(6, window, replicates=3, master_seed=seed)
+            expected = [metrics.normalized_length(
+                            nets.theta_graph(poisson(window, seed=(seed, i), torus=True), 6),
+                            margin_fraction=0.0)
+                        for i in range(3)]
+            assert r.replicate_values == expected
 
     def test_determinism(self):
         a = mc.empirical_Lm(6, Window.square(12), replicates=5, master_seed=4)
@@ -305,22 +307,55 @@ class TestCrossingKernel:
     @pytest.mark.parametrize("h,L", ACCEPTANCE_GRID + [(0.05, 1.0), (0.3, 0.7),
                                                        (12.0, 1.0)])
     def test_driver_matches_loop(self, h, L):
-        # the oracle draws x and y with two uniform calls; a large strip
-        # runs a few replicates
+        # the oracle draws x and y with two uniform calls from the seed
+        # (seed, i), Philox(seed).jumped(i); a large strip runs a few replicates
         replicates = 50 if h < 10.0 else 3
-        first, second = mc.crossing_experiment(h, L, replicates=replicates,
-                                               master_seed=17)
-        expected = [float(_loop_crossing_count(*_strip_sample(h, L, s), h, L))
-                    for s in np.random.SeedSequence(17).spawn(replicates)]
-        assert first.replicate_values == expected
-        assert second.replicate_values == [v * v for v in expected]
+        for seed in (0, 5, 2 ** 140 - 1):
+            first, second = mc.crossing_experiment(h, L, replicates=replicates,
+                                                   master_seed=seed)
+            expected = [float(_loop_crossing_count(*_strip_sample(h, L, (seed, i)), h, L))
+                        for i in range(replicates)]
+            assert first.replicate_values == expected
+            assert second.replicate_values == [v * v for v in expected]
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 140 - 1], ids=["0", "2**140-1"])
+    def test_replicate_state_is_the_jumped_state(self, monkeypatch, seed):
+        philox = np.random.Philox
+
+        class Spy(philox):
+            """A Philox that records every state the driver sets."""
+            seen = []
+
+            @property
+            def state(self):
+                return philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                Spy.seen.append({k: v.copy() for k, v in value["state"].items()})
+                philox.state.__set__(self, value)
+
+        monkeypatch.setattr(np.random, "Philox", Spy)
+        mc.crossing_experiment(1.0, 1.0, replicates=6, master_seed=seed)
+        monkeypatch.undo()
+        assert len(Spy.seen) == 6
+        for i in (0, 1, 5, 2 ** 33):
+            want = np.random.Philox(seed).jumped(i).state["state"]
+            # replicate 2**33 is beyond a run; the driver's rule gives its state
+            got = Spy.seen[i] if i < 6 else {"key": Spy.seen[0]["key"],
+                                             "counter": np.array([0, 0, i, 0], np.uint64)}
+            assert np.array_equal(got["counter"], want["counter"])
+            assert np.array_equal(got["key"], want["key"])
 
 
 _DRIVERS = pytest.mark.parametrize("run", [
-    lambda n: mc.estimate_psi_ave_upper("delaunay", window=Window.square(12), replicates=n),
-    lambda n: mc.empirical_Lm(6, window=Window.square(12), replicates=n),
-    lambda n: mc.empirical_Lk(4, window=Window.square(12), replicates=n),
-    lambda n: mc.crossing_experiment(1.0, 1.0, replicates=n),
+    lambda n, seed=0: mc.estimate_psi_ave_upper("delaunay", window=Window.square(12),
+                                                replicates=n, master_seed=seed),
+    lambda n, seed=0: mc.empirical_Lm(6, window=Window.square(12), replicates=n,
+                                      master_seed=seed),
+    lambda n, seed=0: mc.empirical_Lk(4, window=Window.square(12), replicates=n,
+                                      master_seed=seed),
+    lambda n, seed=0: mc.crossing_experiment(1.0, 1.0, replicates=n, master_seed=seed),
 ], ids=["psi_ave_upper", "Lm", "Lk", "crossing"])
 
 
@@ -342,6 +377,31 @@ class TestReplicateCount:
         result = run(2.0)
         first = result[0] if isinstance(result, tuple) else result
         assert first.n == 2
+
+    @_DRIVERS
+    def test_negative_master_seed_rejected(self, run):
+        with pytest.raises(ValueError) as theirs:
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError) as ours:
+            run(2, -1)
+        assert str(ours.value) == str(theirs.value)
+
+
+class TestReplicateStreams:
+    def test_crossing_replicates_are_a_prefix(self):
+        # replicate i depends on i alone, and replicate 0 is the plain seed's
+        values = mc.crossing_experiment(1.0, 1.0, replicates=7, master_seed=5)[0].replicate_values
+        short = mc.crossing_experiment(1.0, 1.0, replicates=3, master_seed=5)[0].replicate_values
+        assert short == values[:3]
+        assert values[0] == _loop_crossing_count(*_strip_sample(1.0, 1.0, 5), 1.0, 1.0)
+
+    def test_lm_replicates_are_a_prefix(self):
+        window = Window.square(10)
+        values = mc.empirical_Lm(6, window, replicates=3, master_seed=5).replicate_values
+        assert mc.empirical_Lm(6, window, replicates=2, master_seed=5).replicate_values \
+            == values[:2]
+        plain = nets.theta_graph(poisson(window, seed=5, torus=True), 6)
+        assert values[0] == metrics.normalized_length(plain, margin_fraction=0.0)
 
 
 class TestPsiAveUpper:

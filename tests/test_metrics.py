@@ -649,6 +649,18 @@ class TestIntersectionRate:
         rate, se = metrics.intersection_rate(net, n_lines=1, seed=0)
         assert rate > 0 and math.isnan(se)
 
+    def test_memory_stays_bounded(self):
+        # lines meet the segments in blocks of a fixed budget of entries,
+        # whatever the segment count (4,768 here)
+        net = nets.delaunay(poisson(Window.square(40), seed=0))
+        tracemalloc.start()
+        try:
+            metrics.intersection_rate(net, n_lines=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20
+
     def test_bad_line_count_rejected(self):
         net = _net([[1, 1], [2, 2]], [[1, 1, 2, 2]])
         with pytest.raises(ValueError):

@@ -513,6 +513,17 @@ class TestGridFreeway:
         with pytest.raises(ValueError, match=f"cell spacing t must be {message}"):
             nets.grid_freeway(_config([[1, 1]]), t)
 
+    @pytest.mark.parametrize("t", [1e-300, 5e-324, 10.0 / 4097])
+    def test_too_fine_spacing_rejected(self, t):
+        # refused before any line is built: 1e-300 asked for 1e301 lines per axis
+        with pytest.raises(ValueError, match="grid lines per axis, more than 4096"):
+            nets.grid_freeway(_config([[1, 1]]), t)
+
+    def test_finest_spacing_builds(self):
+        net = nets.grid_freeway(_config([[1, 1]], torus=True), 10.0 / 4096)
+        assert net.params["t"] == 10.0 / 4096
+        assert len(net.segments) == 2 * 4096 + 2
+
 
 class TestAlternateDiagonals:
     def test_city_coverage(self):
