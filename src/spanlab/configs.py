@@ -194,6 +194,8 @@ class PointConfig:
                     and seed[1] < 2 ** 64):  # type() refuses bool
                 raise ValueError("a replicate seed must be two integers [s, i] >= 0, i < 2**64")
             seed = tuple(seed)
+        elif seed is not None and not (type(seed) is int and seed >= 0):
+            raise ValueError("seed must be null, an integer s >= 0 or a pair [s, i]")
         return PointConfig(
             points=np.array(doc["points"], dtype=float).reshape(-1, 2),
             window=Window.from_bounds(doc["window"]),

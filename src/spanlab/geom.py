@@ -20,7 +20,7 @@ if TYPE_CHECKING:
 
 Point = tuple[float, float]
 
-# float64 machine epsilon based filter bound for the 2x2 determinant
+# _filtered_cross's error bound for the 2x2 determinant, from float64 epsilon
 _ORIENT_ERRBOUND = 4.0 * np.finfo(float).eps
 
 # Most segment pairs a pair stage of build_arrangement holds at once.  At
@@ -45,39 +45,20 @@ class DisconnectedCityError(ValueError):
 def orient(p: Point, q: Point, r: Point) -> int:
     """Sign of twice the signed area of triangle (p, q, r).
 
-    Returns +1 for counterclockwise, -1 for clockwise, 0 for collinear.
-    Uses a floating-point filter and falls back to exact rational
-    arithmetic when the filter is inconclusive.
+    Returns +1 for counterclockwise, -1 for clockwise, 0 for collinear,
+    evaluated exactly.  It has no float filter of its own: build_arrangement
+    filters its pairs in bulk and sends only those it cannot settle to
+    segment_intersection.
     """
-    ux, uy = q[0] - p[0], q[1] - p[1]
-    vx, vy = r[0] - p[0], r[1] - p[1]
-    if (ux == 0.0 or vy == 0.0) and (uy == 0.0 or vx == 0.0):
-        # a float difference is zero only when its operands are equal, so
-        # both products and the true determinant are zero; this settles
-        # shared endpoints and axis-parallel collinearity without rational
-        # arithmetic (a zero product alone may be an underflow)
-        return 0
-    det_l = ux * vy
-    det_r = uy * vx
-    det = det_l - det_r
-    err = _ORIENT_ERRBOUND * (abs(det_l) + abs(det_r))
-    if det > err:
-        return 1
-    if det < -err:
-        return -1
-    # fall back to exact evaluation: each coordinate is a ratio of integers
-    # (a float's denominator is a power of two), so scaling all six by the
-    # common denominator gives integers
+    # each coordinate is a ratio of integers (a float's denominator is a
+    # power of two), so scaling all six by the common denominator gives
+    # integers
     ratios = [v.as_integer_ratio() if type(v) is float else Fraction(v).as_integer_ratio()
               for v in (*p, *q, *r)]
     den = math.lcm(*(d for _, d in ratios))
     px, py, qx, qy, rx, ry = (n * (den // d) for n, d in ratios)
     exact = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-    if exact > 0:
-        return 1
-    if exact < 0:
-        return -1
-    return 0
+    return (exact > 0) - (exact < 0)
 
 
 def _on_segment_collinear(p: Point, q: Point, r: Point) -> bool:
@@ -158,9 +139,11 @@ class RoutingGraph:
     rows, or seam pieces), overlap_rounds (passes over the candidate pairs:
     1, or 2 when the first merged), candidate_pairs (pairs of the merged
     segments sharing a grid cell whose bounding boxes meet), exact_pairs
-    (those sent to segment_intersection), snapped (points merged into a
-    node at nonzero distance), on a torus seam_points (nodes within snap_eps
-    of a seam) and glued (nodes merged away), and the routed nodes and edges.
+    (those of them sent to segment_intersection: the float filter cannot
+    settle them, and they share no endpoint or could be collinear), snapped
+    (points merged into a node at nonzero distance), on a torus seam_points
+    (nodes within snap_eps of a seam) and glued (nodes merged away), and the
+    routed nodes and edges.
     Immutable after construction; the sparse matrix is built once and
     each per-source search runs afresh.
     """
@@ -355,22 +338,22 @@ def _shares_endpoint(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
 
 def _block_events(S: np.ndarray, P: np.ndarray):
     """The rows of the (k, 2) index pairs P, in order, meeting in a single
-    point, the (k, 2) meeting points, the number of pairs sent to the
-    exact predicates, and the pairs of P, in order, that could be collinear.
+    point, the (k, 2) meeting points, the number of pairs sent to
+    segment_intersection, and the pairs of P, in order, that overlap.
 
     A vectorized orientation filter settles the bulk of the pairs: pairs
     whose four orientations are all decisively nonzero either cross
-    properly (intersection solved in floats) or miss entirely.  Pairs the
-    filter cannot decide and that share no endpoint go through the exact
-    predicate path.  Collinear overlaps produce no event.  The pairs that
-    could be collinear, whose directions are not decisively non-parallel
-    and c not decisively off the line ab, hold every exactly collinear
-    pair: its true determinants are zero, inside the filter's error band.
+    properly (intersection solved in floats) or miss entirely.  Each pair
+    it cannot settle goes to segment_intersection once, if it shares no
+    endpoint or could be collinear: its directions are not decisively
+    non-parallel and c not decisively off the line ab, as for every exactly
+    collinear pair, whose true determinants are zero.  A Segment returned
+    is an overlap, and a point an event unless the pair shares an endpoint.
     """
     ax, ay, bx, by, cx, cy, dx, dy = E = _pair_arrays(S, P)
     rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
     d1, decisive = _filtered_cross(rx, ry, cx - ax, cy - ay)
-    near = P[~decisive & ~_filtered_cross(rx, ry, sx, sy)[1]]
+    near = ~decisive & ~_filtered_cross(rx, ry, sx, sy)[1]
     d2, sure = _filtered_cross(rx, ry, dx - ax, dy - ay)
     decisive &= sure
     d3, sure = _filtered_cross(sx, sy, ax - cx, ay - cy)
@@ -380,26 +363,23 @@ def _block_events(S: np.ndarray, P: np.ndarray):
     k = np.flatnonzero(decisive & ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)))
     ax, ay, cx, cy, rx, ry, sx, sy = (v[k] for v in (ax, ay, cx, cy, rx, ry, sx, sy))
     t = ((cx - ax) * sy - (cy - ay) * sx) / (rx * sy - ry * sx)
-    rows, hits = [k], [np.column_stack([ax + t * rx, ay + t * ry])]
-    # A pair sharing an endpoint bit-for-bit meets only there.  Exact and
-    # reversed duplicates were dropped, and _merge_overlaps keeps only the
-    # events of segments no two of which overlap, so the kept pair is
-    # non-collinear, with one common point, or collinear end to end.
-    # segment_intersection would return the shared point, which is already
-    # a node of both segments: _project gives it t = 0.0 or t = 1.0
-    # exactly, so its event would insert no node and split nothing.  The
-    # topology settles these pairs.
-    exact = np.flatnonzero(~decisive)
-    exact = exact[~_shares_endpoint(*(v[exact] for v in E))]
-    for row, (x1, y1, x2, y2, x3, y3, x4, y4) in zip(
-            exact.tolist(), S[P[exact]].reshape(-1, 8).tolist()):
+    rows, hits, overlaps = [k], [np.column_stack([ax + t * rx, ay + t * ry])], []
+    # Two segments sharing an endpoint exactly meet, unless they overlap,
+    # only there, which is already a node of both: _project puts it at
+    # t = 0.0 or 1.0 exactly, so its event would split nothing.
+    shared = _shares_endpoint(*E)
+    exact = np.flatnonzero(~decisive & (near | ~shared))
+    for row, end, (x1, y1, x2, y2, x3, y3, x4, y4) in zip(
+            exact.tolist(), shared[exact].tolist(), S[P[exact]].reshape(-1, 8).tolist()):
         hit = segment_intersection(Segment((x1, y1), (x2, y2)), Segment((x3, y3), (x4, y4)))
-        if hit is not None and not isinstance(hit, Segment):
+        if isinstance(hit, Segment):
+            overlaps.append(row)
+        elif hit is not None and not end:
             rows.append([row])
             hits.append(np.array([hit], dtype=float))
     rows, hits = np.concatenate(rows), np.concatenate(hits)
     order = np.argsort(rows, kind="stable")
-    return P[rows[order]], hits[order], len(exact), near
+    return P[rows[order]], hits[order], len(exact), P[np.array(overlaps, dtype=int)]
 
 
 def _merge_overlaps(S: np.ndarray, cell: float, pad: float, stats: dict):
@@ -408,12 +388,13 @@ def _merge_overlaps(S: np.ndarray, cell: float, pad: float, stats: dict):
 
     A pass feeds _block_events the blocks of candidate pairs, those sharing
     a cell grown by ``pad`` whose bounding boxes meet, as overlapping
-    segments' do.  The near-collinear pairs that overlap join into connected
+    segments' do.  The overlapping pairs it returns join into connected
     components, each merged into its lowest row.  A segment overlapping a
     union overlaps one of its members, so a second pass, run only when the
-    first merged, finds the events and seeks no overlap.  Returns the merged
+    first merged, finds the events and merges nothing.  Returns the merged
     (m', 4) array, the events and their meeting points, and counts
-    overlap_rounds (passes), exact_pairs and candidate_pairs in ``stats``.
+    overlap_rounds (passes), exact_pairs and candidate_pairs of the last
+    pass in ``stats``.
     """
     from scipy.sparse import csgraph, csr_matrix
     S = S.copy()
@@ -423,14 +404,12 @@ def _merge_overlaps(S: np.ndarray, cell: float, pad: float, stats: dict):
             P = _boxes_meet(S, P)
             found.append(_block_events(S, P))
             kept += len(P)
-        ev, hits, exact, near = zip(*found)
-        pairs = [p for p in np.concatenate(near).tolist() if rounds == 1 and isinstance(
-            segment_intersection(*(Segment(*map(tuple, S[k].reshape(2, 2).tolist())) for k in p)),
-            Segment)]
-        if not pairs:
+        ev, hits, exact, overlaps = zip(*found)
+        pairs = np.concatenate(overlaps)
+        if rounds == 2 or not len(pairs):
             stats.update(overlap_rounds=rounds, exact_pairs=sum(exact), candidate_pairs=kept)
             return S, np.concatenate(ev), np.concatenate(hits)
-        i, j = np.array(pairs).T
+        i, j = pairs.T
         comp = csgraph.connected_components(
             csr_matrix((np.ones(len(i)), (i, j)), shape=(len(S),) * 2), directed=False)[1]
         rows = np.unique(pairs)  # each component's rows together, lowest first

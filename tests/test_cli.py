@@ -184,6 +184,14 @@ class TestBuildMeasure:
         captured = capsys.readouterr()
         assert captured.out == "" and "replicate seed must be two integers" in captured.err
 
+    def test_negative_int_seed_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        assert run("generate", "poisson", "--window", "10", "--out", str(cfg)) == EXIT_OK
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "seed": -1}))
+        assert run("build", str(cfg), "delaunay") == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must be null, an integer s >= 0" in captured.err
+
     def test_philox_key_seed_builds(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         assert run("generate", "poisson", "--window", "10", "--out", str(cfg)) == EXIT_OK

@@ -270,6 +270,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="replicate seed must be two integers"):
             PointConfig.from_json(json.dumps({**doc, "seed": seed}))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "abc", {"a": 1}],
+                             ids=["negative", "float", "bool", "string", "object"])
+    def test_bad_int_seed_rejected(self, seed):
+        doc = json.loads(square_grid(Window.square(3)).to_json())
+        with pytest.raises(ValueError, match="seed must be null, an integer s >= 0"):
+            PointConfig.from_json(json.dumps({**doc, "seed": seed}))
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, 2 ** 140 - 1])
+    def test_int_seed_accepted(self, seed):
+        doc = json.loads(square_grid(Window.square(3)).to_json())
+        assert PointConfig.from_json(json.dumps({**doc, "seed": seed})).seed == seed
+
     @pytest.mark.parametrize("params", [[], "text", None])
     def test_params_that_are_not_an_object_rejected(self, params):
         doc = json.loads(square_grid(Window.square(3)).to_json())

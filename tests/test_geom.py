@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spanlab import geom, metrics, nets
-from spanlab.configs import PointConfig, Window, poisson
+from spanlab.configs import PointConfig, Window, poisson, square_grid, tri_config
 from spanlab.geom import (DisconnectedCityError, Segment, build_arrangement, orient,
                           segment_intersection)
 
@@ -868,19 +868,61 @@ class TestPairBlocks:
     @given(st.one_of(_collinear_chain(), _segment_set()))
     @settings(max_examples=200, deadline=None)
     def test_near_rows_hold_every_overlap(self, raw):
-        """Each listed pair with a collinear overlap of positive length is
-        among the near-collinear pairs _block_events returns for its box-cut
-        block, so one pass finds every overlap: the merge takes at most two."""
+        """The overlaps _block_events returns for a box-cut block are, in
+        order, exactly its pairs with a collinear overlap of positive length,
+        so one pass finds every overlap: the merge takes at most two."""
         segs = [Segment(*s) for s in raw if s[0] != s[1]]
         S = np.array(segs, dtype=float).reshape(-1, 4)
         cell = sum(s.length for s in segs) / len(segs) if segs else 1.0
         with mock.patch.object(geom, "_PAIR_BLOCK", 3):
             for P in geom._pair_blocks(*geom._segment_cells(S, cell, 1e-9 * cell)):
-                near = geom._block_events(S, geom._boxes_meet(S, P))[3].tolist()
+                kept = geom._boxes_meet(S, P)
+                overlaps = geom._block_events(S, kept)[3].tolist()
                 for i, j in P.tolist():
                     if isinstance(segment_intersection(segs[i], segs[j]), Segment):
-                        assert [i, j] in near
+                        assert [i, j] in overlaps
+                assert overlaps == [[i, j] for i, j in kept.tolist() if isinstance(
+                    segment_intersection(segs[i], segs[j]), Segment)]
         assert build_arrangement(raw, []).stats["overlap_rounds"] <= 2
+
+    def test_each_pair_reaches_segment_intersection_once_a_pass(self):
+        """The float filter runs once: a pair it cannot settle is sent to
+        segment_intersection once, whose answer gives both its event and its
+        overlap."""
+        log, intersect, blocks = [], geom.segment_intersection, geom._pair_blocks
+
+        def sent(s, t):
+            log.append((s, t))
+            return intersect(s, t)
+
+        def new_pass(*args):
+            log.append("pass")
+            return blocks(*args)
+
+        with mock.patch.object(geom, "segment_intersection", side_effect=sent), \
+                mock.patch.object(geom, "_pair_blocks", side_effect=new_pass):
+            g = build_arrangement([((0, 0), (2, 0)), ((1, 0), (3, 0)), ((5, 0), (6, 1))],
+                                  [(0, 0), (3, 0)])
+        assert g.stats["overlap_rounds"] == 2 and log.count("pass") == 2
+        assert (Segment((0.0, 0.0), (2.0, 0.0)), Segment((1.0, 0.0), (3.0, 0.0))) in log
+        seen = set()
+        for call in log:
+            if call == "pass":
+                seen = set()
+            else:
+                assert call not in seen
+                seen.add(call)
+
+    @pytest.mark.parametrize("make", [square_grid, tri_config], ids=["square", "tri"])
+    def test_exact_pairs_counts_the_calls(self, make):
+        """Collinear lattice edges meeting end to end share an endpoint and
+        could be collinear: each is sent, and counted."""
+        net = nets.lattice_edges(make(Window.square(10)))
+        with mock.patch.object(geom, "segment_intersection",
+                               wraps=geom.segment_intersection) as intersect:
+            stats = metrics.routing_graph(net, "steiner").stats
+        assert stats["overlap_rounds"] == 1
+        assert intersect.call_count == stats["exact_pairs"] > 0
 
     # tracemalloc peak of routing_graph on cone8 over the seed-0 20x20 torus
     # (55,808 nodes, 218,306 candidate pairs): 14.0 MB with blocks of 1 << 16
