@@ -87,6 +87,13 @@ class TestWindowClip:
         assert t_lo[2] > t_hi[2]  # vertical, left of the window
         assert t_lo[3] > t_hi[3]  # diagonal through (10, 0), misses
         assert t_lo[4] > t_hi[4]  # vertical, left, subnormal dy
+        # a segment on each edge of the window (bottom, right, top, left) is kept whole
+        px = np.array([-1.0, 3.0, 3.0, -1.0])
+        py = np.array([-2.0, -2.0, 2.0, 2.0])
+        dx = np.array([4.0, 0.0, -4.0, 0.0])
+        dy = np.array([0.0, 4.0, 0.0, -4.0])
+        t_lo, t_hi = self.WIN.clip(px, py, dx, dy, 0.0, 1.0)
+        assert t_lo.tolist() == [0.0] * 4 and t_hi.tolist() == [1.0] * 4
 
 
 class TestRandomGenerators:

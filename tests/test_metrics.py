@@ -615,12 +615,14 @@ class TestNormalizedLength:
 
 class TestIntersectionRate:
     def test_vertical_grating(self):
-        # unit-spacing vertical lines: length density 1, rate 2/pi
+        # unit-spacing vertical lines: x = 1..9 lie in the closed inner window
+        # [1, 9]^2, the two on its edges too, so nine roads of length 8 over
+        # area 64 give length density 9/8 and rate (2/pi) * 9/8
         segs = [[float(x), -5.0, float(x), 15.0] for x in range(-5, 16)]
         net = _net([[4, 4], [6, 6]], segs)
         rate, se = metrics.intersection_rate(net, n_lines=4000, seed=1)
         assert se > 0
-        assert abs(rate - 2.0 / math.pi) <= 3 * se + 0.01
+        assert abs(rate - 2.0 / math.pi * 9 / 8) <= 3 * se + 0.01
 
     def test_identity_alternate_diagonals(self):
         net = nets.alternate_diagonals(Window.square(20))
@@ -635,6 +637,16 @@ class TestIntersectionRate:
         net = nets.grid_freeway(poisson(Window.square(12), seed=seed, torus=True), 3.0)
         L = metrics.normalized_length(net, 0.0)
         rate, se = metrics.intersection_rate(net, n_lines=2000, seed=seed, margin_fraction=0.0)
+        assert abs(L - (math.pi / 2.0) * rate) <= 3 * (math.pi / 2.0) * se
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("variant", ["N1", "N2", "N3"])
+    def test_planar_edge_roads_cross(self, variant, seed):
+        # the grid roads at 1 and 9 lie on the default inner window's edge: as
+        # on the torus seams, each counts where it lies, as normalized_length has it
+        net = nets.grid_freeway(uniform_n(100, Window.square(10), seed), 1.0, variant)
+        L = metrics.normalized_length(net)
+        rate, se = metrics.intersection_rate(net, n_lines=10_000, seed=seed)
         assert abs(L - (math.pi / 2.0) * rate) <= 3 * (math.pi / 2.0) * se
 
     def test_determinism(self):
