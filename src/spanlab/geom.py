@@ -8,6 +8,9 @@ become junction nodes), and shortest-path distances on the resulting graph.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -27,6 +30,10 @@ _ORIENT_ERRBOUND = 4.0 * np.finfo(float).eps
 # about 170 bytes a pair a block peaks near 11 MiB, so the arrangement's
 # transient memory follows the block and the node count, not the pair count.
 _PAIR_BLOCK = 1 << 16
+
+# Fewest sources x graph nodes worth a search process: about twice the 5-6 ms
+# fork and reap of an 85 MiB process, at 150-230 ns a node (2-core x86-64).
+_SPLIT_WORK = 1 << 16
 
 
 class Segment(NamedTuple):
@@ -144,8 +151,8 @@ class RoutingGraph:
     (points merged into a node at nonzero distance), on a torus seam_points
     (nodes within snap_eps of a seam) and glued (nodes merged away), and the
     routed nodes and edges.
-    Immutable after construction; the sparse matrix is built once and
-    each per-source search runs afresh.
+    Immutable after construction; the sparse matrix is built once, and
+    distances_from_each splits a block of searches over the usable CPUs.
     """
 
     nodes: np.ndarray
@@ -182,6 +189,54 @@ class RoutingGraph:
             raise KeyError(f"unknown city index {city}")
         from scipy.sparse.csgraph import dijkstra
         return dijkstra(self._matrix(), directed=True, indices=self.city_nodes[city])
+
+    def distances_from_each(self, cities, nodes) -> np.ndarray:
+        """The rows distances_from(c)[nodes] of the cities c, as one float block.
+
+        Once the matrix is built, forked children (one per further usable CPU,
+        each with at least _SPLIT_WORK sources x nodes) fill slices of rows in a
+        shared mmap while this process fills the first; a child's slice is redone
+        here unless it exits 0.  Each row is the same scipy call as in the serial
+        loop (no os.fork, one CPU or a small block), so results are bit-identical.
+        """
+        if bad := [c for c in cities if not 0 <= c < len(self.city_nodes)]:
+            raise KeyError(f"unknown city index {bad[0]}")
+        import scipy.sparse.csgraph  # noqa: F401  (imported once here, not in each child)
+        self._matrix()
+        k, w = len(cities), len(nodes)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1) if hasattr(os, "fork") else 1
+        parts = max(1, min(cpus, k, k * self.n_nodes // _SPLIT_WORK))
+        out = np.frombuffer(mmap.mmap(-1, 8 * k * w or 8), float, k * w).reshape(k, w)
+        cut = [k * p // parts for p in range(parts + 1)]
+
+        def fill(lo, hi):
+            for r in range(lo, hi):
+                out[r] = self.distances_from(cities[r])[nodes]
+
+        children = {}
+        try:
+            for lo, hi in zip(cut[1:-1], cut[2:]):
+                # The child runs only scipy's Dijkstra and numpy indexing into the
+                # mmap and leaves by os._exit, taking no lock another thread may hold
+                # (no BLAS, I/O or import): safe where Python 3.12+ warns of fork.
+                if (pid := os.fork()) == 0:
+                    try:
+                        fill(lo, hi)
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+                children[pid] = lo, hi
+            fill(0, cut[1])
+        except BaseException:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            failed = [rows for pid, rows in children.items() if os.waitpid(pid, 0)[1]]
+        for lo, hi in failed:
+            fill(lo, hi)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,11 @@ def stretch(
     Exact over all filtered pairs when the pair budget SAMPLED_PAIRS // n
     covers all n filtered cities as sources (n <= 447); otherwise that many
     seeded random source cities are used and the sampled pair count is
-    reported.  The (sources, cities) block of ratios is filled one source
-    row at a time.  The percentiles are taken over the finite ratios (+inf
-    when none is), so a disconnected pair shows only as max_ratio = +inf.
+    reported.  The sources' searches run as one block over the usable CPUs
+    (RoutingGraph.distances_from_each, bit-identical to a serial loop), and
+    the (sources, cities) block of ratios is filled one row at a time.  The
+    percentiles are taken over the finite ratios (+inf when none is), so a
+    disconnected pair shows only as max_ratio = +inf.
     A torus has no boundary, so there every city is scored (the report
     reads pair_filter "all"; pair_filter and margin_fraction are not used)
     and distances are minimal-image ones.  Fewer than two filtered cities,
@@ -94,14 +96,14 @@ def stretch(
     # one (sources, cities) block of ratios, at most SAMPLED_PAIRS entries,
     # filled one source row at a time; a city's displacement from itself is
     # exactly 0, so eucl > 0 drops the self-pair, whose ratio stays -inf
-    to, at = pts[cities], g.city_nodes[cities]
+    to, routes = pts[cities], g.distances_from_each(sources, g.city_nodes[cities])
     ratios = np.full((len(sources), n), -np.inf)
     for r, src in enumerate(sources.tolist()):
         d = to - pts[src]
         if side is not None:
             d -= side * np.round(d / side)
         eucl = np.hypot(d[:, 0], d[:, 1])
-        np.divide(g.distances_from(src)[at], eucl, out=ratios[r], where=eucl > 0)
+        np.divide(routes[r], eucl, out=ratios[r], where=eucl > 0)
     kept = int(np.count_nonzero(ratios > -np.inf))
     if not kept:  # the sources are filtered cities: all of them coincide
         raise ValueError("need two filtered cities at distinct positions")

@@ -1,6 +1,7 @@
 """Tests for the planar-arrangement and routing primitives."""
 
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -212,6 +213,93 @@ class TestRoutingGraph:
         g = build_arrangement([((0, 0), (1, 0))], [(0, 0)])
         with pytest.raises(KeyError):
             g.distances_from(3)
+
+
+@pytest.fixture(scope="module")
+def torus_graph():
+    # 398 cities and 1,677 nodes: all cities as sources are about ten times
+    # _SPLIT_WORK, two of them a twentieth of it
+    return metrics.routing_graph(nets.theta_graph(poisson(Window.square(20), seed=0,
+                                                          torus=True), 6))
+
+
+def _loop_rows(g, cities, nodes):
+    return np.array([g.distances_from(c)[nodes] for c in cities])
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestDistancesFromEach:
+    """RoutingGraph.distances_from_each against a loop over distances_from."""
+
+    def _cities_and_nodes(self, g, n_sources):
+        rng = np.random.default_rng(1)
+        cities = rng.permutation(len(g.city_nodes))[:n_sources]
+        return cities, g.city_nodes[rng.permutation(len(g.city_nodes))]
+
+    @pytest.mark.parametrize("n_sources, children", [(None, 2), (2, 0)])
+    def test_block_equals_loop(self, torus_graph, forks, n_sources, children):
+        g = torus_graph
+        cities, nodes = self._cities_and_nodes(g, n_sources)
+        assert (len(cities) * g.n_nodes >= 3 * geom._SPLIT_WORK) == (children == 2)
+        got = g.distances_from_each(cities, nodes)
+        assert len(forks) == children
+        _assert_no_child_left()
+        want = _loop_rows(g, cities, nodes)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_without_fork(self, torus_graph, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        g = torus_graph
+        cities, nodes = self._cities_and_nodes(g, None)
+        assert g.distances_from_each(cities, nodes).tobytes() == \
+            _loop_rows(g, cities, nodes).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 10 ** 6])
+    def test_unknown_city_raises_before_any_fork(self, torus_graph, forks, bad):
+        g = torus_graph
+        cities = list(range(len(g.city_nodes) - 1)) + [bad]
+        with pytest.raises(KeyError):
+            g.distances_from_each(cities, g.city_nodes)
+        assert forks == []
+
+    def test_failed_child_slice_is_recomputed(self, torus_graph, forks, monkeypatch):
+        g = torus_graph
+        cities, nodes = self._cities_and_nodes(g, None)
+        want = _loop_rows(g, cities, nodes)
+        parent, search = os.getpid(), geom.RoutingGraph.distances_from
+
+        def fails_in_children(self, city):
+            if os.getpid() != parent:
+                raise RuntimeError("search failed in a child")
+            return search(self, city)
+
+        monkeypatch.setattr(geom.RoutingGraph, "distances_from", fails_in_children)
+        got = g.distances_from_each(cities, nodes)
+        assert len(forks) == 2
+        _assert_no_child_left()
+        assert got.tobytes() == want.tobytes()
+
+    def test_children_are_reaped_when_the_parent_raises(self, torus_graph, forks,
+                                                         monkeypatch):
+        g = torus_graph
+        cities, nodes = self._cities_and_nodes(g, None)
+        parent, search = os.getpid(), geom.RoutingGraph.distances_from
+
+        def fails_in_parent(self, city):
+            if os.getpid() == parent:
+                raise RuntimeError("search failed in the parent")
+            return search(self, city)
+
+        monkeypatch.setattr(geom.RoutingGraph, "distances_from", fails_in_parent)
+        with pytest.raises(RuntimeError, match="in the parent"):
+            g.distances_from_each(cities, nodes)
+        assert len(forks) == 2
+        _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

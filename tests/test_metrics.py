@@ -429,6 +429,17 @@ class TestStretchMatchesLoop:
         if case == "tie":
             assert (rep.max_ratio, rep.argmax_pair) == (2 / math.sqrt(2), (0, 2))
 
+    @pytest.mark.parametrize("mode", ["steiner", "graph"])
+    @pytest.mark.parametrize("case", ["planar-sampled", "torus-sampled"])
+    def test_split_searches_match_loop(self, case, mode, forks):
+        # blocks large enough to split over three CPUs (the fixture reports
+        # them); the oracle searches one source at a time
+        build, pair_filter = _STRETCH_CASES[case]
+        net = build()
+        rep = metrics.stretch(net, mode, pair_filter, seed=7)
+        assert len(forks) == 2
+        want = _loop_stretch(net, mode, pair_filter, seed=7)
+        assert (rep.max_ratio, rep.argmax_pair, rep.percentiles, rep.n_pairs, rep.exact) == want
 
 
 def _loop_local_stretch(net, neighbor_rule, margin_fraction=metrics.DEFAULT_MARGIN):
