@@ -35,6 +35,10 @@ _PAIR_BLOCK = 1 << 16
 # fork and reap of an 85 MiB process, at 150-230 ns a node (2-core x86-64).
 _SPLIT_WORK = 1 << 16
 
+# Most chunks a block's rows are dealt in: 2 KiB of 2-byte chunk numbers, which
+# one write puts in a fresh pipe (PIPE_BUF is 4 KiB on Linux).
+_DEALS = 1 << 10
+
 
 class Segment(NamedTuple):
     a: Point
@@ -152,7 +156,8 @@ class RoutingGraph:
     (nodes within snap_eps of a seam) and glued (nodes merged away), and the
     routed nodes and edges.
     Immutable after construction; the sparse matrix is built once, and
-    distances_from_each splits a block of searches over the usable CPUs.
+    distances_from_each maps a row function over a block of searches split
+    over the usable CPUs.
     """
 
     nodes: np.ndarray
@@ -190,52 +195,69 @@ class RoutingGraph:
         from scipy.sparse.csgraph import dijkstra
         return dijkstra(self._matrix(), directed=True, indices=self.city_nodes[city])
 
-    def distances_from_each(self, cities, nodes) -> np.ndarray:
-        """The rows distances_from(c)[nodes] of the cities c, as one float block.
+    def distances_from_each(self, cities, width: int, row) -> np.ndarray:
+        """A (len(cities), width) float block whose row r is row(r, distances_from(cities[r])).
 
-        Once the matrix is built, forked children (one per further usable CPU,
-        each with at least _SPLIT_WORK sources x nodes) fill slices of rows in a
-        shared mmap while this process fills the first; a child's slice is redone
-        here unless it exits 0.  Each row is the same scipy call as in the serial
-        loop (no os.fork, one CPU or a small block), so results are bit-identical.
+        Rows are dealt on demand, in chunks, from a pipe.  Once the matrix is
+        built, forked children (one per further usable CPU, each with at least
+        _SPLIT_WORK sources x nodes) draw them beside this process, write each
+        row into a shared mmap and mark it done; this process redoes the rows
+        not marked once the children are reaped.  With no os.fork, one CPU or a
+        small block it draws every row in order.  A row is the same scipy call
+        and row function wherever it runs, so results are bit-identical.
         """
         if bad := [c for c in cities if not 0 <= c < len(self.city_nodes)]:
             raise KeyError(f"unknown city index {bad[0]}")
         import scipy.sparse.csgraph  # noqa: F401  (imported once here, not in each child)
         self._matrix()
-        k, w = len(cities), len(nodes)
+        k = len(cities)
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1) if hasattr(os, "fork") else 1
         parts = max(1, min(cpus, k, k * self.n_nodes // _SPLIT_WORK))
-        out = np.frombuffer(mmap.mmap(-1, 8 * k * w or 8), float, k * w).reshape(k, w)
-        cut = [k * p // parts for p in range(parts + 1)]
+        shared = mmap.mmap(-1, 8 * k * width + k or 1)
+        out = np.frombuffer(shared, float, k * width).reshape(k, width)
+        done = np.frombuffer(shared, np.uint8, k, offset=8 * k * width)
+        # every chunk number is in the pipe, its write end closed, before any fork:
+        # a 2-byte read draws one chunk, an empty read means all are drawn
+        size = -(-k // _DEALS) or 1
+        deals, feed = os.pipe()
+        os.write(feed, np.arange(-(-k // size), dtype="<u2").tobytes())
+        os.close(feed)
 
-        def fill(lo, hi):
-            for r in range(lo, hi):
-                out[r] = self.distances_from(cities[r])[nodes]
+        def fill(rows):
+            for r in rows:
+                out[r] = row(r, self.distances_from(cities[r]))
+                done[r] = 1
 
-        children = {}
+        def drawn():
+            while chunk := os.read(deals, 2):
+                lo = int.from_bytes(chunk, "little") * size
+                yield from range(lo, min(k, lo + size))
+
+        children = []
         try:
-            for lo, hi in zip(cut[1:-1], cut[2:]):
-                # The child runs only scipy's Dijkstra and numpy indexing into the
-                # mmap and leaves by os._exit, taking no lock another thread may hold
-                # (no BLAS, I/O or import): safe where Python 3.12+ warns of fork.
+            for _ in range(parts - 1):
+                # The child runs only scipy's Dijkstra, the row function's numpy
+                # arithmetic and pipe reads, and leaves by os._exit, taking no lock
+                # another thread may hold (no BLAS, buffered I/O or import): safe
+                # where Python 3.12+ warns of fork.
                 if (pid := os.fork()) == 0:
                     try:
-                        fill(lo, hi)
+                        fill(drawn())
                     except BaseException:
                         os._exit(1)
                     os._exit(0)
-                children[pid] = lo, hi
-            fill(0, cut[1])
+                children.append(pid)
+            fill(drawn())
         except BaseException:
             for pid in children:
                 os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            failed = [rows for pid, rows in children.items() if os.waitpid(pid, 0)[1]]
-        for lo, hi in failed:
-            fill(lo, hi)
+            for pid in children:
+                os.waitpid(pid, 0)
+            os.close(deals)
+        fill(np.flatnonzero(done == 0).tolist())  # the rows a failed child drew
         return out
 
 

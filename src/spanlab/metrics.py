@@ -66,8 +66,8 @@ def stretch(
     covers all n filtered cities as sources (n <= 447); otherwise that many
     seeded random source cities are used and the sampled pair count is
     reported.  The sources' searches run as one block over the usable CPUs
-    (RoutingGraph.distances_from_each, bit-identical to a serial loop), and
-    the (sources, cities) block of ratios is filled one row at a time.  The
+    (RoutingGraph.distances_from_each, bit-identical to a serial loop), each
+    scoring its row of the (sources, cities) block of ratios.  The
     percentiles are taken over the finite ratios (+inf when none is), so a
     disconnected pair shows only as max_ratio = +inf.
     A torus has no boundary, so there every city is scored (the report
@@ -94,22 +94,25 @@ def stretch(
         cities, size=max(2, SAMPLED_PAIRS // n), replace=False)
 
     # one (sources, cities) block of ratios, at most SAMPLED_PAIRS entries,
-    # filled one source row at a time; a city's displacement from itself is
-    # exactly 0, so eucl > 0 drops the self-pair, whose ratio stays -inf
-    to, routes = pts[cities], g.distances_from_each(sources, g.city_nodes[cities])
-    ratios = np.full((len(sources), n), -np.inf)
-    for r, src in enumerate(sources.tolist()):
-        d = to - pts[src]
+    # each row scored where it was searched; a city's displacement from itself
+    # is exactly 0, so eucl > 0 drops the self-pair, whose ratio stays -inf
+    to, to_nodes = pts[cities], g.city_nodes[cities]
+
+    def ratio_row(r, dist):
+        d = to - pts[sources[r]]
         if side is not None:
             d -= side * np.round(d / side)
         eucl = np.hypot(d[:, 0], d[:, 1])
-        np.divide(routes[r], eucl, out=ratios[r], where=eucl > 0)
+        return np.divide(dist[to_nodes], eucl, out=np.full(n, -np.inf), where=eucl > 0)
+
+    ratios = g.distances_from_each(sources, n, ratio_row)
     kept = int(np.count_nonzero(ratios > -np.inf))
     if not kept:  # the sources are filtered cities: all of them coincide
         raise ValueError("need two filtered cities at distinct positions")
     i, j = divmod(int(np.argmax(ratios)), n)  # the first maximum in (source, city) order
     finite = ratios[np.isfinite(ratios)]
-    pct = [math.inf] * 3 if len(finite) == 0 else np.percentile(finite, [50, 90, 99]).tolist()
+    pct = ([math.inf] * 3 if len(finite) == 0
+           else np.percentile(finite, [50, 90, 99], overwrite_input=True).tolist())
     return StretchReport(
         mode=mode,
         max_ratio=float(ratios[i, j]),
@@ -132,8 +135,10 @@ def local_stretch(
     neighbor_rule "unit-distance" pairs cities at Euclidean distance 1;
     "mutual-nearest" pairs each city with its nearest neighbor when the
     relation is symmetric.  Only pairs of distinct positions with both
-    cities in the inner window are scored.  Planar only: plane distances
-    would miss the neighbor pairs across a torus seam.
+    cities in the inner window are scored, each source (a pair's smaller
+    city) giving its pairs' maximum as a row of width 1 of one block search
+    (RoutingGraph.distances_from_each).  Planar only: plane distances would
+    miss the neighbor pairs across a torus seam.
     """
     if net.config.torus:
         raise ValueError("local_stretch has no torus form")
@@ -165,8 +170,13 @@ def local_stretch(
         raise ValueError("no neighbor pairs inside the inner window")
     g = routing_graph(net, "steiner")
     sources, start = np.unique(i, return_index=True)
-    return max(float(np.max(g.distances_from(int(src))[g.city_nodes[js]] / ds))
-               for src, js, ds in zip(sources, np.split(j, start[1:]), np.split(d, start[1:])))
+    near = list(zip(np.split(g.city_nodes[j], start[1:]), np.split(d, start[1:])))
+
+    def nearest_row(r, dist):
+        nodes, ds = near[r]
+        return np.max(dist[nodes] / ds)
+
+    return float(g.distances_from_each(sources, 1, nearest_row).max())
 
 
 def normalized_length(net: Network, margin_fraction: float = DEFAULT_MARGIN) -> float:

@@ -106,6 +106,16 @@ def _cone_extent(p: np.ndarray, lo, hi, n_cones: int) -> np.ndarray:
 _RANK_BLOCK = 1 << 18
 
 
+def _first_keys(keys: np.ndarray, n: int, span: int) -> np.ndarray:
+    """Where each distinct edge key (i, j, wx, wy) first occurs, in key order:
+    np.unique(keys, axis=0, return_index=True)[1], found on one int64 code per
+    key.  With 0 <= i, j < n and each wrap in -span..span the code is
+    monotone in the key, so it sorts and ties as the rows do."""
+    base = 2 * span + 1
+    code = ((keys[:, 0] * n + keys[:, 1]) * base + keys[:, 2] + span) * base + keys[:, 3] + span
+    return np.unique(code, return_index=True)[1]
+
+
 def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     """One outgoing edge per (city, nonempty cone).
 
@@ -201,8 +211,7 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     keys = np.column_stack([np.where(lower, i, j), np.where(lower, j, i),
                             np.where(lower, -1, 1)[:, None] * wrap])
     segs = np.column_stack([pts[i], pts[i] + d])
-    _, first = np.unique(keys, axis=0, return_index=True)
-    first = np.sort(first)
+    first = np.sort(_first_keys(keys, n, 1))
     return keys[first], segs[first], cone[first]
 
 
@@ -301,7 +310,7 @@ def delaunay(config: PointConfig) -> Network:
         flip = (a % n > b % n) | ((a % n == b % n) & (a > b))
         a, b = np.where(flip, b, a), np.where(flip, a, b)
         keys = np.column_stack([a % n, b % n, tiles[b // n] - tiles[a // n]])
-        _, first = np.unique(keys, axis=0, return_index=True)
+        first = _first_keys(keys, n, 2)
         if whole or len(first) == 3 * n:
             return Network(config, np.hstack([tiled[a[first]], tiled[b[first]]]), "delaunay", {})
         w *= 2.0

@@ -227,6 +227,11 @@ def _loop_rows(g, cities, nodes):
     return np.array([g.distances_from(c)[nodes] for c in cities])
 
 
+def _rows_at(nodes):
+    """The row function that keeps a search's distances to nodes."""
+    return lambda r, dist: dist[nodes]
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -245,18 +250,29 @@ class TestDistancesFromEach:
         g = torus_graph
         cities, nodes = self._cities_and_nodes(g, n_sources)
         assert (len(cities) * g.n_nodes >= 3 * geom._SPLIT_WORK) == (children == 2)
-        got = g.distances_from_each(cities, nodes)
+        got = g.distances_from_each(cities, len(nodes), _rows_at(nodes))
         assert len(forks) == children
         _assert_no_child_left()
         want = _loop_rows(g, cities, nodes)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    def test_row_function_sees_its_row_number(self, torus_graph, forks):
+        # each row is the row function of its own number and its own search,
+        # whichever process drew it
+        g = torus_graph
+        cities, nodes = self._cities_and_nodes(g, None)
+        got = g.distances_from_each(cities, 2, lambda r, dist: (r, dist[nodes].sum()))
+        assert len(forks) == 2
+        _assert_no_child_left()
+        assert got[:, 0].tolist() == list(range(len(cities)))
+        assert got[:, 1].tolist() == _loop_rows(g, cities, nodes).sum(axis=1).tolist()
+
     def test_block_without_fork(self, torus_graph, monkeypatch):
         monkeypatch.delattr(os, "fork")
         g = torus_graph
         cities, nodes = self._cities_and_nodes(g, None)
-        assert g.distances_from_each(cities, nodes).tobytes() == \
+        assert g.distances_from_each(cities, len(nodes), _rows_at(nodes)).tobytes() == \
             _loop_rows(g, cities, nodes).tobytes()
 
     @pytest.mark.parametrize("bad", [-1, 10 ** 6])
@@ -264,10 +280,11 @@ class TestDistancesFromEach:
         g = torus_graph
         cities = list(range(len(g.city_nodes) - 1)) + [bad]
         with pytest.raises(KeyError):
-            g.distances_from_each(cities, g.city_nodes)
+            g.distances_from_each(cities, g.n_nodes, lambda r, dist: dist)
         assert forks == []
 
     def test_failed_child_slice_is_recomputed(self, torus_graph, forks, monkeypatch):
+        # every child fails on its first row: the rows it drew are redone here
         g = torus_graph
         cities, nodes = self._cities_and_nodes(g, None)
         want = _loop_rows(g, cities, nodes)
@@ -279,10 +296,45 @@ class TestDistancesFromEach:
             return search(self, city)
 
         monkeypatch.setattr(geom.RoutingGraph, "distances_from", fails_in_children)
-        got = g.distances_from_each(cities, nodes)
+        got = g.distances_from_each(cities, len(nodes), _rows_at(nodes))
         assert len(forks) == 2
         _assert_no_child_left()
         assert got.tobytes() == want.tobytes()
+
+    def test_child_that_exits_after_its_first_row(self, torus_graph, forks):
+        # each child writes one row and exits 1: the rows it drew and did not
+        # finish, and those it never drew, are done by this process
+        g = torus_graph
+        cities, nodes = self._cities_and_nodes(g, None)
+        parent, rows_here = os.getpid(), []
+
+        def row(r, dist):
+            if os.getpid() == parent:
+                rows_here.append(r)
+            elif row.written:
+                os._exit(1)
+            row.written = True
+            return dist[nodes]
+
+        row.written = False
+        got = g.distances_from_each(cities, len(nodes), row)
+        assert len(forks) == 2
+        _assert_no_child_left()
+        assert got.tobytes() == _loop_rows(g, cities, nodes).tobytes()
+        # at most one row each from the two children
+        assert len(rows_here) >= len(cities) - 2
+
+    def test_rows_outnumber_the_chunks(self, forks):
+        # 20,000 rows on a 16-node path: worth two children, and more rows
+        # than one record a row would fit in a pipe, so each chunk holds 20
+        path = [(float(x), 0.0) for x in range(16)]
+        g = build_arrangement(list(zip(path, path[1:])), path)
+        cities = np.arange(20_000) % 16
+        assert len(cities) * g.n_nodes >= 3 * geom._SPLIT_WORK and len(cities) > geom._DEALS
+        got = g.distances_from_each(cities, 16, _rows_at(g.city_nodes))
+        assert len(forks) == 2
+        _assert_no_child_left()
+        assert got.tobytes() == _loop_rows(g, cities, g.city_nodes).tobytes()
 
     def test_children_are_reaped_when_the_parent_raises(self, torus_graph, forks,
                                                          monkeypatch):
@@ -297,7 +349,19 @@ class TestDistancesFromEach:
 
         monkeypatch.setattr(geom.RoutingGraph, "distances_from", fails_in_parent)
         with pytest.raises(RuntimeError, match="in the parent"):
-            g.distances_from_each(cities, nodes)
+            g.distances_from_each(cities, len(nodes), _rows_at(nodes))
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_children_are_reaped_when_the_row_function_raises(self, torus_graph, forks):
+        g = torus_graph
+        cities, _ = self._cities_and_nodes(g, None)
+
+        def row(r, dist):
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            g.distances_from_each(cities, 1, row)
         assert len(forks) == 2
         _assert_no_child_left()
 

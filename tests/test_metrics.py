@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -497,6 +498,16 @@ class TestLocalStretch:
     def test_matches_loop(self, name, build, rule):
         net = build()
         assert metrics.local_stretch(net, rule) == _loop_local_stretch(net, rule)
+
+    def test_split_searches_match_loop(self, forks):
+        # the seed-0 planar 40x40 Delaunay: its sources' block splits over
+        # the three CPUs the fixture reports
+        net = nets.delaunay(poisson(Window.square(40), seed=0))
+        got = metrics.local_stretch(net, "mutual-nearest")
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert got == _loop_local_stretch(net, "mutual-nearest")
 
     def test_hex_lattice_direct_edges(self):
         net = nets.lattice_edges(hex_config(Window.square(10)))

@@ -265,6 +265,40 @@ class TestConeEdgesFastPath:
         _assert_cone_edges_match_reference(cfg, n_cones, criterion)
 
 
+class TestEdgeKeyCodes:
+    """nets._first_keys (one int64 code per key) against row-wise np.unique."""
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_unique(self, n, seed, span):
+        rng = np.random.default_rng(seed)
+        keys = np.column_stack([rng.integers(0, n, (200, 2)),
+                                rng.integers(-span, span + 1, (200, 2))])
+        want = np.unique(keys, axis=0, return_index=True)[1]
+        np.testing.assert_array_equal(nets._first_keys(keys, n, span), want)
+
+    @pytest.mark.parametrize("torus", [False, True])
+    @pytest.mark.parametrize("name", ["delaunay", "theta6", "yao8", "cone4"])
+    def test_segments_match_row_unique_oracle(self, monkeypatch, name, torus):
+        build = {"delaunay": nets.delaunay, "theta6": lambda c: nets.theta_graph(c, 6),
+                 "yao8": lambda c: nets.yao_graph(c, 8),
+                 "cone4": lambda c: nets.cone_road_network(c, 4)}[name]
+        wraps = set()
+
+        def row_unique(keys, n, span):
+            wraps.update(keys[:, 2:].ravel().tolist())
+            return np.unique(keys, axis=0, return_index=True)[1]
+
+        for seed in range(2):
+            cfg = poisson(Window.square(15), seed=seed, torus=torus)
+            got = build(cfg).segments
+            with monkeypatch.context() as m:
+                m.setattr(nets, "_first_keys", row_unique)
+                want = build(cfg).segments
+            assert got.tobytes() == want.tobytes()
+        assert {-1, 1} <= wraps if torus else wraps == {0}
+
+
 class TestCoincidentCities:
     @pytest.mark.parametrize("torus", [False, True])
     @pytest.mark.parametrize("kind,params", [("theta", {"m": 6}), ("yao", {"m": 6}),
