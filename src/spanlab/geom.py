@@ -292,6 +292,22 @@ def _expand(counts: np.ndarray):
     return owner, np.arange(len(owner)) - start[owner]
 
 
+def _groups(keys: np.ndarray):
+    """Group the rows of keys, a 1-D array or an (n, c) array compared row by
+    row, by exact key: rows are equal where == says so (-0.0 and 0.0 are one
+    key).  Returns the first row of each group, groups in key order, and the
+    group of every row.  The sort is stable, so a group's first row is its
+    earliest."""
+    K = keys[:, None] if keys.ndim == 1 else keys
+    order = np.lexsort(K.T[::-1])
+    K = K[order]
+    new = np.ones(len(K), dtype=bool)
+    new[1:] = (K[1:] != K[:-1]).any(axis=1)
+    group = np.empty(len(K), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
 def _cell_index(v, cell: float) -> np.ndarray:
     """Grid index floor(v / cell) as int64, clamped to +-2**62: cells past
     that merge, which only adds candidate pairs (tiny segments far from the
@@ -333,13 +349,6 @@ def _segment_cells(S: np.ndarray, cell: float, pad: float = 0.0):
     seg, cx, cy = seg[col], cx[col], r0[col] + off
     swap = swap[seg]
     return seg, np.where(swap, cy, cx), np.where(swap, cx, cy)
-
-
-def _cell_codes(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """One int64 code per (cx, cy) cell, equal exactly where the cells are."""
-    _, rx = np.unique(cx, return_inverse=True)
-    _, ry = np.unique(cy, return_inverse=True)
-    return rx * (ry.max(initial=0) + 1) + ry
 
 
 def _pair_blocks(seg: np.ndarray, cx: np.ndarray, cy: np.ndarray):
@@ -544,16 +553,9 @@ def _snap_nodes(X: np.ndarray, eps: float):
     point and at their partners.
     """
     from scipy.spatial import cKDTree
-    n = len(X)
-    K = X + 0.0  # one key for -0.0 and 0.0
-    order = np.lexsort((K[:, 1], K[:, 0]))
-    new = np.ones(n, dtype=bool)
-    new[1:] = (K[order[1:]] != K[order[:-1]]).any(axis=1)
-    first = order[new]  # stable sort: the earliest row of each point
-    uid = np.empty(n, dtype=np.int64)
-    uid[order] = np.cumsum(new) - 1
+    first, uid = _groups(X)  # the earliest row of each point
     maker = first[uid]
-    near = cKDTree(K[first]).query_pairs(eps * (1.0 + 1e-6), output_type="ndarray")
+    near = cKDTree(X[first]).query_pairs(eps * (1.0 + 1e-6), output_type="ndarray")
     partners = {}  # near point -> the distinct points near it
     for u, v in near.tolist():
         partners.setdefault(u, []).append(v)
@@ -570,7 +572,7 @@ def _snap_nodes(X: np.ndarray, eps: float):
             made[u], pick = (row, x, y), row
         picks.append(pick)
     maker[rows] = picks
-    makes = maker == np.arange(n)
+    makes = maker == np.arange(len(X))
     node = (np.cumsum(makes) - 1)[maker]
     return node, np.flatnonzero(makes)
 
@@ -579,8 +581,7 @@ def _attach_cities(S, length, cities, cell: float, pad: float, snap_eps: float):
     """Each city against the segments listed in its grid cell: the (segment,
     t, city) splits of the cities inside a segment."""
     seg_of, cx, cy = _segment_cells(S, cell, pad)
-    kx, ky = _cell_index(cities, cell).T
-    code = _cell_codes(np.concatenate([cx, kx]), np.concatenate([cy, ky]))
+    code = _groups(np.concatenate([np.column_stack([cx, cy]), _cell_index(cities, cell)]))[1]
     by_cell = np.argsort(code[:len(cx)], kind="stable")
     sorted_code, city_code = code[:len(cx)][by_cell], code[len(cx):]
     lo = np.searchsorted(sorted_code, city_code, "left")
@@ -667,11 +668,7 @@ def _planar_arrangement(S: np.ndarray, cities: np.ndarray, snap_eps: float,
     # of each in input order
     S = S[(S[:, :2] != S[:, 2:]).any(axis=1)]
     a_first = (S[:, 0] < S[:, 2]) | ((S[:, 0] == S[:, 2]) & (S[:, 1] < S[:, 3]))
-    key = np.where(a_first[:, None], S, S[:, [2, 3, 0, 1]]) + 0.0
-    order = np.lexsort(key.T[::-1])
-    dup = np.zeros(len(S), dtype=bool)
-    dup[order[1:]] = (key[order[1:]] == key[order[:-1]]).all(axis=1)
-    S = S[~dup]
+    S = S[np.sort(_groups(np.where(a_first[:, None], S, S[:, [2, 3, 0, 1]]))[0])]
 
     cell = max(sum(_lengths(S).tolist()) / len(S), 16 * snap_eps) if len(S) else 1.0
     pad = max(snap_eps, 1e-9 * cell)
@@ -740,12 +737,8 @@ def _seam_pieces(S: np.ndarray, lo: np.ndarray, side: np.ndarray):
     # (through a corner) making one point
     owner = np.concatenate([np.arange(m), lift, np.arange(m)])
     at = np.concatenate([np.zeros(m), t, np.ones(m)])
-    order = np.lexsort((at, owner))
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (owner[order[1:]] != owner[order[:-1]]) | (at[order[1:]] != at[order[:-1]])
-    point = np.empty(len(order), dtype=int)
-    point[order] = np.cumsum(new) - 1
-    owner, at = owner[order[new]], at[order[new]]
+    first, point = _groups(np.column_stack([owner, at]))
+    owner, at = owner[first], at[first]
     B = np.where((at < 1.0)[:, None], a[owner] + at[:, None] * d[owner], b[owner])
     on, K = np.zeros(B.shape, dtype=bool), np.zeros(B.shape)
     cut = point[m:m + len(t)]
@@ -806,12 +799,9 @@ def _torus_arrangement(S: np.ndarray, cities: np.ndarray, window, snap_eps: floa
     pairs = seam[cKDTree(key).query_pairs(snap_eps, output_type="ndarray")]
     glue = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                       shape=(n_nodes, n_nodes))
-    n_comp, comp = csgraph.connected_components(glue, directed=False)
-    rep = np.full(n_comp, n_nodes)
-    np.minimum.at(rep, comp, np.arange(n_nodes))
-    rep = rep[comp]  # each node joins the first node of its component
-    kept = rep == np.arange(n_nodes)
-    label = (np.cumsum(kept) - 1)[rep]
+    # each node joins the first node of its component: components are
+    # labelled in the order of their first node
+    kept, label = _groups(csgraph.connected_components(glue, directed=False)[1])
     # the unglued graph goes once its edges are relabelled
     nodes, e, w = nodes[kept], label[g.edges], g.weights
     city_nodes = label[g.city_nodes[:len(cities)]]

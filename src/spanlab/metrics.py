@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spanlab.configs import SCHEMA_VERSION, _whole, rng_from_seed
-from spanlab.geom import build_arrangement
+from spanlab.geom import _groups, build_arrangement
 from spanlab.nets import Network, unwrap
 
 DEFAULT_MARGIN = 0.1
@@ -161,7 +161,7 @@ def local_stretch(
         raise ValueError(f"unknown neighbor_rule {neighbor_rule!r}")
 
     # each pair once, grouped by its smaller index, which is its source
-    i, j = np.unique(pairs, axis=0).T
+    i, j = pairs[_groups(pairs)[0]].T
     d = np.hypot(*(pts[i] - pts[j]).T)
     mask = _interior_mask(net, margin_fraction)
     keep = mask[i] & mask[j] & (d > 0)  # coincident cities have no ratio, as in stretch
@@ -169,7 +169,8 @@ def local_stretch(
     if len(i) == 0:
         raise ValueError("no neighbor pairs inside the inner window")
     g = routing_graph(net, "steiner")
-    sources, start = np.unique(i, return_index=True)
+    start = _groups(i)[0]
+    sources = i[start]
     near = list(zip(np.split(g.city_nodes[j], start[1:]), np.split(d, start[1:])))
 
     def nearest_row(r, dist):

@@ -19,7 +19,7 @@ import numpy as np
 
 from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, _json_object, _json_params,
                              _whole, square_grid)
-from spanlab.geom import _seam_pieces
+from spanlab.geom import _groups, _seam_pieces
 
 
 @dataclass
@@ -106,16 +106,6 @@ def _cone_extent(p: np.ndarray, lo, hi, n_cones: int) -> np.ndarray:
 _RANK_BLOCK = 1 << 18
 
 
-def _first_keys(keys: np.ndarray, n: int, span: int) -> np.ndarray:
-    """Where each distinct edge key (i, j, wx, wy) first occurs, in key order:
-    np.unique(keys, axis=0, return_index=True)[1], found on one int64 code per
-    key.  With 0 <= i, j < n and each wrap in -span..span the code is
-    monotone in the key, so it sorts and ties as the rows do."""
-    base = 2 * span + 1
-    code = ((keys[:, 0] * n + keys[:, 1]) * base + keys[:, 2] + span) * base + keys[:, 3] + span
-    return np.unique(code, return_index=True)[1]
-
-
 def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     """One outgoing edge per (city, nonempty cone).
 
@@ -149,7 +139,7 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
         tree = cKDTree(np.where(box < side, box, 0.0), boxsize=side)
     else:
         tree = cKDTree(pts)
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        lo, hi = pts.min(axis=0, initial=np.inf), pts.max(axis=0, initial=-np.inf)
     def rank(todo: np.ndarray, k: int):
         """Winners (city, neighbor, dx, dy) of the cities of todo settled
         by their k nearest candidates, and which cities those are."""
@@ -177,7 +167,7 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
         code = np.arange(len(todo))[:, None] * n_cones + cone
         code[~np.isfinite(dist)] = -1  # the city itself
         code, key1 = code.ravel(), key1.ravel()
-        _, first = np.unique(code, return_index=True)
+        first = _groups(code)[0]
         won = np.sort(first[code[first] >= 0])
         w_row = code[won] // n_cones
         done = np.zeros((len(todo), n_cones), dtype=bool)
@@ -211,7 +201,7 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     keys = np.column_stack([np.where(lower, i, j), np.where(lower, j, i),
                             np.where(lower, -1, 1)[:, None] * wrap])
     segs = np.column_stack([pts[i], pts[i] + d])
-    first = np.sort(_first_keys(keys, n, 1))
+    first = np.sort(_groups(keys)[0])
     return keys[first], segs[first], cone[first]
 
 
@@ -310,7 +300,7 @@ def delaunay(config: PointConfig) -> Network:
         flip = (a % n > b % n) | ((a % n == b % n) & (a > b))
         a, b = np.where(flip, b, a), np.where(flip, a, b)
         keys = np.column_stack([a % n, b % n, tiles[b // n] - tiles[a // n]])
-        first = _first_keys(keys, n, 2)
+        first = _groups(keys)[0]
         if whole or len(first) == 3 * n:
             return Network(config, np.hstack([tiled[a[first]], tiled[b[first]]]), "delaunay", {})
         w *= 2.0
@@ -412,7 +402,7 @@ def lattice_edges(config: PointConfig) -> Network:
     from scipy.spatial import cKDTree
     pts = config.points
     pairs = cKDTree(pts).query_pairs(r=spacing * (1.0 + 1e-9), output_type="ndarray")
-    i, j = pairs[np.lexsort(pairs.T[::-1])].T
+    i, j = pairs[_groups(pairs)[0]].T
     return Network(config, np.hstack([pts[i], pts[j]]), f"{config.kind}_lattice",
                    {"spacing": spacing})
 

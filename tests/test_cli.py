@@ -114,6 +114,17 @@ class TestBuildMeasure:
         assert run("measure", str(net), "--lines", "0", "--out", str(out)) == EXIT_OK
         assert "intersection_rate" not in out.read_text()
 
+    @pytest.mark.parametrize("torus", [[], ["--torus"]], ids=["plane", "torus"])
+    @pytest.mark.parametrize("builder", [["theta", "--m", "6"], ["yao", "--m", "6"],
+                                         ["cone", "--k", "3"]], ids=["theta", "yao", "cone"])
+    def test_empty_configuration_builds_empty_network(self, tmp_path, capsys, builder, torus):
+        cfg = tmp_path / "cfg.json"
+        assert run("generate", "uniform", "--n", "0", "--window", "10", *torus,
+                   "--out", str(cfg)) == EXIT_OK
+        assert run("build", str(cfg), *builder) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["segments"] == [] and captured.err == ""
+
     def test_missing_network_file(self, tmp_path):
         assert run("measure", str(tmp_path / "nope.json")) == EXIT_IO
 

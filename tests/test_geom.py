@@ -683,6 +683,35 @@ def _collinear_chain(draw):
     return chain + spokes + draw(_segment_set(max_size=6))
 
 
+class TestGroups:
+    """geom._groups against np.unique(keys, axis=0, return_index=True, return_inverse=True)."""
+
+    @st.composite
+    def _keys(draw):
+        """1-D or (n, c) int or float keys drawn from few values, so that rows repeat."""
+        n, c = draw(st.integers(0, 30)), draw(st.sampled_from([None, 1, 2, 4]))
+        dtype = draw(st.sampled_from([int, float]))
+        values = (st.integers(-3, 3) if dtype is int
+                  else st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0, math.inf, -math.inf]))
+        size = n * (c or 1)
+        data = draw(st.lists(values, min_size=size, max_size=size))
+        return np.array(data, dtype=dtype).reshape((n,) if c is None else (n, c))
+
+    @given(_keys())
+    @example(np.empty((0, 2)))
+    @example(np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0]]))
+    @example(np.array([0.0, -0.0, -0.0, 0.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_unique(self, keys):
+        first, group = geom._groups(keys)
+        _, want_first, want_group = np.unique(keys, axis=0, return_index=True,
+                                              return_inverse=True)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(group, want_group.ravel())
+        assert first.dtype.kind == group.dtype.kind == "i"
+        assert group.shape == (len(keys),)
+
+
 class TestArrangementStages:
     """Each array stage of build_arrangement against its scalar reference."""
 
@@ -1213,6 +1242,41 @@ class TestTorusArrangement:
         assert _route(g, 0, 1) == pytest.approx(2.0)
         assert _route(g, 2, 3) == pytest.approx(2.0)
         assert _route(g, 0, 2) == pytest.approx(6.0)
+
+    def test_glued_node_is_the_first_of_its_component(self, monkeypatch):
+        # the nodes within snap_eps of a seam join their images across it;
+        # each set so joined keeps its lowest-indexed node, in index order
+        cfg = poisson(self.WINDOW, seed=0, torus=True)
+        net = nets.grid_freeway(cfg, 1.0, "N2")
+        unglued = []
+        planar = geom._planar_arrangement
+        monkeypatch.setattr(geom, "_planar_arrangement",
+                            lambda *args: unglued.append(planar(*args)) or unglued[-1])
+        eps = 1e-9 * self.WINDOW.diameter
+        g = build_arrangement(net.segments, cfg.points, eps, window=self.WINDOW)
+        nodes = unglued[0].nodes
+        far = np.abs(nodes - 10.0) <= eps
+        seam = np.flatnonzero((far | (np.abs(nodes) <= eps)).any(axis=1)).tolist()
+        key = np.where(far, nodes - 10.0, nodes)
+        root = list(range(len(nodes)))
+
+        def find(u):
+            while root[u] != u:
+                u = root[u]
+            return u
+
+        for a in seam:
+            for b in seam:
+                if a < b and math.hypot(*(key[a] - key[b]).tolist()) <= eps:
+                    ra, rb = find(a), find(b)
+                    root[max(ra, rb)] = min(ra, rb)
+        first = [find(u) for u in range(len(nodes))]
+        kept = sorted(set(first))
+        assert g.stats["glued"] == len(nodes) - len(kept) > 50
+        np.testing.assert_array_equal(g.nodes, nodes[kept])
+        label = {u: k for k, u in enumerate(kept)}
+        cities = unglued[0].city_nodes[:len(cfg.points)]
+        assert g.city_nodes.tolist() == [label[first[u]] for u in cities.tolist()]
 
     @pytest.mark.parametrize("junctions", [True, False])
     def test_cut_on_a_road_along_the_seam(self, junctions):

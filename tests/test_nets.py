@@ -266,16 +266,17 @@ class TestConeEdgesFastPath:
 
 
 class TestEdgeKeyCodes:
-    """nets._first_keys (one int64 code per key) against row-wise np.unique."""
+    """Builder edge keys (i, j, wx, wy) deduped by geom._groups, against row-wise np.unique."""
 
-    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(1, 2**40))
     @settings(max_examples=60, deadline=None)
     def test_matches_row_unique(self, n, seed, span):
+        # wraps of any size: no bound on them is assumed
         rng = np.random.default_rng(seed)
         keys = np.column_stack([rng.integers(0, n, (200, 2)),
-                                rng.integers(-span, span + 1, (200, 2))])
+                                rng.choice([-span, -1, 0, 1, span], (200, 2))])
         want = np.unique(keys, axis=0, return_index=True)[1]
-        np.testing.assert_array_equal(nets._first_keys(keys, n, span), want)
+        np.testing.assert_array_equal(nets._groups(keys)[0], want)
 
     @pytest.mark.parametrize("torus", [False, True])
     @pytest.mark.parametrize("name", ["delaunay", "theta6", "yao8", "cone4"])
@@ -285,18 +286,31 @@ class TestEdgeKeyCodes:
                  "cone4": lambda c: nets.cone_road_network(c, 4)}[name]
         wraps = set()
 
-        def row_unique(keys, n, span):
-            wraps.update(keys[:, 2:].ravel().tolist())
-            return np.unique(keys, axis=0, return_index=True)[1]
+        def row_unique(keys):
+            if keys.ndim == 2:  # an edge key; rank's 1-D codes carry no wrap
+                wraps.update(keys[:, 2:].ravel().tolist())
+            _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            return first, group.ravel()
 
         for seed in range(2):
             cfg = poisson(Window.square(15), seed=seed, torus=torus)
             got = build(cfg).segments
             with monkeypatch.context() as m:
-                m.setattr(nets, "_first_keys", row_unique)
+                m.setattr(nets, "_groups", row_unique)
                 want = build(cfg).segments
             assert got.tobytes() == want.tobytes()
         assert {-1, 1} <= wraps if torus else wraps == {0}
+
+
+class TestEmptyConfig:
+    """A configuration with no city gives an empty network, planar or toroidal."""
+
+    @pytest.mark.parametrize("torus", [False, True])
+    @pytest.mark.parametrize("kind,params", [("theta", {"m": 6}), ("yao", {"m": 6}),
+                                             ("cone", {"k": 3})])
+    def test_cone_builders(self, kind, params, torus):
+        net = nets.build(kind, _config(np.empty((0, 2)), torus=torus), params)
+        assert net.segments.shape == (0, 4)
 
 
 class TestCoincidentCities:
