@@ -2,7 +2,7 @@
 
 Every invocation is a pure function of its arguments and input files; the
 ``repro`` subcommand replays a stored run. Exit codes: 0 success, 2 usage,
-3 domain error, 4 I/O error.
+3 domain error (a number too large for a float among them), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from spanlab import analytic, mc, metrics, nets
 from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, _json_object,
-                             csv_text, hex_config, poisson, square_grid,
+                             csv_text, hex_config, json_text, poisson, square_grid,
                              tri_config, uniform_n)
 
 # flags that carry builder parameters (see nets.BUILDERS) -> add_argument keywords
@@ -44,7 +44,7 @@ _BOUNDS = {
     "lk": (int, lambda k: [("cone_Lk", analytic.cone_Lk(k))]),
 }
 
-RESULT_CSV_HEADER = ("estimator", "params", "mean", "se", "n", "seed")
+RESULT_CSV_HEADER = ("estimator", "params", "mean", "se", "n", "seed", "schema_version")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,7 +97,7 @@ def _builder_params(args) -> dict:
 def _save_run(path: str | None, argv: list[str]) -> None:
     if path:
         with open(path, "w") as f:
-            json.dump({"schema_version": SCHEMA_VERSION, "argv": list(argv)}, f)
+            f.write(json_text(argv=list(argv)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +176,8 @@ def cmd_experiment(args) -> int:
     runs = {"replicates": args.replicates, "master_seed": args.seed}
     results = _EXPERIMENTS[args.name][1](args, runs)
     _write(args.out, csv_text(RESULT_CSV_HEADER,
-                              [(r.estimator, r.params, r.mean, r.se, r.n, r.seed)
-                               for r in results]))
+                              [(r.estimator, r.params, r.mean, r.se, r.n, r.seed,
+                                SCHEMA_VERSION) for r in results]))
     return EXIT_OK
 
 
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
 

@@ -5,7 +5,8 @@ the counter-based Philox generator.  A seed is an integer s, drawing from
 ``Philox(s)``, or a Monte Carlo replicate's pair (s, i), drawing from
 ``Philox(s).jumped(i)``: the key of ``Philox(s)`` with counter word 2 set
 to i, so replicate 0 of seed s is the plain seed s.  This module also
-holds the schema version and the one CSV writer of every versioned output.
+holds the schema version and the one CSV and one JSON writer of every
+versioned output.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def csv_text(header, rows) -> str:
         return str(value)
 
     return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def json_text(**fields) -> str:
+    """JSON text of a versioned record: schema_version first, then the fields."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **fields})
 
 
 # honeycomb nearest-neighbor spacing giving density 1:  4 * 3^(-3/2) / l^2 = 1
@@ -174,16 +180,9 @@ class PointConfig:
         return self.n / self.window.area
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "params": self.params,
-            "seed": self.seed,
-            "window": [self.window.x0, self.window.y0, self.window.x1, self.window.y1],
-            "torus": self.torus,
-            "points": [[float(x), float(y)] for x, y in self.points],
-        }
-        return json.dumps(doc)
+        return json_text(kind=self.kind, params=self.params, seed=self.seed,
+                         window=[self.window.x0, self.window.y0, self.window.x1, self.window.y1],
+                         torus=self.torus, points=self.points.tolist())
 
     @staticmethod
     def from_json(text: str) -> "PointConfig":

@@ -13,7 +13,6 @@ from the first n doubles and y from the next n: the same values as
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spanlab import metrics, nets
-from spanlab.configs import SCHEMA_VERSION, Window, _whole, poisson
+from spanlab.configs import Window, _whole, json_text, poisson
 from spanlab.metrics import StretchReport
 
 
@@ -37,7 +36,7 @@ class ExperimentResult:
     wall_time: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps({**self.__dict__, "schema_version": SCHEMA_VERSION})
+        return json_text(**self.__dict__)
 
 
 def _aggregate(name, params, values, master_seed, t0) -> ExperimentResult:

@@ -9,13 +9,12 @@ clipped exactly to an inner window to control boundary effects.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from spanlab.configs import SCHEMA_VERSION, _whole, rng_from_seed
+from spanlab.configs import _whole, json_text, rng_from_seed
 from spanlab.geom import _groups, build_arrangement
 from spanlab.nets import Network, unwrap
 
@@ -35,7 +34,7 @@ class StretchReport:
     exact: bool
 
     def to_json(self) -> str:
-        return json.dumps({**self.__dict__, "schema_version": SCHEMA_VERSION})
+        return json_text(**self.__dict__)
 
 
 def _interior_mask(net: Network, margin_fraction: float) -> np.ndarray:

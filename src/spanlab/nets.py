@@ -9,7 +9,6 @@ no edge.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -17,8 +16,8 @@ import numpy as np
 
 # scipy.spatial is imported in the builders that use it, so importing nets loads no scipy
 
-from spanlab.configs import (SCHEMA_VERSION, PointConfig, Window, _json_object, _json_params,
-                             _whole, square_grid)
+from spanlab.configs import (PointConfig, Window, _json_object, _json_params, _whole,
+                             json_text, square_grid)
 from spanlab.geom import _groups, _seam_pieces
 
 
@@ -44,17 +43,10 @@ class Network:
                               self.segments[:, 3] - self.segments[:, 1]).sum())
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "params": self.params,
-            "torus": self.config.torus,
-            "window": [self.config.window.x0, self.config.window.y0,
-                       self.config.window.x1, self.config.window.y1],
-            "cities": [[float(x), float(y)] for x, y in self.config.points],
-            "segments": [[float(v) for v in s] for s in self.segments],
-        }
-        return json.dumps(doc)
+        w = self.config.window
+        return json_text(kind=self.kind, params=self.params, torus=self.config.torus,
+                         window=[w.x0, w.y0, w.x1, w.y1], cities=self.config.points.tolist(),
+                         segments=self.segments.tolist())
 
     @staticmethod
     def from_json(text: str) -> "Network":

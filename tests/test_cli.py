@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from spanlab import analytic
+from spanlab import analytic, mc, metrics, nets
 from spanlab.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from spanlab.configs import PointConfig, Window
 
 
 def run(*argv):
@@ -350,21 +352,21 @@ class TestExperiment:
                    "--replicates", "100", "--seed", "2",
                    "--out", str(out)) == EXIT_OK
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "estimator,params,mean,se,n,seed"
+        assert lines[0] == "estimator,params,mean,se,n,seed,schema_version"
         assert lines[1].startswith("crossing_N,")
         assert lines[2].startswith("crossing_N2,")
 
     @pytest.mark.parametrize("argv,expected", [
         (("crossing", "--h", "1", "--L", "1", "--replicates", "50"),
-         "estimator,params,mean,se,n,seed\n"
+         "estimator,params,mean,se,n,seed,schema_version\n"
          "crossing_N,\"{'L': 1.0, 'W': 40.0, 'h': 1.0}\",1.8600000000000001,"
-         "0.27106742891835628,50,0\n"
+         "0.27106742891835628,50,0,1\n"
          "crossing_N2,\"{'L': 1.0, 'W': 40.0, 'h': 1.0}\",7.0599999999999996,"
-         "1.7053122282791402,50,0\n"),
+         "1.7053122282791402,50,0,1\n"),
         (("empirical_lk", "--k", "4", "--window", "10", "--replicates", "2"),
-         "estimator,params,mean,se,n,seed\n"
+         "estimator,params,mean,se,n,seed,schema_version\n"
          "empirical_Lk,\"{'direction': 0, 'k': 4, 'window': 100.0}\","
-         "2.1204017173934657,0.057405843386797661,2,0\n"),
+         "2.1204017173934657,0.057405843386797661,2,0,1\n"),
     ], ids=["crossing", "empirical_lk"])
     def test_bytes(self, capsys, argv, expected):
         assert run("experiment", *argv) == EXIT_OK
@@ -373,10 +375,10 @@ class TestExperiment:
     @pytest.mark.parametrize("argv,digest", [
         # the README example
         (("--h", "2", "--L", "0.5", "--replicates", "2000", "--seed", "3"),
-         "3b20bd10a06199808cfcf372f56f3cc6695a378b03fe39d7bf6f96a0241b6555"),
+         "e9c4a1f3b99274d4d8df2f2436d4c6280bd29e2651f287a10010318d135c2a72"),
         # large h: each replicate is a chunk of its own
         (("--h", "12", "--L", "1", "--replicates", "20"),
-         "02f498c0169023904a90e1a1f33d7d47a20802d56abaf054d535d0f0e2518010"),
+         "34c5822bc6f6a28b3ebb8356b87d392f33d068f2ce4b243d61e24bbc9a787060"),
     ], ids=["readme", "large_h"])
     def test_crossing_digest(self, capsys, argv, digest):
         assert run("experiment", "crossing", *argv) == EXIT_OK
@@ -404,9 +406,9 @@ class TestExperiment:
                    "--window", "10", "--replicates", "1") == EXIT_OK
         captured = capsys.readouterr()
         _assert_pinned_csv(captured.out, (
-            "estimator,params,mean,se,n,seed\n"
+            "estimator,params,mean,se,n,seed,schema_version\n"
             "psi_ave_upper[theta],\"{'m': 6, 'mode': 'steiner', 'window': 100.0}\","
-            "5.4790690649915055,nan,1,0\n"))
+            "5.4790690649915055,nan,1,0,1\n"))
         assert captured.err == "max stretch 1.3585541245527508 over 4851 pairs\n"
 
     def test_single_replicate_se_is_nan(self, capsys):
@@ -536,6 +538,83 @@ class TestRepro:
         runfile = tmp_path / "run.json"
         runfile.write_text(json.dumps({"schema_version": 1}))
         assert run("repro", str(runfile)) == EXIT_IO
+
+
+class TestHugeIntegers:
+    """An integer too large for a float is a domain error wherever it enters:
+    a flag or a number in a configuration or network file."""
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize("argv", [("bounds", "--lm"), ("bounds", "--lk"),
+                                      ("experiment", "empirical_lm", "--m"),
+                                      ("experiment", "empirical_lk", "--k")],
+                             ids=["lm", "lk", "empirical_lm", "empirical_lk"])
+    def test_flag(self, capsys, argv):
+        assert run(*argv, self.BIG) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: int too large to convert to float" in captured.err
+
+    @pytest.mark.parametrize("window,points", [(f"[0, 0, {BIG}, 10]", "[[1, 1]]"),
+                                               ("[0, 0, 10, 10]", f"[[{BIG}, 1]]")],
+                             ids=["window", "points"])
+    def test_config_file(self, tmp_path, capsys, window, points):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"window": {window}, "torus": false, "points": {points}}}')
+        assert run("build", str(cfg), "delaunay") == EXIT_DOMAIN
+        assert "error: int too large to convert to float" in capsys.readouterr().err
+
+    def test_network_file(self, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text('{"window": [0, 0, 5, 5], "cities": [[1, 1], [2, 2]], '
+                       f'"segments": [[1, 1, {self.BIG}, 2]]}}')
+        assert run("measure", str(net)) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: int too large to convert to float" in captured.err
+
+
+class TestJsonRecords:
+    """Every JSON record puts schema_version first and loads with json.loads."""
+
+    @staticmethod
+    def _versioned(text):
+        doc = json.loads(text)
+        assert list(doc)[0] == "schema_version" and doc["schema_version"] == 1
+        return doc
+
+    def test_files(self, tmp_path):
+        cfg, net, saved = tmp_path / "cfg.json", tmp_path / "net.json", tmp_path / "run.json"
+        assert run("generate", "poisson", "--window", "6", "--out", str(cfg)) == EXIT_OK
+        assert run("build", str(cfg), "theta", "--m", "6", "--out", str(net),
+                   "--save-run", str(saved)) == EXIT_OK
+        assert self._versioned(cfg.read_text())["kind"] == "poisson"
+        assert self._versioned(net.read_text())["kind"] == "theta"
+        assert self._versioned(saved.read_text())["argv"][:2] == ["build", str(cfg)]
+
+    def test_run_file_bytes(self, tmp_path, monkeypatch, capsys):
+        # "-" names a file here, not stdout, and the file ends without a newline
+        monkeypatch.chdir(tmp_path)
+        assert run("bounds", "--lk", "4", "--save-run", "-") == EXIT_OK
+        assert capsys.readouterr().out.startswith("name,param,value,schema_version\n")
+        assert (tmp_path / "-").read_text() == (
+            '{"schema_version": 1, "argv": ["bounds", "--lk", "4", "--save-run", "-"]}')
+
+    def test_stretch_report_with_infinite_ratio(self):
+        # two components: a disconnected pair has ratio inf, written as Infinity
+        cfg = PointConfig([[1, 1], [2, 2], [8, 8], [9, 9]], Window.square(10))
+        net = nets.Network(cfg, [[1, 1, 2, 2], [8, 8, 9, 9]], "custom")
+        rep = metrics.stretch(net, pair_filter="all")
+        doc = self._versioned(rep.to_json())
+        assert doc["max_ratio"] == math.inf
+        assert {**doc, "argmax_pair": tuple(doc["argmax_pair"])} == {
+            "schema_version": 1, **rep.__dict__}
+
+    def test_experiment_result_with_nan_se(self):
+        # one replicate: se is nan, written as NaN
+        result = mc.empirical_Lm(6, Window.square(10), replicates=1, master_seed=0)
+        doc = self._versioned(result.to_json())
+        assert math.isnan(doc["se"]) and doc["n"] == 1
+        assert doc["replicate_values"] == [result.mean] and doc["estimator"] == "empirical_Lm"
 
 
 @pytest.mark.parametrize("doc", [[1, 2], "text", None], ids=["list", "string", "null"])

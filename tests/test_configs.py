@@ -299,6 +299,25 @@ class TestSerialization:
         doc = json.loads(uniform_n(4, Window.square(3)).to_json())
         assert doc["schema_version"] == 1
 
+    def test_bytes(self):
+        # an integer window bound stays an integer, a replicate seed a list
+        cfg = PointConfig([[-0.0, 0.5], [1.25, 0.1]], Window.from_bounds([0, 0, 2, 1.5]),
+                          kind="uniform", params={"n": 2}, seed=(2 ** 140 - 1, 3))
+        assert cfg.to_json() == (
+            '{"schema_version": 1, "kind": "uniform", "params": {"n": 2}, '
+            '"seed": [1393796574908163946345982392040522594123775, 3], '
+            '"window": [0, 0, 2, 1.5], "torus": false, "points": [[-0.0, 0.5], [1.25, 0.1]]}')
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    @example([-0.0, 0.0, 5e-324, -2.225073858507201e-308, 0.30000000000000004,
+              1.7976931348623157e308])
+    def test_round_trip_is_bit_exact(self, coords):
+        cfg = PointConfig(np.array(coords[:len(coords) // 2 * 2]), Window.square(1))
+        back = PointConfig.from_json(cfg.to_json())
+        assert back.points.shape == cfg.points.shape
+        assert back.points.tobytes() == cfg.points.tobytes()
+
 
 def test_csv_text_cells():
     text = csv_text(("name", "params", "x", "n"),

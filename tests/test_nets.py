@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, cKDTree
 
@@ -50,6 +50,27 @@ class TestNetwork:
         assert np.allclose(back.segments, net.segments)
         assert back.kind == "theta" and back.params["m"] == 6
         assert back.config.torus
+
+    def test_json_bytes(self):
+        cfg = PointConfig([[-0.0, 0.5], [1.25, 0.1]], Window.from_bounds([0, 0, 2, 1.5]))
+        net = nets.Network(cfg, [[-0.0, 0.5, 1.25, 0.1], [1.25, 0.1, 1.9999999999999998, 5e-324]],
+                           kind="theta", params={"m": 6})
+        assert net.to_json() == (
+            '{"schema_version": 1, "kind": "theta", "params": {"m": 6}, "torus": false, '
+            '"window": [0, 0, 2, 1.5], "cities": [[-0.0, 0.5], [1.25, 0.1]], '
+            '"segments": [[-0.0, 0.5, 1.25, 0.1], [1.25, 0.1, 1.9999999999999998, 5e-324]]}')
+
+    @given(st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 4), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    @example([(-0.0, 5e-324, -2.225073858507201e-308, 0.30000000000000004)])
+    def test_json_round_trip_is_bit_exact(self, segments):
+        assume(all((x1, y1) != (x2, y2) for x1, y1, x2, y2 in segments))
+        cities = np.array(segments).reshape(-1, 2)
+        net = nets.Network(PointConfig(cities, Window.square(1)), segments, "custom")
+        back = nets.Network.from_json(net.to_json())
+        assert back.segments.shape == net.segments.shape
+        assert back.segments.tobytes() == net.segments.tobytes()
+        assert back.config.points.tobytes() == net.config.points.tobytes()
 
     @pytest.mark.parametrize("params", [[], "text", None])
     def test_params_that_are_not_an_object_rejected(self, params):
