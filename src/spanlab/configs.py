@@ -251,8 +251,13 @@ def square_grid(window: Window) -> PointConfig:
     return PointConfig(pts, window, kind="square", params={"spacing": 1.0})
 
 
-def _row_lattice(window: Window, row_height: float, offsets_even, offsets_odd, period: float):
-    """Rows of points; even/odd rows carry different x-offset patterns."""
+def _row_lattice(window: Window, kind: str, ell: float, period: float, offsets_even,
+                 offsets_odd, cell: str, min_width: float) -> PointConfig:
+    """Configuration ``kind``: rows sqrt(3) ell / 2 apart, even/odd x-offsets repeating
+    every ``period``, in a window ``min_width`` wide and two rows high (one ``cell``)."""
+    row_height = math.sqrt(3.0) * ell / 2.0
+    if window.width < min_width or window.height < 2 * row_height:
+        raise ValueError(f"window too small for one {cell}")
     # anchor half a cell in from the lower-left corner
     x_anchor = window.x0 + period / 2.0
     y_anchor = window.y0 + row_height / 2.0
@@ -266,8 +271,9 @@ def _row_lattice(window: Window, row_height: float, offsets_even, offsets_odd, p
     ys = y_anchor + np.arange(n_rows) * row_height
     ys = ys[ys <= window.y1]  # y grows with the row index, so this keeps a prefix
     rows = [patterns[j % 2] for j in range(len(ys))]
-    return np.column_stack([np.concatenate([np.empty(0), *rows]),
-                            np.repeat(ys, [len(x) for x in rows])])
+    pts = np.column_stack([np.concatenate([np.empty(0), *rows]),
+                           np.repeat(ys, [len(x) for x in rows])])
+    return PointConfig(pts, window, kind=kind, params={"spacing": ell})
 
 
 def hex_config(window: Window) -> PointConfig:
@@ -277,14 +283,8 @@ def hex_config(window: Window) -> PointConfig:
     has exactly three neighbors at that distance.
     """
     ell = HEX_SPACING
-    row_h = math.sqrt(3.0) * ell / 2.0
-    if window.width < 3 * ell or window.height < 2 * row_h:
-        raise ValueError("window too small for one honeycomb cell")
-    pts = _row_lattice(window, row_h,
-                       offsets_even=(0.0, ell),
-                       offsets_odd=(1.5 * ell, 2.5 * ell),
-                       period=3.0 * ell)
-    return PointConfig(pts, window, kind="hex", params={"spacing": ell})
+    return _row_lattice(window, "hex", ell, 3.0 * ell, (0.0, ell), (1.5 * ell, 2.5 * ell),
+                        "honeycomb cell", 3 * ell)
 
 
 def tri_config(window: Window) -> PointConfig:
@@ -293,11 +293,4 @@ def tri_config(window: Window) -> PointConfig:
     Spacing solves 2 * 3^(-1/2) / l^2 = 1; interior degree 6.
     """
     ell = TRI_SPACING
-    row_h = math.sqrt(3.0) * ell / 2.0
-    if window.width < 2 * ell or window.height < 2 * row_h:
-        raise ValueError("window too small for one lattice cell")
-    pts = _row_lattice(window, row_h,
-                       offsets_even=(0.0,),
-                       offsets_odd=(0.5 * ell,),
-                       period=ell)
-    return PointConfig(pts, window, kind="tri", params={"spacing": ell})
+    return _row_lattice(window, "tri", ell, ell, (0.0,), (0.5 * ell,), "lattice cell", 2 * ell)

@@ -292,6 +292,18 @@ def _expand(counts: np.ndarray):
     return owner, np.arange(len(owner)) - start[owner]
 
 
+def _blocks(sizes: np.ndarray, budget):
+    """Row runs (i, j) covering rows 0..len(sizes) in order: each the longest
+    whose sizes sum to at most ``budget``, or one row whose size alone
+    exceeds it.  Memory-bounded stages take their rows a run at a time."""
+    before = np.append(0, np.cumsum(sizes))
+    i = 0
+    while i < len(sizes):
+        j = max(int(np.searchsorted(before, before[i] + budget, "right")) - 1, i + 1)
+        yield i, j
+        i = j
+
+
 def _groups(keys: np.ndarray):
     """Group the rows of keys, a 1-D array or an (n, c) array compared row by
     row, by exact key: rows are equal where == says so (-0.0 and 0.0 are one
@@ -357,8 +369,8 @@ def _pair_blocks(seg: np.ndarray, cx: np.ndarray, cy: np.ndarray):
 
     A block holds every pair of a run of lower segments i, so the blocks
     come in sorted order and a pair sharing several cells is in one block.
-    A block comes from at most _PAIR_BLOCK listings (one per pair and shared
-    cell), or from one segment's listings when those alone exceed that.
+    The lower segments are cut by _blocks, each segment sized by its
+    listings (one per pair and shared cell), with budget _PAIR_BLOCK.
     """
     order = np.lexsort((seg, cy, cx))
     seg, cx, cy = seg[order], cx[order], cy[order]
@@ -369,11 +381,8 @@ def _pair_blocks(seg: np.ndarray, cx: np.ndarray, cy: np.ndarray):
     rows = np.argsort(seg, kind="stable")  # each segment's rows together
     lo = np.searchsorted(seg, np.arange(seg.max(initial=-1) + 2), sorter=rows)
     before = np.append(0, np.cumsum(end[rows] - rows - 1))[lo]  # listings before each
-    s = 0
-    while s < len(lo) - 1:
-        t = max(int(np.searchsorted(before, before[s] + _PAIR_BLOCK, "right")) - 1, s + 1)
+    for s, t in _blocks(np.diff(before), _PAIR_BLOCK):
         yield _listed_pairs(seg, end, rows[lo[s]:lo[t]])
-        s = t
 
 
 def _listed_pairs(seg: np.ndarray, end: np.ndarray, r: np.ndarray) -> np.ndarray:

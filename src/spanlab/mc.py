@@ -21,6 +21,7 @@ import numpy as np
 
 from spanlab import metrics, nets
 from spanlab.configs import Window, _whole, json_text, poisson
+from spanlab.geom import _blocks, _expand
 from spanlab.metrics import StretchReport
 
 
@@ -147,9 +148,8 @@ def _crossing_counts(rep, xs, ys, h: float, L: float, replicates: int) -> np.nda
     rep + i x, which numpy orders lexicographically, so each below-axis
     point finds its partners in its own replicate's x-window of half-width
     h + its reach, as |dx| < y2 - y1 <= h - y1.  All friend pairs are
-    expanded with numpy, in blocks of below-axis points holding at most
-    ``_PAIR_BLOCK`` candidate pairs (or one point's candidates, when those
-    alone exceed it).
+    expanded with numpy, in runs of below-axis points cut by ``geom._blocks``,
+    each point sized by its candidate pairs, with budget ``_PAIR_BLOCK``.
     """
     reach = np.abs(ys) + 1e-9 * (1.0 + h + L + np.abs(xs))
     keep = (xs >= -reach) & (xs <= L + reach)
@@ -161,26 +161,18 @@ def _crossing_counts(rep, xs, ys, h: float, L: float, replicates: int) -> np.nda
     xa = key.imag
     lo = np.searchsorted(key, rb + 1j * (xb - half))
     hi = np.searchsorted(key, rb + 1j * (xb + half))
-    sizes = hi - lo
-    ends = np.cumsum(sizes)
-    starts = ends - sizes  # flat index of each point's first candidate pair
     counts = np.zeros(replicates, dtype=np.int64)
-    i = 0
-    while i < len(xb):
-        j = max(int(np.searchsorted(ends, starts[i] + _PAIR_BLOCK, side="right")),
-                i + 1)
-        block = sizes[i:j]
-        partner = (np.arange(starts[i], ends[j - 1])
-                   + np.repeat(lo[i:j] - starts[i:j], block))
-        x1, y1 = np.repeat(xb[i:j], block), np.repeat(yb[i:j], block)
+    for i, j in _blocks(hi - lo, _PAIR_BLOCK):
+        point, off = _expand(hi[i:j] - lo[i:j])
+        point += i
+        partner = lo[point] + off
+        x1, y1 = xb[point], yb[point]
         x2, y2 = xa[partner], ya[partner]
         friends = np.abs(x2 - x1) < (y2 - y1)
         x1, y1, x2, y2 = x1[friends], y1[friends], x2[friends], y2[friends]
         cross = x1 + (x2 - x1) * (-y1) / (y2 - y1)
         hit = (cross >= 0.0) & (cross <= L)
-        counts += np.bincount(np.repeat(rb[i:j], block)[friends][hit],
-                              minlength=replicates)
-        i = j
+        counts += np.bincount(rb[point][friends][hit], minlength=replicates)
     return counts
 
 
@@ -204,24 +196,23 @@ def crossing_experiment(
     """
     if not (0.0 < h < math.inf and 0.0 < L < math.inf):
         raise ValueError("h and L must be positive and finite")
+    replicates = _whole(replicates, 1, "replicates")
     W = 40.0 * max(h, L, 1.0)
-    # a replicate's expected hW points below the axis and hW above make at
-    # most (hW)^2 candidate pairs, so a chunk expects at most one pair block
-    chunk = max(1, int(_PAIR_BLOCK / max(h * W, 1.0) ** 2))
     # the doubles u that x = -W/2 + W u maps into [-h - 1, L + h + 1]; the
     # kernel keeps x only in [-h, L + h] and its rounding margin, so the 1 on
     # each side covers the rounding of u_lo, u_hi and the map
     u_lo, u_hi = 0.5 - (h + 1.0) / W, 0.5 + (L + h + 1.0) / W
     t0 = time.perf_counter()
-    replicates = _whole(replicates, 1, "replicates")
     # one Philox, set per replicate i to the state Philox(master_seed).jumped(i)
     # starts in: the master key, counter (0, 0, i, 0) and an empty buffer
     bitgen = np.random.Philox(master_seed)
     rng, state = np.random.Generator(bitgen), bitgen.state
     counts = []
-    for start in range(0, replicates, chunk):
+    # a replicate's expected hW points below the axis and hW above make at
+    # most (hW)^2 candidate pairs, so a chunk expects at most one pair block
+    for start, stop in _blocks(np.full(replicates, max(h * W, 1.0) ** 2), _PAIR_BLOCK):
         xs, ys = [], []
-        for i in range(start, min(start + chunk, replicates)):
+        for i in range(start, stop):
             state["state"]["counter"][2] = i
             bitgen.state = state
             n = rng.poisson(W * 2.0 * h)

@@ -18,7 +18,7 @@ import numpy as np
 
 from spanlab.configs import (PointConfig, Window, _json_object, _json_params, _whole,
                              json_text, square_grid)
-from spanlab.geom import _groups, _seam_pieces
+from spanlab.geom import _blocks, _groups, _seam_pieces
 
 
 @dataclass
@@ -32,9 +32,11 @@ class Network:
 
     def __post_init__(self):
         self.segments = np.asarray(self.segments, dtype=float).reshape(-1, 4)
-        lengths = np.hypot(self.segments[:, 2] - self.segments[:, 0],
-                           self.segments[:, 3] - self.segments[:, 1])
-        if len(lengths) and (not np.all(np.isfinite(self.segments)) or lengths.min() <= 0):
+        # a finite length needs finite coordinates, and excludes one that overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            lengths = np.hypot(self.segments[:, 2] - self.segments[:, 0],
+                               self.segments[:, 3] - self.segments[:, 1])
+        if not np.all(np.isfinite(lengths) & (lengths > 0)):
             raise ValueError("segments must be finite and nondegenerate")
 
     @property
@@ -118,7 +120,8 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     a winner whose key lies below that bound, less a rounding margin, or
     (in the plane) lies within r inside the points' bounding box, so that
     every city in it is a candidate.  Cities not settled are queried again
-    with 2k, up to k = n, in blocks of at most ``_RANK_BLOCK`` candidates.
+    with 2k, up to k = n, in runs of cities cut by ``geom._blocks``, each
+    city sized by its k candidates, with budget ``_RANK_BLOCK``.
     """
     pts = config.points
     n = len(pts)
@@ -177,9 +180,8 @@ def _cone_edges(config: PointConfig, n_cones: int, criterion: str):
     k = min(n, 4 * n_cones)
     while len(todo):
         settled = np.zeros(len(todo), dtype=bool)
-        rows = max(1, _RANK_BLOCK // k)
-        for s in range(0, len(todo), rows):
-            winners, settled[s:s + rows] = rank(todo[s:s + rows], k)
+        for s, t in _blocks(np.full(len(todo), k), _RANK_BLOCK):
+            winners, settled[s:t] = rank(todo[s:t], k)
             found.append(winners)
         todo = todo[~settled]
         k = min(n, 2 * k)

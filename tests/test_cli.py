@@ -661,6 +661,21 @@ def test_too_fine_grid_spacing_is_a_domain_error(tmp_path, capsys):
     assert captured.out == "" and "6e+300 grid lines per axis, more than 4096" in captured.err
 
 
+def test_segment_whose_length_overflows_is_a_domain_error(tmp_path):
+    # a fresh interpreter, so that a numpy RuntimeWarning reaches stderr rather
+    # than this suite's error filter
+    net = tmp_path / "net.json"
+    net.write_text('{"window": [0, 0, 5, 5], "cities": [[1, 1], [2, 2]], '
+                   '"segments": [[1, 1, 1.7e308, 1.7e308]]}')
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "spanlab.cli", "measure", str(net),
+                           "--stretch", "steiner"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == EXIT_DOMAIN
+    assert done.stdout == ""
+    assert done.stderr == "error: segments must be finite and nondegenerate\n"
+
+
 def test_import_loads_no_scipy_integrate_or_optimize():
     # a fresh interpreter, as this one holds scipy.integrate for the test oracles;
     # spanlab.cli imports every spanlab module

@@ -204,6 +204,18 @@ class TestLattices:
         with pytest.raises(ValueError, match="side must be at least 1"):
             square_grid(Window(0.0, 0.0, 5.0, 0.5))
 
+    def test_refusal_bounds(self):
+        # a honeycomb needs 3 * HEX_SPACING ~ 2.632 of width, a tri lattice
+        # 2 * TRI_SPACING ~ 2.149
+        assert hex_config(Window.square(2.64)).n > 0
+        assert tri_config(Window.square(2.2)).n > 0
+        with pytest.raises(ValueError, match="^window too small for one honeycomb cell$"):
+            hex_config(Window.square(2.2))
+        with pytest.raises(ValueError, match="^window too small for one honeycomb cell$"):
+            hex_config(Window.square(2.1))
+        with pytest.raises(ValueError, match="^window too small for one lattice cell$"):
+            tri_config(Window.square(2.1))
+
 
 def _loop_row_lattice(window, row_height, offsets_even, offsets_odd, period):
     """Reference: the point-by-point loop that configs._row_lattice replaced."""

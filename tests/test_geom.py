@@ -712,6 +712,30 @@ class TestGroups:
         assert group.shape == (len(keys),)
 
 
+class TestBlocks:
+    """geom._blocks cuts rows into maximal runs within a size budget."""
+
+    @given(st.lists(st.integers(0, 12), max_size=40), st.integers(1, 10),
+           st.sampled_from([np.int64, float]))
+    @example([], 1, np.int64)
+    @example([0, 0, 11, 0, 3, 0], 3, np.int64)
+    @example([4, 4, 4, 4], 4, float)
+    @settings(max_examples=300, deadline=None)
+    def test_runs_tile_the_rows_and_are_maximal(self, sizes, budget, dtype):
+        runs = list(geom._blocks(np.array(sizes, dtype=dtype), budget))
+        if not sizes:
+            assert runs == []
+            return
+        # the runs tile range(len(sizes)) in order
+        assert [i for i, _ in runs] == [0] + [j for _, j in runs[:-1]]
+        assert runs[-1][1] == len(sizes)
+        for i, j in runs:
+            assert j > i
+            assert sum(sizes[i:j]) <= budget or j == i + 1
+            # maximal: the next row would break the budget
+            assert j == len(sizes) or sum(sizes[i:j + 1]) > budget
+
+
 class TestArrangementStages:
     """Each array stage of build_arrangement against its scalar reference."""
 

@@ -38,6 +38,17 @@ class TestNetwork:
         with pytest.raises(ValueError):
             nets.Network(cfg, np.array([[0.0, 0.0, 0.0, 0.0]]), "custom")
 
+    @pytest.mark.parametrize("segment", [[1, 1, 1.7e308, 1.7e308], [-1e308, 0, 1e308, 0],
+                                         [1, 1, math.inf, 1], [1, 1, math.nan, 2],
+                                         [-math.inf, 0, math.inf, 0]],
+                             ids=["length-overflows", "difference-overflows", "inf", "nan",
+                                  "inf-minus-inf"])
+    def test_segment_whose_length_is_not_finite_rejected(self, segment):
+        # under the suite's error::RuntimeWarning filter: the check itself warns nothing
+        cfg = _config([[1, 1], [2, 2]])
+        with pytest.raises(ValueError, match="segments must be finite and nondegenerate"):
+            nets.Network(cfg, [segment], "custom")
+
     def test_total_length(self):
         cfg = _config([[0, 0], [3, 4]])
         net = nets.Network(cfg, np.array([[0.0, 0.0, 3.0, 4.0]]), "custom")
@@ -60,13 +71,22 @@ class TestNetwork:
             '"window": [0, 0, 2, 1.5], "cities": [[-0.0, 0.5], [1.25, 0.1]], '
             '"segments": [[-0.0, 0.5, 1.25, 0.1], [1.25, 0.1, 1.9999999999999998, 5e-324]]}')
 
-    @given(st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 4), max_size=6))
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+                    max_size=6))
     @settings(max_examples=200, deadline=None)
     @example([(-0.0, 5e-324, -2.225073858507201e-308, 0.30000000000000004)])
+    @example([(1.0, 1.0, 1.7e308, 1.7e308)])
     def test_json_round_trip_is_bit_exact(self, segments):
         assume(all((x1, y1) != (x2, y2) for x1, y1, x2, y2 in segments))
         cities = np.array(segments).reshape(-1, 2)
-        net = nets.Network(PointConfig(cities, Window.square(1)), segments, "custom")
+        config = PointConfig(cities, Window.square(1))
+        if not all(math.isfinite(math.hypot(x2 - x1, y2 - y1))
+                   for x1, y1, x2, y2 in segments):
+            # a length that overflows a float is refused, as an infinite one is
+            with pytest.raises(ValueError, match="segments must be finite and nondegenerate"):
+                nets.Network(config, segments, "custom")
+            return
+        net = nets.Network(config, segments, "custom")
         back = nets.Network.from_json(net.to_json())
         assert back.segments.shape == net.segments.shape
         assert back.segments.tobytes() == net.segments.tobytes()
