@@ -144,8 +144,9 @@ def segment_intersection(s1: Segment, s2: Segment):
 class RoutingGraph:
     """Planar arrangement of a segment set as a weighted graph.
 
-    nodes: (n, 2) coordinates; edges: (m, 2) node indices; weights:
-    Euclidean sub-segment lengths; city_nodes: node index per input city.
+    nodes: (n, 2) coordinates; matrix: (n, n) CSR adjacency, both directions
+    of each edge weighted by its Euclidean length; city_nodes: node index per
+    input city.  edges ((m, 2) int64, lo < hi, sorted) and weights are its upper triangle.
     stats: counts from build_arrangement's stages: segments_in (input
     rows, or seam pieces), overlap_rounds (passes over the candidate pairs:
     1, or 2 when the first merged), candidate_pairs (pairs of the merged
@@ -155,33 +156,31 @@ class RoutingGraph:
     (points merged into a node at nonzero distance), on a torus seam_points
     (nodes within snap_eps of a seam) and glued (nodes merged away), and the
     routed nodes and edges.
-    Immutable after construction; the sparse matrix is built once, and
-    distances_from_each maps a row function over a block of searches split
-    over the usable CPUs.
+    Immutable after construction; distances_from_each maps a row function
+    over a block of searches split over the usable CPUs.
     """
 
     nodes: np.ndarray
-    edges: np.ndarray
-    weights: np.ndarray
+    matrix: csr_matrix
     city_nodes: np.ndarray
-    _csr: csr_matrix | None = field(default=None, repr=False)
     stats: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
+    def _upper(self):
+        """Row, column and weight of each entry above the diagonal, row by row."""
+        row = np.repeat(np.arange(self.n_nodes), np.diff(self.matrix.indptr))
+        upper = self.matrix.indices > row
+        return row[upper], self.matrix.indices[upper], self.matrix.data[upper]
+
+    edges = property(lambda self: np.stack(self._upper()[:2], axis=1))
+    weights = property(lambda self: self._upper()[2])
+
     @property
     def total_length(self) -> float:
         return float(self.weights.sum())
-
-    def _matrix(self) -> csr_matrix:
-        if self._csr is None:  # both directions of every edge
-            from scipy.sparse import csr_matrix
-            n, e = self.n_nodes, self.edges
-            self._csr = csr_matrix((np.tile(self.weights, 2), (e.T.ravel(), e[:, ::-1].T.ravel())),
-                                   shape=(n, n))
-        return self._csr
 
     def distances_from(self, city: int) -> np.ndarray:
         """All-node shortest-path distances from a city.
@@ -193,23 +192,22 @@ class RoutingGraph:
         if not 0 <= city < len(self.city_nodes):
             raise KeyError(f"unknown city index {city}")
         from scipy.sparse.csgraph import dijkstra
-        return dijkstra(self._matrix(), directed=True, indices=self.city_nodes[city])
+        return dijkstra(self.matrix, directed=True, indices=self.city_nodes[city])
 
     def distances_from_each(self, cities, width: int, row) -> np.ndarray:
         """A (len(cities), width) float block whose row r is row(r, distances_from(cities[r])).
 
-        Rows are dealt on demand, in chunks, from a pipe.  Once the matrix is
-        built, forked children (one per further usable CPU, each with at least
-        _SPLIT_WORK sources x nodes) draw them beside this process, write each
-        row into a shared mmap and mark it done; this process redoes the rows
-        not marked once the children are reaped.  With no os.fork, one CPU or a
-        small block it draws every row in order.  A row is the same scipy call
-        and row function wherever it runs, so results are bit-identical.
+        Rows are dealt on demand, in chunks, from a pipe.  Forked children (one
+        per further usable CPU, each with at least _SPLIT_WORK sources x nodes)
+        draw them beside this process, write each row into a shared mmap and
+        mark it done; this process redoes the rows not marked once the children
+        are reaped.  With no os.fork, one CPU or a small block it draws every
+        row in order.  A row is the same scipy call and row function wherever
+        it runs, so results are bit-identical.
         """
         if bad := [c for c in cities if not 0 <= c < len(self.city_nodes)]:
             raise KeyError(f"unknown city index {bad[0]}")
         import scipy.sparse.csgraph  # noqa: F401  (imported once here, not in each child)
-        self._matrix()
         k = len(cities)
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1) if hasattr(os, "fork") else 1
@@ -654,21 +652,27 @@ def build_arrangement(
         pts = np.concatenate([S.reshape(-1, 2), cities])
         diam = math.hypot(*(pts.max(0) - pts.min(0)).tolist()) if len(pts) else 1.0
         snap_eps = max(1e-9 * diam, 1e-300)
-    if window is None:
-        g = _planar_arrangement(S, cities, snap_eps, junctions)
-    else:
-        g = _torus_arrangement(S, cities, window, snap_eps, junctions)
-    lonely = np.bincount(g.edges.ravel(), minlength=g.n_nodes)[g.city_nodes] == 0
-    if lonely.any() and (len(g.edges) or len(cities) > 1):
+    nodes, e, w, city_nodes, stats = (
+        _planar_arrangement(S, cities, snap_eps, junctions) if window is None
+        else _torus_arrangement(S, cities, window, snap_eps, junctions))
+    n = len(nodes)
+    lonely = np.bincount(e.ravel(), minlength=n)[city_nodes] == 0
+    if lonely.any() and (len(e) or len(cities) > 1):
         k = int(np.argmax(lonely))
         raise DisconnectedCityError(f"disconnected city: the node of city {k} at "
                                     f"{tuple(cities[k].tolist())} carries no road")
-    return g
+    from scipy.sparse import csr_matrix
+    # both directions of every edge; 32-bit node indices where they fit (the dtype scipy
+    # stores) keep the build's transient memory below the arrangement's peak
+    e = e.astype(np.int32) if n <= np.iinfo(np.int32).max else e
+    matrix = csr_matrix((np.tile(w, 2), (e.T.ravel(), e[:, ::-1].T.ravel())), shape=(n, n))
+    return RoutingGraph(nodes=nodes, matrix=matrix, city_nodes=city_nodes, stats=stats)
 
 
 def _planar_arrangement(S: np.ndarray, cities: np.ndarray, snap_eps: float,
-                        junctions: bool, cuts=None) -> RoutingGraph:
-    """build_arrangement's stages on the plane.  A segment end at one of the
+                        junctions: bool, cuts=None):
+    """build_arrangement's stages on the plane: nodes, sorted unique (lo, hi)
+    edges, their weights, city_nodes and stats.  A segment end at one of the
     points ``cuts`` (where a road was cut without ending, given in graph
     mode only) touching another segment's interior carries no node."""
     stats = {"segments_in": len(S)}
@@ -713,8 +717,7 @@ def _planar_arrangement(S: np.ndarray, cities: np.ndarray, snap_eps: float,
     weights = _hypot(nodes[edges[:, 1], 0] - nodes[edges[:, 0], 0],
                      nodes[edges[:, 1], 1] - nodes[edges[:, 0], 1])
     stats.update(nodes=len(nodes), edges=len(edges))
-    return RoutingGraph(nodes=nodes, edges=edges, weights=weights,
-                        city_nodes=city_nodes.astype(int), stats=stats)
+    return nodes, edges, weights, city_nodes.astype(int), stats
 
 
 def _seam_pieces(S: np.ndarray, lo: np.ndarray, side: np.ndarray):
@@ -784,7 +787,7 @@ def _images_on_seam_roads(pieces: np.ndarray, points: np.ndarray, lo: np.ndarray
 
 
 def _torus_arrangement(S: np.ndarray, cities: np.ndarray, window, snap_eps: float,
-                       junctions: bool) -> RoutingGraph:
+                       junctions: bool):
     """build_arrangement's stages on the torus ``window``: the seam pieces of
     the lifts S arranged, then glued; ``stats`` adds seam_points and glued."""
     from scipy.sparse import csgraph, csr_matrix
@@ -798,8 +801,9 @@ def _torus_arrangement(S: np.ndarray, cities: np.ndarray, window, snap_eps: floa
     # a road that runs along an edge takes a node at the image of every
     # road end and city on the opposite edge
     images = _images_on_seam_roads(S, np.concatenate([ends[~cut], cities]), lo, side, snap_eps)
-    g = _planar_arrangement(S, np.concatenate([cities, images]), snap_eps, junctions, cuts)
-    nodes, n_nodes, stats = g.nodes, g.n_nodes, g.stats
+    nodes, e, w, city_nodes, stats = _planar_arrangement(
+        S, np.concatenate([cities, images]), snap_eps, junctions, cuts)
+    n_nodes = len(nodes)
     near_lo = np.abs(nodes - lo) <= snap_eps
     near_hi = np.abs(nodes - lo - side) <= snap_eps
     seam = np.flatnonzero((near_lo | near_hi).any(axis=1))
@@ -811,10 +815,8 @@ def _torus_arrangement(S: np.ndarray, cities: np.ndarray, window, snap_eps: floa
     # each node joins the first node of its component: components are
     # labelled in the order of their first node
     kept, label = _groups(csgraph.connected_components(glue, directed=False)[1])
-    # the unglued graph goes once its edges are relabelled
-    nodes, e, w = nodes[kept], label[g.edges], g.weights
-    city_nodes = label[g.city_nodes[:len(cities)]]
-    del g
+    # each unglued array goes once it is relabelled
+    nodes, e, city_nodes = nodes[kept], label[e], label[city_nodes[:len(cities)]]
     loop = e[:, 0] == e[:, 1]
     e, w = e[~loop], w[~loop]
     e.sort(axis=1)
@@ -823,5 +825,4 @@ def _torus_arrangement(S: np.ndarray, cities: np.ndarray, window, snap_eps: floa
     first = order[np.diff(codes[order], prepend=-1) != 0]
     stats = {**stats, "seam_points": len(seam), "glued": int(n_nodes - len(nodes)),
              "nodes": len(nodes), "edges": len(first)}
-    return RoutingGraph(nodes=nodes, edges=e[first], weights=w[first],
-                        city_nodes=city_nodes, stats=stats)
+    return nodes, e[first], w[first], city_nodes, stats

@@ -214,6 +214,59 @@ class TestRoutingGraph:
         with pytest.raises(KeyError):
             g.distances_from(3)
 
+    # a lift: a city on a 10x10 grid of quarters and an offset of up to 6
+    # either way, so on the torus it may cross a seam but never closes a loop
+    _lift = st.tuples(st.integers(0, 39), st.integers(0, 39), st.integers(-24, 24),
+                      st.integers(-24, 24)).filter(lambda r: r[2:] != (0, 0))
+
+    @given(st.lists(_lift, min_size=1, max_size=6, unique_by=lambda r: r[:2]),
+           st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_is_the_graph(self, lifts, torus, junctions):
+        """The CSR adjacency is the graph: edges and weights are its upper
+        triangle, and it is the matrix both directions of them make."""
+        from scipy.sparse import csr_matrix
+        rows = np.array(lifts, dtype=float) / 4
+        cities = rows[:, :2]
+        segs = np.concatenate([cities, cities + rows[:, 2:]], axis=1)
+        g = build_arrangement(segs, cities, 1e-8, junctions,
+                              window=Window.square(10) if torus else None)
+        M, e, w = g.matrix, g.edges, g.weights
+        n = g.n_nodes
+        assert (M != M.T).nnz == 0
+        upper = [(r, c, x) for r in range(n)
+                 for c, x in zip(M.indices[M.indptr[r]:M.indptr[r + 1]].tolist(),
+                                 M.data[M.indptr[r]:M.indptr[r + 1]].tolist()) if c > r]
+        assert [[r, c] for r, c, _ in upper] == e.tolist()
+        assert [x for _, _, x in upper] == w.tolist()
+        assert e.dtype == np.int64 and e.shape == (len(w), 2) and len(w) > 0
+        assert (e[:, 0] < e[:, 1]).all() and (np.diff(e[:, 0] * n + e[:, 1]) > 0).all()
+        for (i, j), x in zip(e.tolist(), w.tolist()):
+            d = g.nodes[j] - g.nodes[i]
+            if torus:  # a glued end may stand for its image across a seam
+                assert min(abs(math.hypot(d[0] + a, d[1] + b) - x) for a in (-10, 0, 10)
+                           for b in (-10, 0, 10)) <= 1e-9
+            else:
+                assert math.hypot(*d.tolist()) == x
+        want = csr_matrix((np.tile(w, 2), (e.T.ravel(), e[:, ::-1].T.ravel())), shape=(n, n))
+        for name in ("indptr", "indices", "data"):
+            got, made = getattr(M, name), getattr(want, name)
+            assert got.dtype == made.dtype and got.tobytes() == made.tobytes(), name
+
+    def test_search_adds_no_copy(self):
+        # the suite's memory instance: the graph holds its arrays and no more,
+        # and a search reads the matrix it was built with
+        g = metrics.routing_graph(nets.cone_road_network(
+            poisson(Window.square(20), seed=0, torus=True), 8))
+        assert g.n_nodes == 55_808
+        M = g.matrix
+        held = (M.indptr, M.indices, M.data)
+        assert sum(a.nbytes for a in (g.nodes, *held, g.city_nodes)) <= 75 * g.n_nodes
+        g.distances_from(0)
+        g.distances_from_each([0, 1, 2], 1, lambda r, dist: dist[:1])
+        assert g.matrix is M
+        assert all(a is b for a, b in zip((M.indptr, M.indices, M.data), held))
+
 
 @pytest.fixture(scope="module")
 def torus_graph():
@@ -1133,7 +1186,7 @@ class TestPairBlocks:
     # (55,808 nodes, 218,306 candidate pairs): 14.0 MB with blocks of 1 << 16
     # pairs; a stage holding a block costs about 171 bytes a pair on top of
     # what is live, and the stages after them peak near 252 bytes a node
-    # (the split-and-edge tail; the torus gluing 200), 67 of which the graph
+    # (the split-and-edge tail; the torus gluing 200), 69 of which the graph
     # keeps.  It was 14.8 MB while the gluing held the unglued graph to its
     # end (266 bytes a node), 20.6 MB while build_arrangement kept every
     # stage's temporaries to its end, and 92.2 MB before the pairs went in
@@ -1278,7 +1331,7 @@ class TestTorusArrangement:
                             lambda *args: unglued.append(planar(*args)) or unglued[-1])
         eps = 1e-9 * self.WINDOW.diameter
         g = build_arrangement(net.segments, cfg.points, eps, window=self.WINDOW)
-        nodes = unglued[0].nodes
+        nodes = unglued[0][0]
         far = np.abs(nodes - 10.0) <= eps
         seam = np.flatnonzero((far | (np.abs(nodes) <= eps)).any(axis=1)).tolist()
         key = np.where(far, nodes - 10.0, nodes)
@@ -1299,7 +1352,7 @@ class TestTorusArrangement:
         assert g.stats["glued"] == len(nodes) - len(kept) > 50
         np.testing.assert_array_equal(g.nodes, nodes[kept])
         label = {u: k for k, u in enumerate(kept)}
-        cities = unglued[0].city_nodes[:len(cfg.points)]
+        cities = unglued[0][3][:len(cfg.points)]
         assert g.city_nodes.tolist() == [label[first[u]] for u in cities.tolist()]
 
     @pytest.mark.parametrize("junctions", [True, False])
