@@ -6,9 +6,9 @@ that partner numerically.  Replicate i of an experiment seeded s draws
 from its own Philox substream, ``Philox(s).jumped(i)``: the key of
 ``Philox(s)`` with counter word 2 set to i.  So results are reproducible
 and order-independent, and replicate 0 draws what the plain seed s draws.
-A crossing replicate reads its n points in one ``random(2n)`` call, x
-from the first n doubles and y from the next n: the same values as
-``uniform(-W/2, W/2, n)`` then ``uniform(-h, h, n)``.
+A crossing replicate reads its n points as one ``random((2, n))`` block,
+x in row 0 and y in row 1: the same values as ``uniform(-W/2, W/2, n)``
+then ``uniform(-h, h, n)``.
 """
 
 from __future__ import annotations
@@ -135,6 +135,12 @@ def empirical_Lk(
 _PAIR_BLOCK = 1 << 20
 
 
+# Most points a crossing replicate may expect (2hW, its Poisson mean): a wider
+# strip is refused before anything is drawn; at the limit a replicate's
+# doubles take 268 MB.
+_STRIP_POINTS = 1 << 24
+
+
 def _crossing_counts(rep, xs, ys, h: float, L: float, replicates: int) -> np.ndarray:
     """Virtual crossings in [0, L] of each replicate's points in the strip
     |y| <= h; point k belongs to replicate ``rep[k]`` in [0, replicates).
@@ -192,43 +198,48 @@ def crossing_experiment(
 
     Only the points whose x-double maps into [-h - 1, L + h + 1] are mapped
     and handed to ``_crossing_counts``, chunk by chunk; no other point can
-    count.
+    count.  A strip expecting more than ``_STRIP_POINTS`` points a replicate
+    is refused.
     """
     if not (0.0 < h < math.inf and 0.0 < L < math.inf):
         raise ValueError("h and L must be positive and finite")
     replicates = _whole(replicates, 1, "replicates")
     W = 40.0 * max(h, L, 1.0)
+    mean = W * 2.0 * h
+    if not mean <= _STRIP_POINTS:
+        raise ValueError(f"a strip of h = {h!r}, L = {L!r} expects {mean:.4g} points"
+                         f" a replicate, more than {_STRIP_POINTS}")
     # the doubles u that x = -W/2 + W u maps into [-h - 1, L + h + 1]; the
     # kernel keeps x only in [-h, L + h] and its rounding margin, so the 1 on
     # each side covers the rounding of u_lo, u_hi and the map
     u_lo, u_hi = 0.5 - (h + 1.0) / W, 0.5 + (L + h + 1.0) / W
     t0 = time.perf_counter()
     # one Philox, set per replicate i to the state Philox(master_seed).jumped(i)
-    # starts in: the master key, counter (0, 0, i, 0) and an empty buffer
+    # starts in: the master key, counter (0, 0, i, 0) and an empty buffer; the
+    # setter reads Python ints about twice as fast as numpy uint64 scalars
     bitgen = np.random.Philox(master_seed)
-    rng, state = np.random.Generator(bitgen), bitgen.state
+    rng, counter, fresh = np.random.Generator(bitgen), [0, 0, 0, 0], bitgen.state
+    state = {"bit_generator": fresh["bit_generator"],
+             "state": {"counter": counter, "key": fresh["state"]["key"].tolist()},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = []
     # a replicate's expected hW points below the axis and hW above make at
     # most (hW)^2 candidate pairs, so a chunk expects at most one pair block
     for start, stop in _blocks(np.full(replicates, max(h * W, 1.0) ** 2), _PAIR_BLOCK):
-        xs, ys = [], []
+        us = []
         for i in range(start, stop):
-            state["state"]["counter"][2] = i
+            counter[2] = i
             bitgen.state = state
-            n = rng.poisson(W * 2.0 * h)
-            u = rng.random(2 * n)
-            xs.append(u[:n])
-            ys.append(u[n:])
-        ux = np.concatenate(xs)
-        kept = np.flatnonzero((ux >= u_lo) & (ux <= u_hi))
+            us.append(rng.random((2, rng.poisson(mean))))
+        u = np.concatenate(us, axis=1)
+        kept = np.flatnonzero((u[0] >= u_lo) & (u[0] <= u_hi))
         # replicate i of the chunk holds the points from ends[i - 1] to ends[i]
-        ends = np.cumsum([len(x) for x in xs])
+        ends = np.cumsum([v.shape[1] for v in us])
         rep = np.searchsorted(ends, kept, side="right")
         # uniform(low, high) is low + (high - low) * the next double, and the
         # ranges W and 2h are exact: the same bits as two uniform calls
-        counts.append(_crossing_counts(rep, -W / 2.0 + W * ux[kept],
-                                       -h + 2.0 * h * np.concatenate(ys)[kept],
-                                       h, L, len(xs)))
+        counts.append(_crossing_counts(rep, -W / 2.0 + W * u[0, kept],
+                                       -h + 2.0 * h * u[1, kept], h, L, len(us)))
     counts = np.concatenate(counts).astype(float)
     params = {"h": h, "L": L, "W": W}
     first = _aggregate("crossing_N", params, counts, master_seed, t0)

@@ -676,6 +676,19 @@ def test_segment_whose_length_overflows_is_a_domain_error(tmp_path):
     assert done.stderr == "error: segments must be finite and nondegenerate\n"
 
 
+def test_oversized_crossing_strip_is_a_domain_error():
+    # a fresh interpreter, so that a traceback would reach stderr; the strip
+    # would hold 8e13 points a replicate, a request that fails at once
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "spanlab.cli", "experiment", "crossing",
+                           "--h", "1e6", "--L", "1", "--replicates", "1"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_DOMAIN
+    assert done.stdout == ""
+    assert done.stderr == ("error: a strip of h = 1000000.0, L = 1.0 expects 8e+13 points"
+                           " a replicate, more than 16777216\n")
+
+
 def test_import_loads_no_scipy_integrate_or_optimize():
     # a fresh interpreter, as this one holds scipy.integrate for the test oracles;
     # spanlab.cli imports every spanlab module

@@ -108,6 +108,13 @@ class TestCrossingExperiment:
         with pytest.raises(ValueError, match="positive and finite"):
             mc.crossing_experiment(h, L, replicates=2)
 
+    @pytest.mark.parametrize("h,L", [(1e6, 1.0), (1.0, 1e7), (1e300, 1.0)])
+    def test_oversized_strip_rejected(self, h, L):
+        # 2hW points a replicate would be 8e13, 8e8 and inf: refused before
+        # any draw, so neither the time nor the memory is spent
+        with pytest.raises(ValueError, match=r"points a replicate, more than 16777216"):
+            mc.crossing_experiment(h, L, replicates=1)
+
     def test_memory_stays_bounded(self):
         # replicates reach the kernel in chunks, not all at once
         tracemalloc.start()
@@ -321,6 +328,7 @@ class TestCrossingKernel:
     @pytest.mark.parametrize("seed", [0, 2 ** 140 - 1], ids=["0", "2**140-1"])
     def test_replicate_state_is_the_jumped_state(self, monkeypatch, seed):
         philox = np.random.Philox
+        fields = ("counter", "key", "buffer", "buffer_pos", "has_uint32", "uinteger")
 
         class Spy(philox):
             """A Philox that records every state the driver sets."""
@@ -332,20 +340,24 @@ class TestCrossingKernel:
 
             @state.setter
             def state(self, value):
-                Spy.seen.append({k: v.copy() for k, v in value["state"].items()})
+                flat = {**value["state"], **value}
+                Spy.seen.append({k: np.array(flat[k], dtype=np.uint64) for k in fields})
                 philox.state.__set__(self, value)
 
         monkeypatch.setattr(np.random, "Philox", Spy)
         mc.crossing_experiment(1.0, 1.0, replicates=6, master_seed=seed)
         monkeypatch.undo()
         assert len(Spy.seen) == 6
+        # a key word of 2**63 or more must reach the setter intact
+        assert max(Spy.seen[0]["key"]) >= 2 ** 63
         for i in (0, 1, 5, 2 ** 33):
-            want = np.random.Philox(seed).jumped(i).state["state"]
+            jumped = np.random.Philox(seed).jumped(i).state
+            want = {**jumped["state"], **jumped}
             # replicate 2**33 is beyond a run; the driver's rule gives its state
-            got = Spy.seen[i] if i < 6 else {"key": Spy.seen[0]["key"],
-                                             "counter": np.array([0, 0, i, 0], np.uint64)}
-            assert np.array_equal(got["counter"], want["counter"])
-            assert np.array_equal(got["key"], want["key"])
+            got = Spy.seen[i] if i < 6 else {
+                **Spy.seen[0], "counter": np.array([0, 0, i, 0], np.uint64)}
+            for k in fields:
+                assert np.array_equal(got[k], want[k]), k
 
 
 _DRIVERS = pytest.mark.parametrize("run", [
